@@ -17,10 +17,15 @@ target model supplies; everything else is expanded syntactically.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ParseError, SignatureError
+from . import instances, wandspec
+from .errors import NotAPair, NotInCodeImage, ParseError, SignatureError
+from .pureset import (PureSet, deep_uncarrier, is_carrier, kunpair, lt_levels, uncarrier, vn,
+                      vn_value)
 
 SIG_WS = "ws"
 SIG_LT = "lt"
@@ -144,16 +149,22 @@ def free_vars(f) -> frozenset:
 def check_signature(f, sig: str) -> None:
     """Raise SignatureError if ``f`` uses atoms outside ``sig``."""
     allowed = _ALLOWED[sig]
+    for g in _atoms(f):
+        if not isinstance(g, allowed):
+            raise SignatureError(f"{type(g).__name__} atom not in signature {sig}")
+
+
+def _atoms(f) -> Iterable[object]:
+    """The atom occurrences of ``f``, left to right."""
     stack = [f]
     while stack:
         g = stack.pop()
         if isinstance(g, ATOMS):
-            if not isinstance(g, allowed):
-                raise SignatureError(f"{type(g).__name__} atom not in signature {sig}")
+            yield g
         elif isinstance(g, Not):
             stack.append(g.f)
         elif isinstance(g, (And, Or, Implies, Iff)):
-            stack.extend((g.lhs, g.rhs))
+            stack.extend((g.rhs, g.lhs))
         elif isinstance(g, (Forall, Exists)):
             stack.append(g.body)
         else:
@@ -368,73 +379,157 @@ class FiniteModel:
     defined: Dict[str, Callable] = field(default_factory=dict)
 
 
+def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..., bool]:
+    """Compile ``f`` once over ``model`` into a function of the values of ``params``.
+
+    One pass over the tree gives every variable an integer slot, collects
+    each node's free-variable slots bottom-up and returns one closure per
+    node (a subtree shared by identity is compiled once).  The environment is
+    a list indexed by slot; a quantifier sets and restores its own slot in
+    place.  Each quantifier and each relational atom keeps its own memo,
+    keyed by the values of its free slots (the bare value for one slot,
+    ``()`` for none); connectives and equality keep none, since their
+    operands are memoised or cheap.  The memos live as long as the returned
+    function, so later calls reuse what earlier calls computed.  Connectives
+    short-circuit left to right, so oracles see only the tuples a top-down
+    reading reaches, and a model without an oracle for a defined atom raises
+    SignatureError when that atom is first evaluated.
+    """
+    slots: Dict[Var, int] = {}
+    for v in params:
+        slots.setdefault(v, len(slots))
+    allowed = _ALLOWED[model.signature]
+    compiled: Dict[int, Tuple[Callable, frozenset]] = {}
+    bad: List[object] = []
+
+    def slot(v: Var) -> int:
+        got = slots.get(v)
+        if got is None:
+            got = slots[v] = len(slots)
+        return got
+
+    def node(g) -> Tuple[Callable, frozenset]:
+        got = compiled.get(id(g))
+        if got is None:
+            got = compiled[id(g)] = build(g)
+        return got
+
+    def build(g) -> Tuple[Callable, frozenset]:
+        if isinstance(g, Eq):
+            i, j = slot(g.x), slot(g.y)
+            return (lambda env: env[i] == env[j]), frozenset((i, j))
+        if isinstance(g, ATOMS):
+            if not isinstance(g, allowed) and not bad:
+                bad.append(g)
+            rel, args = _relation(model, g)
+            idx = tuple(slot(a) for a in args)
+            free = frozenset(idx)
+            if len(idx) == 1:
+                i, = idx
+                return _memoized(lambda env: bool(rel(env[i])), free), free
+            get = _getter(idx)
+            return _memoized(lambda env: bool(rel(*get(env))), free), free
+        if isinstance(g, Not):
+            body, free = node(g.f)
+            return (lambda env: not body(env)), free
+        if isinstance(g, (And, Or, Implies, Iff)):
+            (lhs, lf), (rhs, rf) = node(g.lhs), node(g.rhs)
+            if isinstance(g, And):
+                run = lambda env: lhs(env) and rhs(env)
+            elif isinstance(g, Or):
+                run = lambda env: lhs(env) or rhs(env)
+            elif isinstance(g, Implies):
+                run = lambda env: not lhs(env) or rhs(env)
+            else:
+                run = lambda env: lhs(env) == rhs(env)
+            return run, lf | rf
+        if isinstance(g, (Forall, Exists)):
+            body, bf = node(g.body)
+            s = slot(g.v)
+            carrier = model.carrier
+            want_all = isinstance(g, Forall)
+
+            def run(env) -> bool:
+                saved = env[s]
+                out = want_all
+                for e in carrier:
+                    env[s] = e
+                    if body(env) != want_all:
+                        out = not want_all
+                        break
+                env[s] = saved
+                return out
+
+            free = bf - {s}
+            return _memoized(run, free), free
+        raise TypeError(f"not a formula: {g!r}")
+
+    run, free = node(f)
+    missing = sorted(v.name for v, i in slots.items() if i in free and v not in params)
+    if missing:
+        raise SignatureError(f"unbound variables: {missing}")
+    if bad:
+        raise SignatureError(
+            f"{type(bad[0]).__name__} atom not in signature {model.signature}")
+    width = len(slots)
+
+    def holds(*values) -> bool:
+        env = [None] * width
+        env[:len(values)] = values
+        return run(env)
+
+    return holds
+
+
+def _relation(model: FiniteModel, g) -> Tuple[Callable, Tuple[Var, ...]]:
+    """The oracle a relational atom reads and the variables it is applied to."""
+    if isinstance(g, Bland):
+        return model.bland, (g.t,)
+    if isinstance(g, Wand):
+        return model.wand, (g.t,)
+    if isinstance(g, In):
+        return model.member, (g.x, g.y)
+    if isinstance(g, Tap):
+        return model.tap, (g.w, g.a, g.c)
+    oracle = model.defined.get(g.name)
+    if oracle is None:
+        def oracle(*_):
+            raise SignatureError(f"model {model.name} has no oracle {g.name!r}")
+    return oracle, g.args
+
+
+def _getter(idx: Sequence[int]) -> Callable:
+    """Read slots ``idx`` of an environment: a bare value for one slot, a
+    tuple for several, ``()`` for none."""
+    return itemgetter(*idx) if idx else (lambda env: ())
+
+
+def _memoized(run: Callable, free: frozenset) -> Callable:
+    """``run`` cached on the values of the slots in ``free``."""
+    key = _getter(sorted(free))
+    memo: dict = {}
+
+    def cached(env) -> bool:
+        k = key(env)
+        hit = memo.get(k)
+        if hit is None:
+            hit = memo[k] = run(env)
+        return hit
+
+    return cached
+
+
 def eval_formula(model: FiniteModel, f, env: Optional[Dict[Var, object]] = None) -> bool:
     """Tarskian truth over ``model``; quantifiers range over the carrier.
 
-    Sub-formula values are memoized per (node, relevant bindings), so large
-    relativized guards stay cheap.
+    ``env`` binds the free variables of ``f``.  The formula is compiled once
+    by :func:`compile_formula` into slot-indexed closures whose memos are
+    keyed by each subformula's free-variable values, so large relativized
+    guards stay cheap; an unbound variable or an atom outside the model's
+    signature raises SignatureError before anything is evaluated.
     """
     env = env or {}
-    missing = free_vars(f) - set(env)
-    if missing:
-        raise SignatureError(f"unbound variables: {sorted(v.name for v in missing)}")
-    check_signature(f, model.signature)
-    memo: dict = {}
-    fv_cache: dict = {}
-
-    def fv(g) -> frozenset:
-        got = fv_cache.get(id(g))
-        if got is None:
-            got = free_vars(g)
-            fv_cache[id(g)] = got
-        return got
-
-    def ev(g, env: Dict[Var, object]) -> bool:
-        key = (id(g), tuple(sorted((v.name, env[v]) for v in fv(g))))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = _ev(g, env)
-        memo[key] = out
-        return out
-
-    def _ev(g, env) -> bool:
-        if isinstance(g, Bland):
-            return bool(model.bland(env[g.t]))
-        if isinstance(g, Wand):
-            return bool(model.wand(env[g.t]))
-        if isinstance(g, In):
-            return bool(model.member(env[g.x], env[g.y]))
-        if isinstance(g, Tap):
-            return bool(model.tap(env[g.w], env[g.a], env[g.c]))
-        if isinstance(g, Eq):
-            return env[g.x] == env[g.y]
-        if isinstance(g, Defined):
-            oracle = model.defined.get(g.name)
-            if oracle is None:
-                raise SignatureError(f"model {model.name} has no oracle {g.name!r}")
-            return bool(oracle(*(env[a] for a in g.args)))
-        if isinstance(g, Not):
-            return not ev(g.f, env)
-        if isinstance(g, And):
-            return ev(g.lhs, env) and ev(g.rhs, env)
-        if isinstance(g, Or):
-            return ev(g.lhs, env) or ev(g.rhs, env)
-        if isinstance(g, Implies):
-            return not ev(g.lhs, env) or ev(g.rhs, env)
-        if isinstance(g, Iff):
-            return ev(g.lhs, env) == ev(g.rhs, env)
-        if isinstance(g, (Forall, Exists)):
-            want_all = isinstance(g, Forall)
-            for e in model.carrier:
-                sub = dict(env)
-                sub[g.v] = e
-                if ev(g.body, sub) != want_all:
-                    return not want_all
-            return want_all
-        raise TypeError(f"not a formula: {g!r}")
-
-    return ev(f, env)
+    return compile_formula(model, f, tuple(env))(*env.values())
 
 
 # -- helpers for building formulas -------------------------------------------------
@@ -719,30 +814,23 @@ TRANSLATIONS = {
 }
 
 
-def identity_preserving(f) -> bool:
-    """Translations must map equality atoms to equality atoms; check that a
-    translation output keeps every Eq from the input (syntactic)."""
-    if isinstance(f, Eq):
-        return True
-    if isinstance(f, ATOMS):
-        return True
-    if isinstance(f, Not):
-        return identity_preserving(f.f)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return identity_preserving(f.lhs) and identity_preserving(f.rhs)
-    if isinstance(f, (Forall, Exists)):
-        return identity_preserving(f.body)
-    return False
+def identity_preserving(source, output) -> bool:
+    """Translations must map equality atoms to equality atoms: check that
+    ``output`` carries exactly the Eq atoms of ``source``, counted with
+    multiplicity (syntactic)."""
+    return Counter(_eq_atoms(source)) == Counter(_eq_atoms(output))
+
+
+def _eq_atoms(f) -> Iterable[Eq]:
+    return (g for g in _atoms(f) if isinstance(g, Eq))
 
 
 # -- models over fragments and stages ------------------------------------------------
 
 def fragment_model(frag) -> FiniteModel:
     """The ws reading of a fragment: primitive blandness, membership, taps."""
-    from . import instances
-
     view = frag.view()
-    wand_ids = set(frag.wand_obj_ids().values())
+    wand_index = {oid: idx for idx, oid in frag.wand_obj_ids().items()}
     carrier = tuple(frag.canonical_order())
 
     def member(x, y):
@@ -750,13 +838,12 @@ def fragment_model(frag) -> FiniteModel:
         return o.is_bland and x in o.members
 
     def tapr(w, a, c):
-        widx = _wand_index(frag, w)
+        widx = wand_index.get(w)
         if widx is None or frag.obj(c).is_bland:
             return False
-        from . import wandspec as ws_mod
-        if not ws_mod.dom(frag.spec, widx, a, view):
+        if not wandspec.dom(frag.spec, widx, a, view):
             return False
-        return any(ws_mod.equiv(frag.spec, widx, a, u, b, view)
+        return any(wandspec.equiv(frag.spec, widx, a, u, b, view)
                    for u, b in frag.obj(c).tclass)
 
     def nequiv(n, x, y):
@@ -771,14 +858,13 @@ def fragment_model(frag) -> FiniteModel:
     model = FiniteModel(
         name=f"{frag.spec.name}-d{frag.depth}", signature=SIG_WS, carrier=carrier,
         bland=lambda x: frag.obj(x).is_bland,
-        wand=lambda x: x in wand_ids,
+        wand=lambda x: x in wand_index,
         member=member, tap=tapr)
     model.defined["nequiv"] = nequiv
     model.defined["finord"] = finord
     # oracles for circle-composites: e-side defined atoms read back over ws
     model.defined["nequiv@"] = _nequiv_over_semantics(
-        model, bland_sem=lambda x: eval_formula(
-            model, _CIRCLE_BLAND, {_CB_VAR: x}),
+        model, bland_sem=_predicate(model, _CIRCLE_BLAND, _CB_VAR),
         member_sem=lambda x, y: instances.varin(frag, x, y)
         if frag.spec.name.startswith("church:") else member(x, y),
         finord_sem=finord)
@@ -787,6 +873,23 @@ def fragment_model(frag) -> FiniteModel:
 
 _CB_VAR = Var("_cbv")
 _CIRCLE_BLAND = None  # filled in at the end of the module
+
+
+def _predicate(model: FiniteModel, f, v: Var) -> Callable[[object], bool]:
+    """``x -> f holds over model with v bound to x``.
+
+    ``f`` is compiled on the first call, once the model's oracles are all in
+    place, and every later call reuses the compiled closures and their memos.
+    """
+    holds = None
+
+    def pred(x) -> bool:
+        nonlocal holds
+        if holds is None:
+            holds = compile_formula(model, f, (v,))
+        return holds(x)
+
+    return pred
 
 
 def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem):
@@ -835,7 +938,6 @@ def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem
     q = _Q()
 
     def oracle(n, x, y):
-        from . import instances
         k = _decode_num(q, n)
         if k is None or k < 1:
             return False
@@ -857,18 +959,9 @@ def _decode_num(q, h) -> Optional[int]:
     return len(ms) if vals == set(range(len(ms))) else None
 
 
-def _wand_index(frag, obj_id) -> Optional[int]:
-    for idx, oid in frag.wand_obj_ids().items():
-        if oid == obj_id:
-            return idx
-    return None
-
-
 def lt_model(frag) -> FiniteModel:
     """The lt side at matching depth: pure sets of rank below the fragment's
     top stage, with the spec's wand designations marked."""
-    from .pureset import PureSet, lt_levels, vn
-
     top_level = lt_levels(frag.depth + 1)[-1]
     carrier = tuple(sorted(top_level.elements, key=PureSet.sort_key))
     wand_codes = {vn(w.index) for w in frag.spec.wands}
@@ -882,52 +975,48 @@ def lt_model(frag) -> FiniteModel:
 def conch_model(stages) -> FiniteModel:
     """The stage side: carrier is every generated code, with the defined
     predicates of the stage reading."""
-    from . import wandspec as ws_mod
-    from .pureset import PureSet, is_carrier, uncarrier
-
     carrier = tuple(stages.ranked(stages.depth - 1))
     view = stages.view
-    codes = stages.wandcodes
+    code_index: Dict[PureSet, int] = {}
+    for i, code in enumerate(stages.wandcodes):
+        code_index.setdefault(code, i)
 
     def tap_star(w, a, c):
-        if w not in stages.wandcode_set:
+        widx = code_index.get(w)
+        if widx is None:
             return False
-        widx = codes.index(w)
         if a not in stages.conchrank or c not in stages.conchrank:
             return False
-        if not ws_mod.dom(stages.spec, widx, a, view):
+        if not wandspec.dom(stages.spec, widx, a, view):
             return False
         # tap results are pair classes; a carrier's members unpack with an
         # empty tag, which is never a wand code, so carriers fall out here
-        from .errors import NotAPair
-        from .pureset import kunpair
         for p in c:
             try:
                 wc, b = kunpair(p)
             except NotAPair:
                 return False
-            if wc in stages.wandcode_set and b in stages.conchrank:
-                u = codes.index(wc)
-                if ws_mod.equiv(stages.spec, widx, a, u, b, view):
+            u = code_index.get(wc)
+            if u is not None and b in stages.conchrank:
+                if wandspec.equiv(stages.spec, widx, a, u, b, view):
                     return True
         return False
 
     model = FiniteModel(
         name=f"stages-{stages.spec.name}-d{stages.depth}",
         signature=SIG_LT, carrier=carrier,
-        wand=lambda x: x in stages.wandcode_set,
+        wand=lambda x: x in code_index,
         member=lambda x, y: x in y.elements)
     model.defined["conch"] = lambda x: x in stages.conchrank
     model.defined["bland*"] = lambda x: is_carrier(x) and x in stages.conchrank
     model.defined["in*"] = lambda x, y: (is_carrier(y) and y in stages.conchrank
                                          and x in uncarrier(y))
-    model.defined["wand*"] = lambda x: x in stages.wandcode_set
+    model.defined["wand*"] = lambda x: x in code_index
     model.defined["tap*"] = tap_star
-    model.defined["finord*"] = lambda x: _decode_conch_num(stages, x) is not None
+    model.defined["finord*"] = lambda x: _decode_conch_num(x) is not None
 
     def nequiv_star(n, x, y):
-        from . import instances
-        k = _decode_conch_num(stages, n)
+        k = _decode_conch_num(n)
         if k is None or k < 1:
             return False
         return instances.n_equiv_over(view, x, y, k) is not None
@@ -936,10 +1025,7 @@ def conch_model(stages) -> FiniteModel:
     return model
 
 
-def _decode_conch_num(stages, h) -> Optional[int]:
-    from .pureset import deep_uncarrier, vn_value
-    from .errors import NotInCodeImage
-
+def _decode_conch_num(h) -> Optional[int]:
     try:
         return vn_value(deep_uncarrier(h))
     except NotInCodeImage:
@@ -948,8 +1034,6 @@ def _decode_conch_num(stages, h) -> Optional[int]:
 
 def varin_model(frag) -> FiniteModel:
     """The e reading of a church fragment: one, expansive, membership."""
-    from . import instances
-
     if not frag.spec.name.startswith("church:"):
         raise SignatureError("expansive reading requires a church fragment")
     carrier = tuple(frag.canonical_order())
@@ -961,7 +1045,7 @@ def varin_model(frag) -> FiniteModel:
     model.defined["finord"] = lambda x: instances.vn_decode(view, x) is not None
     model.defined["nequiv@"] = _nequiv_over_semantics(
         model,
-        bland_sem=lambda x: eval_formula(model, _BULLET_BLAND, {_CB_VAR: x}),
+        bland_sem=_predicate(model, _BULLET_BLAND, _CB_VAR),
         member_sem=lambda x, y: instances.varin(frag, x, y),
         finord_sem=model.defined["finord"])
     return model

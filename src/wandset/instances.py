@@ -101,7 +101,6 @@ def pure_spec() -> WandSpec:
         wands=(),
         raw_dom=lambda w, a, q: False,
         raw_equiv=lambda w, a, u, b, q: False,
-        equiv_candidates=lambda w, a, q: (),
     )
 
 

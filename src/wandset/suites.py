@@ -256,7 +256,7 @@ def formula_laws(frag: Fragment, random_count: int = 100) -> List[Row]:
                      "forall a. forall b. (forall x. In(x,a) <-> In(x,b)) -> a = b"))],
                  }[src_sig]
         for name, f in probe:
-            if not formula.identity_preserving(fn(f)):
+            if not formula.identity_preserving(f, fn(f)):
                 bad.append((tname, name))
     rows.append(_row("translations-identity-preserving", bad))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,7 +146,18 @@ def test_translations_are_identity_preserving():
             probe = F.parse("forall x. forall y. (x = y & Wand(x)) -> y = x")
         else:
             probe = eq
-        assert F.identity_preserving(fn(probe)), tname
+        assert F.identity_preserving(probe, fn(probe)), tname
+
+
+def test_identity_preserving_rejects_a_dropped_equality():
+    src = F.parse("forall x. forall y. (x = y & Bland(x)) -> y = x")
+    dropped = F.parse("forall x. forall y. (x = y & Bland(x)) -> Bland(y)")
+    flipped = F.parse("forall x. forall y. (x = y & Bland(x)) -> x = y")
+    doubled = F.parse("forall x. forall y. (x = y & x = y & Bland(x)) -> y = x")
+    assert not F.identity_preserving(src, dropped)
+    assert not F.identity_preserving(src, flipped)
+    assert not F.identity_preserving(src, doubled)
+    assert F.identity_preserving(src, F.Not(F.Not(src)))
 
 
 def test_tau_relativizes_to_hereditarily_bland(church3):
@@ -240,3 +253,154 @@ def test_random_sentence_corpus_is_deterministic():
     a = F.random_sentences(F.SIG_WS, 10, seed=3)
     b = F.random_sentences(F.SIG_WS, 10, seed=3)
     assert [F.render(f) for _, f in a] == [F.render(f) for _, f in b]
+
+
+# -- differential test against the top-down evaluator ------------------------------------
+
+def reference_eval(model, f, env=None):
+    """The top-down evaluator that ``eval_formula`` replaced, kept as the
+    reference: it walks the tree per binding and memoizes every node on its
+    sorted free-variable bindings."""
+    env = env or {}
+    missing = F.free_vars(f) - set(env)
+    if missing:
+        raise SignatureError(f"unbound variables: {sorted(v.name for v in missing)}")
+    F.check_signature(f, model.signature)
+    memo = {}
+    fv_cache = {}
+
+    def fv(g):
+        got = fv_cache.get(id(g))
+        if got is None:
+            got = fv_cache[id(g)] = F.free_vars(g)
+        return got
+
+    def ev(g, env):
+        key = (id(g), tuple(sorted((v.name, env[v]) for v in fv(g))))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _ev(g, env)
+        return hit
+
+    def _ev(g, env):
+        if isinstance(g, F.Bland):
+            return bool(model.bland(env[g.t]))
+        if isinstance(g, F.Wand):
+            return bool(model.wand(env[g.t]))
+        if isinstance(g, F.In):
+            return bool(model.member(env[g.x], env[g.y]))
+        if isinstance(g, F.Tap):
+            return bool(model.tap(env[g.w], env[g.a], env[g.c]))
+        if isinstance(g, F.Eq):
+            return env[g.x] == env[g.y]
+        if isinstance(g, F.Defined):
+            oracle = model.defined.get(g.name)
+            if oracle is None:
+                raise SignatureError(f"model {model.name} has no oracle {g.name!r}")
+            return bool(oracle(*(env[a] for a in g.args)))
+        if isinstance(g, F.Not):
+            return not ev(g.f, env)
+        if isinstance(g, F.And):
+            return ev(g.lhs, env) and ev(g.rhs, env)
+        if isinstance(g, F.Or):
+            return ev(g.lhs, env) or ev(g.rhs, env)
+        if isinstance(g, F.Implies):
+            return not ev(g.lhs, env) or ev(g.rhs, env)
+        if isinstance(g, F.Iff):
+            return ev(g.lhs, env) == ev(g.rhs, env)
+        if isinstance(g, (F.Forall, F.Exists)):
+            want_all = isinstance(g, F.Forall)
+            for e in model.carrier:
+                sub = dict(env)
+                sub[g.v] = e
+                if ev(g.body, sub) != want_all:
+                    return not want_all
+            return want_all
+        raise TypeError(f"not a formula: {g!r}")
+
+    return ev(f, env)
+
+
+def _recording(model):
+    """A copy of ``model`` whose relations and oracles log every call."""
+    calls = set()
+
+    def rec(name, fn):
+        def logged(*args):
+            calls.add((name, args))
+            return fn(*args)
+        return logged if fn is not None else None
+
+    copy = dataclasses.replace(
+        model, bland=rec("bland", model.bland), wand=rec("wand", model.wand),
+        member=rec("member", model.member), tap=rec("tap", model.tap),
+        defined={k: rec(k, v) for k, v in model.defined.items()})
+    return copy, calls
+
+
+def _assert_same(model, sentences, env=None):
+    """Both evaluators give the same value, and reach the same oracle calls."""
+    for name, f in sentences:
+        new, new_calls = _recording(model)
+        old, old_calls = _recording(model)
+        assert F.eval_formula(new, f, env) == reference_eval(old, f, env), (model.name, name)
+        assert new_calls == old_calls, (model.name, name)
+
+
+def _church3_models():
+    frag = built("church:2", 3)
+    return (F.fragment_model(frag), F.lt_model(frag),
+            F.conch_model(conch.gen_stages(frag.spec, 3)), F.varin_model(frag))
+
+
+def test_eval_matches_reference_on_random_sentences():
+    wsm, ltm, cm, em = _church3_models()
+    ws = F.random_sentences(F.SIG_WS, 200, seed=31)
+    _assert_same(wsm, ws + F.ws_axioms())
+    _assert_same(ltm, F.random_sentences(F.SIG_LT, 200, seed=32) + F.lt_axioms())
+    _assert_same(em, F.random_sentences(F.SIG_E, 200, seed=33))
+    _assert_same(cm, [(n, F.translate_tolt(f)) for n, f in ws])
+    _assert_same(em, [(n, F.translate_bullet(f)) for n, f in ws])
+    conway3 = built("conway", 3)
+    _assert_same(F.fragment_model(conway3), F.random_sentences(F.SIG_WS, 200, seed=34))
+    _assert_same(F.lt_model(conway3), F.random_sentences(F.SIG_LT, 200, seed=35))
+
+
+def test_eval_matches_reference_on_roundtrip_identities():
+    wsm, _, _, em = _church3_models()
+    _assert_same(wsm, F.bullet_circle_identities())
+    _assert_same(em, F.circle_bullet_identities())
+
+
+def test_eval_matches_reference_with_free_variables(conway4):
+    m = F.fragment_model(conway4)
+    w, x = F.Var("w"), F.Var("x")
+    f = F.parse("forall x. exists c. Tap(w, x, c)")
+    g = F.parse("exists c. Tap(w, x, c) & ~Bland(c)")
+    for e in m.carrier:
+        _assert_same(m, [("tappable", f)], {w: e})
+        _assert_same(m, [("tap-of", g)], {w: conway4.wand_obj_ids()[0], x: e})
+
+
+@given(formulas())
+@settings(max_examples=150, deadline=None)
+def test_eval_matches_reference_on_shadowed_variables(f):
+    # random_sentences never rebinds a bound name; these formulas do, so a
+    # quantifier must hand its variable's outer value back when it is done
+    _assert_same(F.fragment_model(built("church:2", 3)), [("closed", F.closed(f))])
+
+
+def test_eval_restores_a_shadowed_binding(church3):
+    m = F.fragment_model(church3)
+    f = F.parse("exists x. (exists x. ~Bland(x)) & (forall y. ~In(y, x)) & Bland(x)")
+    assert F.eval_formula(m, f)
+    _assert_same(m, [("shadowed", f)])
+
+
+def test_eval_reports_a_missing_oracle_only_when_reached(church3):
+    m = F.fragment_model(church3)
+    f = F.Or(F.parse("exists s. Bland(s)"), F.Defined("nowhere", (F.Var("s"),)))
+    g = F.Exists(F.Var("s"), F.Defined("nowhere", (F.Var("s"),)))
+    assert F.eval_formula(m, F.Exists(F.Var("s"), f))
+    with pytest.raises(SignatureError, match="nowhere"):
+        F.eval_formula(m, g)
