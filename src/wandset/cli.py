@@ -66,11 +66,15 @@ def import_fragment(text: str) -> Fragment:
         spec = wandspec.get_spec(header["spec_name"])
         frag = Fragment(spec=spec, depth=int(header["depth"]),
                         exhaustive=bool(header["exhaustive"]))
+        wands = spec.wand_indices()
         for oid, rec in enumerate(doc["objects"]):
             if rec["kind"] == "bland":
                 members = frozenset(int(m) for m in rec["members"])
-                if any(m >= oid for m in members):
-                    raise DataError("members must precede their set")
+                if any(not 0 <= m < oid for m in members):
+                    raise DataError(f"object {oid}: members must be earlier objects")
+                if members in frag._bland_index:
+                    raise DataError(f"object {oid}: bland set repeats object "
+                                    f"{frag._bland_index[members]}")
                 rank = int(rec["ordrank"])
                 want = 0 if not members else 1 + max(
                     frag.obj(m).ordrank for m in members)
@@ -80,8 +84,12 @@ def import_fragment(text: str) -> Fragment:
                 frag._bland_index[members] = oid
             elif rec["kind"] == "tapped":
                 cls = frozenset((int(w), int(b)) for w, b in rec["class"])
-                if any(b >= oid for _, b in cls):
-                    raise DataError("class arguments must precede their tap")
+                if any(not 0 <= b < oid or w not in wands for w, b in cls):
+                    raise DataError(f"object {oid}: class pairs must name a wand "
+                                    "and an earlier object")
+                if cls in frag._tap_index:
+                    raise DataError(f"object {oid}: tap class repeats object "
+                                    f"{frag._tap_index[cls]}")
                 rank = int(rec["ordrank"])
                 arg_ranks = {frag.obj(b).ordrank for _, b in cls}
                 if len(arg_ranks) != 1 or arg_ranks.pop() + 1 != rank:
@@ -94,6 +102,8 @@ def import_fragment(text: str) -> Fragment:
         frag.wevel_contents = [tuple(int(i) for i in c) for c in doc["wevels"]]
         if len(frag.wevel_contents) != frag.depth + 1:
             raise DataError("wevel list does not match depth")
+        if any(not 0 <= i < len(frag.objects) for c in frag.wevel_contents for i in c):
+            raise DataError("wevel ids must name objects")
         return frag
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(str(exc)) from exc

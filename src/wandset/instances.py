@@ -459,10 +459,10 @@ def _require_church(frag: Fragment) -> int:
 def classify_kind(frag: Fragment, a: int) -> CusKind:
     """Each object is bland, the n-tap of a bland set, or the complement of a
     cardinal; the classifying n is unique."""
-    _require_church(frag)
     memo = frag.cache("kind")
     hit = memo.get(a)
     if hit is None:
+        _require_church(frag)
         hit = _classify_kind(frag, a)
         memo[a] = hit
     return hit
@@ -494,21 +494,28 @@ def _classify_kind(frag: Fragment, a: int) -> CusKind:
 def varin(frag: Fragment, x: int, a: int) -> bool:
     """Expansive membership: ordinary membership for bland sets, complement
     membership for complements, n-equivalence for cardinals."""
+    return bool(varin_mask(frag, a) >> x & 1)
+
+
+def varin_mask(frag: Fragment, a: int) -> int:
+    """The expansive extension of ``a`` as a bitmask over ids: its member
+    mask when it is bland, else one sweep over the fragment, memoised."""
     kind = classify_kind(frag, a)
     if kind.tag == "bland":
-        return x in frag.obj(a).members
-    memo = frag.cache("varin")
-    hit = memo.get((x, a))
+        return universe.member_mask(frag, a)
+    memo = frag.cache("varin_mask")
+    hit = memo.get(a)
     if hit is None:
-        q = frag.view()
-        if kind.tag == "tap_of_bland":
-            if kind.n == 0:
-                hit = not varin(frag, x, kind.base)
-            else:
-                hit = n_equiv_over(q, x, kind.base, kind.n) is not None
+        everything = (1 << len(frag)) - 1
+        if kind.n == 0:
+            hit = everything & ~universe.member_mask(frag, kind.base)
         else:
-            hit = n_equiv_over(q, x, kind.base, kind.n) is None
-        memo[(x, a)] = hit
+            q = frag.view()
+            hit = universe.ids_mask(x for x in frag.ids()
+                                    if n_equiv_holds(q, x, kind.base, kind.n))
+            if kind.tag == "comp_of_card":
+                hit = everything & ~hit
+        memo[a] = hit
     return hit
 
 
@@ -628,18 +635,21 @@ def check_cus_axioms(frag: Fragment) -> CusReport:
             bad.append((a, str(exc)))
     add("kind-taxonomy-total", not bad, f"{bad[:1]}")
 
-    # complement law for expansive membership
-    bad = [(x, a) for a in safe for x in ids
-           if widetap(frag, 0, a) is not None
-           and varin(frag, x, a) == varin(frag, x, widetap(frag, 0, a))]
+    # complement law for expansive membership: no x is in both or neither
+    ext = [varin_mask(frag, a) for a in ids]
+    everything = (1 << len(frag)) - 1
+    bad = []
+    for a in safe:
+        t = widetap(frag, 0, a)
+        if t is not None:
+            bad += [(x, a) for x in universe.mask_ids(everything & ~(ext[a] ^ ext[t]))]
     add("complement-law", not bad, f"{bad[:1]}")
 
-    # generalized extensionality over the fragment
-    bad = []
+    # generalized extensionality over the fragment: no two share an extension
+    sharing: Dict[int, List[int]] = {}
     for a in ids:
-        for b in ids:
-            if a < b and all(varin(frag, x, a) == varin(frag, x, b) for x in ids):
-                bad.append((a, b))
+        sharing.setdefault(ext[a], []).append(a)
+    bad = [(a, b) for a in ids for b in sharing[ext[a]] if a < b]
     add("generalized-extensionality", not bad, f"{bad[:1]}")
 
     # bland sets sit strictly below their complements

@@ -61,6 +61,8 @@ class Fragment:
     _keys: Dict[int, tuple] = field(default_factory=dict)
     _view: Optional["FragmentView"] = None
     _caches: Dict[str, dict] = field(default_factory=dict)
+    _wevel_ids: Dict[int, int] = field(default_factory=dict)
+    _masks: Optional["_Masks"] = None
 
     # -- plumbing -------------------------------------------------------------
 
@@ -136,11 +138,14 @@ class Fragment:
     def wevel_id(self, alpha: int) -> int:
         """Id of the alpha-th wevel object (the bland set of everything
         found strictly before stage alpha)."""
-        if not 0 <= alpha < len(self.wevel_contents):
-            raise BeyondFragment(f"wevel {alpha} beyond depth {self.depth}")
-        oid = self.bland_id(self.wevel_contents[alpha])
+        oid = self._wevel_ids.get(alpha)
         if oid is None:
-            raise BeyondFragment(f"wevel {alpha} not registered")
+            if not 0 <= alpha < len(self.wevel_contents):
+                raise BeyondFragment(f"wevel {alpha} beyond depth {self.depth}")
+            oid = self.bland_id(self.wevel_contents[alpha])
+            if oid is None:  # not memoised: a build may register it later
+                raise BeyondFragment(f"wevel {alpha} not registered")
+            self._wevel_ids[alpha] = oid
         return oid
 
     def wand_obj_ids(self) -> Dict[int, int]:
@@ -275,36 +280,109 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
     return frag
 
 
+# -- bitmasks over ids ----------------------------------------------------------
+
+class _Masks:
+    """Query-side tables of one fragment, as int bitmasks over object ids.
+
+    Bit ``i`` stands for object ``i``.  They are built on the first query,
+    never during construction, and rebuilt when the fragment has grown since.
+    """
+
+    __slots__ = ("size", "members", "bland", "subsets", "found", "transitive")
+
+    def __init__(self, frag: Fragment):
+        self.size = len(frag.objects)
+        self.members = [0 if o.members is None else ids_mask(o.members)
+                        for o in frag.objects]
+        self.bland = [(o.id, self.members[o.id]) for o in frag.objects if o.is_bland]
+        self.subsets: Dict[int, int] = {}
+        self.found: Dict[int, int] = {}
+        self.transitive: Optional[List[Tuple[int, int]]] = None
+
+
+def _masks(frag: Fragment) -> _Masks:
+    got = frag._masks
+    if got is None or got.size != len(frag.objects):
+        got = frag._masks = _Masks(frag)
+    return got
+
+
+def ids_mask(ids: Iterable[int]) -> int:
+    """The mask with the bits of ``ids`` set."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
+def mask_ids(mask: int) -> List[int]:
+    """The ids whose bits are set in ``mask``, ascending."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def member_mask(frag: Fragment, a: int) -> int:
+    """The primitive members of ``a``; 0 for a tapped object."""
+    return _masks(frag).members[a]
+
+
+def subset_mask(frag: Fragment, c: int) -> int:
+    """The registered bland sets whose members all belong to ``c`` (only the
+    empty set when ``c`` is tapped)."""
+    m = _masks(frag)
+    got = m.subsets.get(c)
+    if got is None:
+        outside = ~m.members[c]
+        got = 0
+        for x, xm in m.bland:
+            if not xm & outside:
+                got |= 1 << x
+        m.subsets[c] = got
+    return got
+
+
+def found_mask(frag: Fragment, r: int) -> int:
+    """Everything found at ``r``: its bland subsets and the taps of its
+    members."""
+    m = _masks(frag)
+    got = m.found.get(r)
+    if got is None:
+        got = subset_mask(frag, r)
+        view = frag.view()
+        wands = frag.spec.wand_indices()
+        for b in frag.obj(r).members or ():
+            for w in wands:
+                t = view.resolve_tap(w, b)
+                if t is not None:
+                    got |= 1 << t
+        m.found[r] = got
+    return got
+
+
+def _pot_mask(frag: Fragment, member_ids: Iterable[int]) -> int:
+    mask = 0
+    for r in member_ids:
+        mask |= found_mask(frag, r)
+    return mask
+
+
 # -- found-at and wevel recognition -------------------------------------------
 
 def found_at(frag: Fragment, x: int, r: int) -> bool:
     """x is found at r: a bland subset of r, or the tap of a member of r."""
-    ox, orr = frag.obj(x), frag.obj(r)
-    r_members = orr.members if orr.is_bland else frozenset()
-    if ox.is_bland and ox.members <= r_members:
-        return True
-    if ox.is_bland:
-        return False
-    view = frag.view()
-    for b in r_members:
-        for w in frag.spec.wand_indices():
-            if view.resolve_tap(w, b) == x:
-                return True
-    return False
+    return bool(found_mask(frag, r) >> x & 1)
 
 
 def in_pot(frag: Fragment, x: int, a: int) -> bool:
     o = frag.obj(a)
     if not o.is_bland:
         return False
-    return any(found_at(frag, x, r) for r in o.members)
+    return bool(_pot_mask(frag, o.members) >> x & 1)
 
 
 def pot_ids(frag: Fragment, member_ids: Iterable[int]) -> FrozenSet[int]:
     """Ids of everything found at some object in ``member_ids``."""
-    mem = list(member_ids)
-    return frozenset(x for x in frag.ids()
-                     if any(found_at(frag, x, r) for r in mem))
+    return frozenset(mask_ids(_pot_mask(frag, member_ids)))
 
 
 def pot(frag: Fragment, a: int) -> int:
@@ -330,7 +408,7 @@ def is_wevel(frag: Fragment, x: int) -> bool:
         memo[x] = False
         return False
     sub = [r for r in o.members if is_wevel(frag, r)]
-    hit = pot_ids(frag, sub) == o.members
+    hit = _pot_mask(frag, sub) == member_mask(frag, x)
     memo[x] = hit
     return hit
 
@@ -388,17 +466,16 @@ def hereditarily_bland(frag: Fragment, a: int) -> bool:
 def hb_witness(frag: Fragment, a: int) -> Optional[int]:
     """Witness-set form: a registered bland c with a included in c whose
     members are all bland subsets of c.  None when there is no witness."""
-    o = frag.obj(a)
-    if not o.is_bland:
+    if not frag.obj(a).is_bland:
         return None
-    for c in frag.ids():
-        oc = frag.obj(c)
-        if not oc.is_bland or not o.members <= oc.members:
-            continue
-        if all(frag.obj(x).is_bland and frag.obj(x).members <= oc.members
-               for x in oc.members):
-            return c
-    return None
+    m = _masks(frag)
+    if m.transitive is None:
+        # the candidates: bland sets whose members are bland subsets of them
+        m.transitive = [(c, cm) for c, cm in m.bland
+                        if all(frag.obj(x).is_bland and not m.members[x] & ~cm
+                               for x in frag.obj(c).members)]
+    am = m.members[a]
+    return next((c for c, cm in m.transitive if not am & ~cm), None)
 
 
 def hb_part(frag: Fragment, a: int) -> int:
@@ -472,18 +549,17 @@ def in_ur_levels(frag: Fragment, base: FrozenSet[int], x: int) -> bool:
     return hit
 
 
+def _ur_pot_mask(frag: Fragment, base: FrozenSet[int], member_ids: Iterable[int]) -> int:
+    # the base plus the bland subsets of each member, read with primitive
+    # membership (a tapped member has none)
+    mask = ids_mask(base)
+    for c in member_ids:
+        mask |= subset_mask(frag, c)
+    return mask
+
+
 def ur_pot_ids(frag: Fragment, base: FrozenSet[int], member_ids: Iterable[int]) -> FrozenSet[int]:
-    mem = set(member_ids)
-    out = set(base)
-
-    def below(x: Obj, c: Obj) -> bool:
-        # x subset-of c read with primitive membership (non-bland c has none)
-        return x.members <= c.members if c.is_bland else not x.members
-
-    for o in frag.objects:
-        if o.is_bland and any(below(o, frag.obj(c)) for c in mem):
-            out.add(o.id)
-    return frozenset(out)
+    return frozenset(mask_ids(_ur_pot_mask(frag, base, member_ids)))
 
 
 def is_ur_level(frag: Fragment, base: FrozenSet[int], t: int) -> bool:
@@ -499,7 +575,7 @@ def is_ur_level(frag: Fragment, base: FrozenSet[int], t: int) -> bool:
         return False
     memo[t] = False  # recursion guard; members may include base elements
     sub = [r for r in o.members if is_ur_level(frag, base, r)]
-    hit = ur_pot_ids(frag, base, sub) == o.members
+    hit = _ur_pot_mask(frag, base, sub) == member_mask(frag, t)
     memo[t] = hit
     return hit
 

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from wandset import cli
@@ -91,6 +94,44 @@ def test_import_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"header": {"format_version": 1}}')
     assert cli.main(["query", "rank", "--obj", "0", "--in", str(bad)]) == 65
+
+
+_GOLDEN_D2 = pathlib.Path(__file__).parent / "data" / "church2_d2.json"
+
+
+def _corrupt(objs, wevels):
+    doc = json.loads(_GOLDEN_D2.read_text())
+    doc["objects"] += objs
+    for i, w in wevels.items():
+        doc["wevels"][i] = w
+    return doc
+
+
+# Objects appended after the golden file's three.  A negative id used to alias
+# the last object, of rank 1, so those cases claim rank 2 to pass the rank check.
+_SINGLETON = {"kind": "bland", "ordrank": 1}
+_COMPLEMENT = {"kind": "tapped", "ordrank": 1}
+
+
+@pytest.mark.parametrize("objs, wevels", [
+    ([dict(_SINGLETON, members=[-1], ordrank=2)], {}),
+    ([dict(_SINGLETON, members=[7])], {}),
+    ([dict(_COMPLEMENT, ordrank=2, **{"class": [[0, -1]]})], {}),
+    ([dict(_COMPLEMENT, **{"class": [[0, 7]]})], {}),
+    ([dict(_COMPLEMENT, **{"class": [[9, 0]]})], {}),
+    ([], {1: [-1]}),
+    ([], {2: [0, 1, 3]}),
+    ([dict(_SINGLETON, members=[0])], {}),
+    ([dict(_COMPLEMENT, **{"class": [[0, 0]]})], {}),
+], ids=["negative-member", "member-out-of-range", "negative-tap-argument",
+        "tap-argument-out-of-range", "wand-out-of-range", "negative-wevel-id",
+        "wevel-id-out-of-range", "duplicate-bland-set", "duplicate-tap-class"])
+def test_import_rejects_bad_ids(capsys, tmp_path, objs, wevels):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_corrupt(objs, wevels)))
+    assert cli.main(["query", "rank", "--obj", "0", "--in", str(bad)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("bad data:") and "Traceback" not in err
 
 
 def test_query_tap(capsys, church_file):
@@ -212,3 +253,33 @@ def test_export_dot_pure_is_layered(tmp_path, capsys):
     text = dot.read_text()
     assert text.count("shape=box") == 4
     assert "->" in text
+
+
+CORE_ROWS_CHURCH4 = [
+    "least-stage-is-least", "wevels-well-ordered", "wevel-recognizer-exact",
+    "nothing-in-its-own-stage", "no-self-membership", "stage-inclusion-vs-membership",
+    "stage-proxy-ranks-itself", "stage-monotone-under-inclusion",
+    "stage-of-member-strictly-below", "tap-rank-law", "tap-class-members-regenerate",
+    "tap-defined-iff-in-domain", "taps-equal-iff-equivalent", "decompose-roundtrip",
+    "equiv-identity-clause", "hereditarily-bland-three-ways",
+    "ur-levels-recursion-vs-recognizer",
+]
+CHURCH_ROWS_CHURCH4 = [
+    "complement-injective", "double-complement-identity", "cardinal-identity-law",
+    "cardinals-not-complements", "making-biconditional", "kind-taxonomy-total",
+    "complement-law", "generalized-extensionality", "complement-raises-rank",
+]
+
+
+def test_verify_core_and_church_on_church_depth4(capsys, tmp_path):
+    # 2,062 objects; the oracle-backed core laws are skipped at this size
+    path = tmp_path / "church4.json"
+    assert cli.main(["build", "--spec", "church:2", "--depth", "4",
+                     "--out", str(path)]) == 0
+    assert "total 2062 objects" in capsys.readouterr().out
+    assert cli.main(["verify", "--suite", "core", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        ["# suite core"] + [f"PASS {name}" for name in CORE_ROWS_CHURCH4]
+    assert cli.main(["verify", "--suite", "church", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        ["# suite church"] + [f"PASS {name} :: []" for name in CHURCH_ROWS_CHURCH4]

@@ -286,3 +286,99 @@ def test_rank_of_complement_strictly_larger(church3):
 def test_non_church_fragment_rejected(conway4):
     with pytest.raises(ValueError):
         instances.classify_kind(conway4, 0)
+
+
+# -- expansive extensions against per-pair membership ------------------------------------------
+
+def ref_varin(frag, x, a):
+    """Expansive membership read pair by pair, with no memo."""
+    kind = instances.classify_kind(frag, a)
+    if kind.tag == "bland":
+        return x in frag.obj(a).members
+    q = frag.view()
+    if kind.tag == "tap_of_bland":
+        if kind.n == 0:
+            return not ref_varin(frag, x, kind.base)
+        return instances.n_equiv_over(q, x, kind.base, kind.n) is not None
+    return instances.n_equiv_over(q, x, kind.base, kind.n) is None
+
+
+@pytest.mark.parametrize("name, depth", [("church:2", 3), ("church:1", 4)])
+def test_varin_mask_matches_per_pair_reference(name, depth):
+    frag = built(name, depth)
+    ids = list(frag.ids())
+    for a in ids:
+        want = [x for x in ids if ref_varin(frag, x, a)]
+        assert universe.mask_ids(instances.varin_mask(frag, a)) == want, a
+
+
+def test_varin_mask_rejects_non_church(conway4):
+    with pytest.raises(ValueError):
+        instances.varin_mask(conway4, 0)
+
+
+CUS_ROWS = ["complement-injective", "double-complement-identity", "cardinal-identity-law",
+            "cardinals-not-complements", "making-biconditional", "kind-taxonomy-total",
+            "complement-law", "generalized-extensionality", "complement-raises-rank"]
+
+
+def test_cus_rows_on_church3(church3):
+    assert instances.check_cus_axioms(church3).checks == \
+        [(name, True, "[]") for name in CUS_ROWS]
+
+
+def ref_extension_rows(frag):
+    """The per-pair sweeps that the extension masks replaced."""
+    varin, widetap = instances.varin, instances.widetap
+    ids = list(frag.ids())
+    safe = [a for a in ids if frag.obj(a).ordrank + 1 < frag.depth]
+    comp = [(x, a) for a in safe for x in ids
+            if widetap(frag, 0, a) is not None
+            and varin(frag, x, a) == varin(frag, x, widetap(frag, 0, a))]
+    ext = []
+    for a in ids:
+        for b in ids:
+            if a < b and all(varin(frag, x, a) == varin(frag, x, b) for x in ids):
+                ext.append((a, b))
+    return {"complement-law": (not comp, f"{comp[:1]}"),
+            "generalized-extensionality": (not ext, f"{ext[:1]}")}
+
+
+def _no_complements(frag, x, a):
+    # expansive membership with every tapped object read as empty
+    return x in (frag.obj(a).members or ())
+
+
+def _complements_only(frag, x, a):
+    # every tapped object read as the complement of its base's members
+    kind = instances.classify_kind(frag, a)
+    if kind.tag == "bland":
+        return x in frag.obj(a).members
+    return x not in frag.obj(kind.base).members
+
+
+def _flipped(frag, x, a):
+    # scattered errors, so the first witness depends on the sweep order
+    return ref_varin(frag, x, a) != ((x + a) % 3 == 1)
+
+
+def _merged(frag, x, a):
+    # 5 reads as 0 and 2 as 1, so the witness pairs (0, 5) and (1, 2) sort
+    # differently by first and by second element
+    return ref_varin(frag, x, {5: 0, 2: 1}.get(a, a))
+
+
+@pytest.mark.parametrize("fault", [None, _no_complements, _complements_only, _flipped,
+                                   _merged])
+def test_extension_rows_match_per_pair_sweeps(monkeypatch, fault):
+    frag = universe.build(universe.wandspec.get_spec("church:2"), 3)
+    if fault is not None:
+        # varin reads its answers off the extension masks
+        monkeypatch.setattr(instances, "varin_mask", lambda frag, a: universe.ids_mask(
+            x for x in frag.ids() if fault(frag, x, a)))
+    want = ref_extension_rows(frag)
+    assert fault is None or not all(ok for ok, _ in want.values())
+    got = {name: (ok, witness)
+           for name, ok, witness in instances.check_cus_axioms(frag).checks}
+    for name, row in want.items():
+        assert got[name] == row, name

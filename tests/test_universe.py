@@ -1,6 +1,6 @@
 import pytest
 
-from wandset import instances, universe, wandspec
+from wandset import instances, suites, universe, wandspec
 from wandset.errors import BeyondFragment, CapExceeded, NotBland
 
 from conftest import built
@@ -294,3 +294,218 @@ def test_multiset_two_copies_exists():
             and view.members(pairs[0][0]) == ()]
     assert hits, "graph {<0, 2>} not found in the sampled build"
     assert any(universe.tap(frag, 0, g) is not None for g in hits)
+
+
+# -- bitmask queries against the brute-force definitions they replaced ------------------------
+
+def ref_found_at(frag, x, r):
+    ox, orr = frag.obj(x), frag.obj(r)
+    r_members = orr.members if orr.is_bland else frozenset()
+    if ox.is_bland and ox.members <= r_members:
+        return True
+    if ox.is_bland:
+        return False
+    view = frag.view()
+    for b in r_members:
+        for w in frag.spec.wand_indices():
+            if view.resolve_tap(w, b) == x:
+                return True
+    return False
+
+
+def ref_pot_ids(frag, member_ids):
+    mem = list(member_ids)
+    return frozenset(x for x in frag.ids()
+                     if any(ref_found_at(frag, x, r) for r in mem))
+
+
+def ref_ur_pot_ids(frag, base, member_ids):
+    mem = set(member_ids)
+    out = set(base)
+
+    def below(x, c):
+        return x.members <= c.members if c.is_bland else not x.members
+
+    for o in frag.objects:
+        if o.is_bland and any(below(o, frag.obj(c)) for c in mem):
+            out.add(o.id)
+    return frozenset(out)
+
+
+def ref_hb_witness(frag, a):
+    o = frag.obj(a)
+    if not o.is_bland:
+        return None
+    for c in frag.ids():
+        oc = frag.obj(c)
+        if not oc.is_bland or not o.members <= oc.members:
+            continue
+        if all(frag.obj(x).is_bland and frag.obj(x).members <= oc.members
+               for x in oc.members):
+            return c
+    return None
+
+
+class RefRecognizers:
+    """The wevel and level recognizers over the reference pots.
+
+    Pots are memoised on their argument set: a recognizer asks for the pot
+    of the same few wevel or level members again and again.
+    """
+
+    def __init__(self, frag, base=frozenset()):
+        self.frag, self.base = frag, base
+        self.wevel, self.level, self.pots, self.ur_pots = {}, {}, {}, {}
+
+    def pot(self, sub):
+        key = frozenset(sub)
+        if key not in self.pots:
+            self.pots[key] = ref_pot_ids(self.frag, key)
+        return self.pots[key]
+
+    def is_wevel(self, x):
+        if x not in self.wevel:
+            o = self.frag.obj(x)
+            self.wevel[x] = o.is_bland and self.pot(
+                r for r in o.members if self.is_wevel(r)) == o.members
+        return self.wevel[x]
+
+    def is_ur_level(self, t):
+        if t not in self.level:
+            o = self.frag.obj(t)
+            if not o.is_bland:
+                self.level[t] = False
+                return False
+            self.level[t] = False  # recursion guard, as in the recognizer
+            key = frozenset(r for r in o.members if self.is_ur_level(r))
+            if key not in self.ur_pots:
+                self.ur_pots[key] = ref_ur_pot_ids(self.frag, self.base, key)
+            self.level[t] = self.ur_pots[key] == o.members
+        return self.level[t]
+
+
+DIFFERENTIAL_BUILDS = [
+    ("church:2", 3, {}),
+    ("church:1", 4, {}),
+    ("pure", 4, {}),
+    ("conway", 4, {}),
+    ("church:2", 4, {"mode": "sampled", "subset_bound": 2}),
+]
+
+
+def _diff_ids(build):
+    name, depth, kw = build
+    return f"{name}-{depth}" + ("-sampled" if kw else "")
+
+
+@pytest.fixture(scope="module", params=DIFFERENTIAL_BUILDS, ids=_diff_ids)
+def diff_frag(request):
+    name, depth, kw = request.param
+    return built(name, depth, **kw)
+
+
+def test_found_mask_matches_found_at_reference(diff_frag):
+    ids = list(diff_frag.ids())
+    for r in ids:
+        want = [x for x in ids if ref_found_at(diff_frag, x, r)]
+        assert universe.mask_ids(universe.found_mask(diff_frag, r)) == want, r
+    for x in ids[:40]:
+        for r in ids[:40]:
+            assert universe.found_at(diff_frag, x, r) == ref_found_at(diff_frag, x, r)
+
+
+def test_pot_ids_of_wevel_members_match_reference(diff_frag):
+    ref = RefRecognizers(diff_frag)
+    for alpha in range(diff_frag.depth):
+        s = diff_frag.obj(diff_frag.wevel_id(alpha))
+        sub = [r for r in s.members if ref.is_wevel(r)]
+        assert universe.pot_ids(diff_frag, sub) == ref_pot_ids(diff_frag, sub)
+        assert universe.pot_ids(diff_frag, s.members) == ref_pot_ids(diff_frag, s.members)
+
+
+def test_recognizers_match_reference(diff_frag):
+    ref = RefRecognizers(diff_frag)
+    for a in diff_frag.ids():
+        assert universe.is_wevel(diff_frag, a) == ref.is_wevel(a), a
+    bases = [frozenset(), frozenset(diff_frag.wevel_contents[min(2, diff_frag.depth - 1)])]
+    for base in bases:
+        ref = RefRecognizers(diff_frag, base)
+        for t in diff_frag.ids():
+            assert universe.is_ur_level(diff_frag, base, t) == ref.is_ur_level(t), t
+        members = [diff_frag.wevel_id(alpha) for alpha in range(diff_frag.depth)]
+        assert universe.ur_pot_ids(diff_frag, base, members) == \
+            ref_ur_pot_ids(diff_frag, base, members)
+
+
+def test_hb_witness_matches_reference(diff_frag):
+    for a in diff_frag.ids():
+        assert universe.hb_witness(diff_frag, a) == ref_hb_witness(diff_frag, a), a
+
+
+def test_masks_follow_a_growing_fragment():
+    frag = universe.build(wandspec.get_spec("pure"), 2)
+    empty = frag.bland_id(frozenset())
+    top = frag.wevel_id(1)
+    assert universe.mask_ids(universe.found_mask(frag, top)) == sorted(frag.ids())
+    grown = frag.register_bland(frozenset([top]), 2)
+    assert universe.member_mask(frag, grown) == 1 << top
+    assert universe.found_at(frag, top, grown) is False
+    assert universe.mask_ids(universe.subset_mask(frag, grown)) == [empty, grown]
+
+
+def test_wevel_id_lookups_mid_build_still_raise():
+    frag = universe.build(wandspec.get_spec("pure"), 2)
+    frag.wevel_contents.append(tuple(frag.ids()))
+    with pytest.raises(BeyondFragment):
+        frag.wevel_id(3)
+    with pytest.raises(BeyondFragment):
+        frag.wevel_id(2)  # recorded but not registered yet
+    oid = frag.register_bland(frozenset(frag.ids()), 2)
+    assert frag.wevel_id(2) == oid
+
+
+# -- the core suite rows -------------------------------------------------------------------
+
+CORE_ROWS_CHURCH3 = [
+    "least-stage-is-least", "wevels-well-ordered", "wevel-recognizer-exact",
+    "wistory-search-agrees", "nothing-in-its-own-stage", "pot-within-least-stage",
+    "no-self-membership", "stage-inclusion-vs-membership", "stage-proxy-ranks-itself",
+    "stage-monotone-under-inclusion", "stage-of-member-strictly-below",
+    "stages-potent-and-transitive", "tap-rank-law", "tap-class-members-regenerate",
+    "tap-defined-iff-in-domain", "taps-equal-iff-equivalent", "decompose-roundtrip",
+    "official-predicates-wellbehaved", "equiv-identity-clause",
+    "hereditarily-bland-three-ways", "ur-levels-recursion-vs-recognizer",
+]
+
+
+def test_core_rows_on_church3(church3):
+    assert suites.core_laws(church3) == [(name, True, "") for name in CORE_ROWS_CHURCH3]
+
+
+def ref_stage_monotone(frag):
+    """The pairwise sweep the per-rank check replaced."""
+    bad = []
+    for a in frag.ids():
+        oa = frag.obj(a)
+        if not oa.is_bland:
+            continue
+        for b in frag.ids():
+            ob = frag.obj(b)
+            if ob.is_bland and ob.members <= oa.members:
+                if not (frag.obj(universe.wevel_of(frag, b)).members
+                        <= frag.obj(universe.wevel_of(frag, a)).members):
+                    bad.append((b, a))
+    return bad
+
+
+@pytest.mark.parametrize("swap", [(0, 1), (1, 2), (0, 2)])
+def test_stage_monotone_witnesses_match_pairwise_sweep(swap):
+    # swapping two stage proxies breaks monotonicity for some rank pairs
+    frag = universe.build(wandspec.get_spec("church:2"), 3)
+    true_id = frag.wevel_id
+    i, j = swap
+    frag.wevel_id = lambda alpha: true_id({i: j, j: i}.get(alpha, alpha))
+    want = ref_stage_monotone(frag)
+    assert want
+    rows = dict((name, (ok, witness)) for name, ok, witness in suites.core_laws(frag))
+    assert rows["stage-monotone-under-inclusion"] == (False, f"{want[:3]}")
