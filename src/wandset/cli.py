@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 2 object budget exceeded, 3 answer beyond the built
 fragment, 64 usage (unknown spec, incompatible suite), 65 bad data (malformed
-universe file or formula).
+universe file or formula, or an output file that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -117,6 +118,16 @@ def _load(path: str) -> Fragment:
         raise DataError(str(exc)) from exc
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """Open ``path`` for writing; failing to open or write it is bad data."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def _parse_object(frag: Fragment, text: str) -> int:
     """An object argument: a decimal id, or brace notation for a
     hereditarily bland object ('{}', '{{}}', ...)."""
@@ -218,7 +229,7 @@ def cmd_build(args) -> int:
         by_rank[o.ordrank] = by_rank.get(o.ordrank, 0) + 1
     print(f"total {len(frag.objects)} objects; by rank "
           + " ".join(f"{r}:{n}" for r, n in sorted(by_rank.items())))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out) as fh:
         fh.write(export_fragment(frag))
     return EXIT_OK
 
@@ -330,27 +341,25 @@ def _models_for(src_frag: Fragment, dst_frag: Fragment, translation: str):
 
 def cmd_export(args) -> int:
     frag = _load(args.infile)
-    lines = ["digraph universe {"]
     order = frag.canonical_order()
     remap = {old: new for new, old in enumerate(order)}
-    for old in order:
-        o = frag.obj(old)
-        shape = "box" if o.is_bland else "ellipse"
-        label = frag.render(old).replace("{", "\\{").replace("}", "\\}") \
-            if args.labels else str(remap[old])
-        lines.append(f'  n{remap[old]} [shape={shape} label="{label}"];')
-    for old in order:
-        o = frag.obj(old)
-        if o.is_bland:
-            for m in sorted(o.members, key=lambda i: remap[i]):
-                lines.append(f"  n{remap[old]} -> n{remap[m]};")
-        else:
-            for w, b in sorted(o.tclass, key=lambda p: (p[0], remap[p[1]])):
-                lines.append(f'  n{remap[old]} -> n{remap[b]} [label="w{w}"];')
-    lines.append("}")
-    text = "\n".join(lines) + "\n"
-    with open(args.dot, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with _output(args.dot) as fh:
+        fh.write("digraph universe {\n")
+        for old in order:
+            o = frag.obj(old)
+            shape = "box" if o.is_bland else "ellipse"
+            label = frag.render(old).replace("{", "\\{").replace("}", "\\}") \
+                if args.labels else str(remap[old])
+            fh.write(f'  n{remap[old]} [shape={shape} label="{label}"];\n')
+        for old in order:
+            o = frag.obj(old)
+            if o.is_bland:
+                for m in sorted(o.members, key=lambda i: remap[i]):
+                    fh.write(f"  n{remap[old]} -> n{remap[m]};\n")
+            else:
+                for w, b in sorted(o.tclass, key=lambda p: (p[0], remap[p[1]])):
+                    fh.write(f'  n{remap[old]} -> n{remap[b]} [label="w{w}"];\n')
+        fh.write("}\n")
     return EXIT_OK
 
 

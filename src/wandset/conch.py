@@ -324,16 +324,20 @@ def conch_code(frag: Fragment, a: int) -> PureSet:
 
     Bland objects become carriers of their members' codes; tapped objects
     become the set of <wand code, argument code> pairs of their class.
+    Codes are memoised per id in the fragment.
     """
-    memo = frag.cache("conch_code")
+    return _conch_code(frag, frag.cache("conch_code"), a)
+
+
+def _conch_code(frag: Fragment, memo: dict, a: int) -> PureSet:
     got = memo.get(a)
     if got is None:
         o = frag.obj(a)
         if o.is_bland:
-            got = carrier(mk_set(conch_code(frag, m) for m in o.members))
+            got = carrier(mk_set(_conch_code(frag, memo, m) for m in o.members))
         else:
             codes = frag.spec.wands
-            got = mk_set(kpair(codes[w].code, conch_code(frag, b))
+            got = mk_set(kpair(codes[w].code, _conch_code(frag, memo, b))
                          for w, b in o.tclass)
         memo[a] = got
     return got

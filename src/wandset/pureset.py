@@ -3,14 +3,16 @@
 Every value built through :func:`mk_set` is deduplicated, sorted into a fixed
 total order (rank, then cardinality, then lexicographic on elements) and
 interned, so structural equality coincides with object identity for the life
-of the process.  All operations are pure; the interning table is the single
-mutation point and is guarded by a lock.
+of the process.  All operations are pure.  The only mutation points are the
+interning table, keyed by the sorted element tuple (the interned set's own
+``elements``) and guarded by a lock, and the :func:`deep_carrier` memo, keyed
+by the interned set; both live as long as the process.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import DepthCapExceeded, NotACarrier, NotAPair, NotInCodeImage
 
@@ -42,16 +44,14 @@ class PureSet:
     so ``==`` is identity and values are safe to share across threads.
     """
 
-    __slots__ = ("elements", "rank", "serial", "_key")
+    __slots__ = ("elements", "rank", "_key")
 
     elements: Tuple["PureSet", ...]
     rank: int
-    serial: int
 
-    def __init__(self, elements: Tuple["PureSet", ...], serial: int):
+    def __init__(self, elements: Tuple["PureSet", ...]):
         self.elements = elements
         self.rank = 0 if not elements else 1 + max(e.rank for e in elements)
-        self.serial = serial
         self._key = None
 
     def sort_key(self):
@@ -80,7 +80,9 @@ class PureSet:
         return "{" + ",".join(repr(e) for e in self.elements) + "}"
 
 
-_TABLE: dict = {}
+# Elements hash and compare by identity, which interning makes structural
+# equality, so equal element tuples name the same set.
+_TABLE: Dict[Tuple[PureSet, ...], PureSet] = {}
 _LOCK = threading.Lock()
 
 
@@ -90,17 +92,15 @@ def mk_set(elems: Iterable[PureSet]) -> PureSet:
     Duplicates are dropped, elements are sorted into the canonical order and
     the result is interned.  Idempotent under re-wrapping.
     """
-    unique = {e.serial: e for e in elems}
-    ordered = tuple(sorted(unique.values(), key=PureSet.sort_key))
-    key = tuple(e.serial for e in ordered)
-    hit = _TABLE.get(key)
+    ordered = tuple(sorted(set(elems), key=PureSet.sort_key))
+    hit = _TABLE.get(ordered)
     if hit is not None:
         return hit
     with _LOCK:
-        hit = _TABLE.get(key)
+        hit = _TABLE.get(ordered)
         if hit is None:
-            hit = PureSet(ordered, len(_TABLE))
-            _TABLE[key] = hit
+            hit = PureSet(ordered)
+            _TABLE[ordered] = hit
         return hit
 
 
@@ -137,14 +137,6 @@ def kunpair(p: PureSet) -> Tuple[PureSet, PureSet]:
     raise NotAPair(repr(p))
 
 
-def is_kpair(p: PureSet) -> bool:
-    try:
-        kunpair(p)
-        return True
-    except NotAPair:
-        return False
-
-
 def carrier(a: PureSet) -> PureSet:
     """The code {<empty, a>} marking a as a bland value."""
     return mk_set((kpair(EMPTY, a),))
@@ -171,13 +163,22 @@ def is_carrier(c: PureSet) -> bool:
         return False
 
 
+# deep_carrier codes, keyed by the interned set; as long-lived as _TABLE.
+# Two threads may code the same set at once; both store the same interned code.
+_DEEP: Dict[PureSet, PureSet] = {}
+
+
 def deep_carrier(a: PureSet) -> PureSet:
     """Recursively code a pure set: carrier of the codes of its elements.
 
     The map is injective, and the code of a rank-n set first appears at
-    level n of the carrier hierarchy over the empty base.
+    level n of the carrier hierarchy over the empty base.  Codes are
+    memoised per interned set, so a shared subtree is coded once.
     """
-    return carrier(mk_set(deep_carrier(x) for x in a))
+    got = _DEEP.get(a)
+    if got is None:
+        got = _DEEP[a] = carrier(mk_set(deep_carrier(x) for x in a))
+    return got
 
 
 def deep_uncarrier(c: PureSet) -> PureSet:
@@ -187,14 +188,6 @@ def deep_uncarrier(c: PureSet) -> PureSet:
     except NotACarrier:
         raise NotInCodeImage(repr(c)) from None
     return mk_set(deep_uncarrier(x) for x in inner)
-
-
-def in_code_image(c: PureSet) -> bool:
-    try:
-        deep_uncarrier(c)
-        return True
-    except NotInCodeImage:
-        return False
 
 
 # -- carrier hierarchy over a base ------------------------------------------

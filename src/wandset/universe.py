@@ -59,6 +59,7 @@ class Fragment:
     _tap_index: Dict[FrozenSet[Tuple[int, int]], int] = field(default_factory=dict)
     _tap_of: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
     _keys: Dict[int, tuple] = field(default_factory=dict)
+    _renders: Dict[int, str] = field(default_factory=dict)
     _view: Optional["FragmentView"] = None
     _caches: Dict[str, dict] = field(default_factory=dict)
     _wevel_ids: Dict[int, int] = field(default_factory=dict)
@@ -125,13 +126,22 @@ class Fragment:
         return self._view
 
     def render(self, oid: int) -> str:
-        o = self.obj(oid)
-        if o.is_bland:
-            inner = sorted((self.sort_key(m), m) for m in o.members)
-            return "{" + ",".join(self.render(m) for _, m in inner) + "}"
-        pairs = sorted((w, self.sort_key(b), b) for w, b in o.tclass)
-        w, _, b = pairs[0]
-        return f"*{w}{self.render(b)}"
+        """Brace notation; a tapped object shows its least (wand, argument).
+
+        Memoised per id: a registered object never changes, so a render stays
+        valid when the fragment grows.
+        """
+        got = self._renders.get(oid)
+        if got is None:
+            o = self.obj(oid)
+            if o.is_bland:
+                inner = sorted((self.sort_key(m), m) for m in o.members)
+                got = "{" + ",".join(self.render(m) for _, m in inner) + "}"
+            else:
+                w, _, b = min((w, self.sort_key(b), b) for w, b in o.tclass)
+                got = f"*{w}{self.render(b)}"
+            self._renders[oid] = got
+        return got
 
     # -- wevels ---------------------------------------------------------------
 
@@ -536,7 +546,10 @@ def ur_level(frag: Fragment, alpha: int, base: FrozenSet[int]) -> FrozenSet[int]
 
 def in_ur_levels(frag: Fragment, base: FrozenSet[int], x: int) -> bool:
     """Whether ``x`` appears at some level over ``base`` (recursive form)."""
-    memo = frag.cache(("vfrom", tuple(sorted(base))))
+    return _in_ur_levels(frag, base, frag.cache(("vfrom", tuple(sorted(base)))), x)
+
+
+def _in_ur_levels(frag: Fragment, base: FrozenSet[int], memo: dict, x: int) -> bool:
     hit = memo.get(x)
     if hit is None:
         if x in base:
@@ -544,7 +557,8 @@ def in_ur_levels(frag: Fragment, base: FrozenSet[int], x: int) -> bool:
         else:
             o = frag.obj(x)
             memo[x] = False  # guard against self-membership in odd bases
-            hit = o.is_bland and all(in_ur_levels(frag, base, m) for m in o.members)
+            hit = o.is_bland and all(_in_ur_levels(frag, base, memo, m)
+                                     for m in o.members)
         memo[x] = hit
     return hit
 
@@ -565,7 +579,10 @@ def ur_pot_ids(frag: Fragment, base: FrozenSet[int], member_ids: Iterable[int]) 
 def is_ur_level(frag: Fragment, base: FrozenSet[int], t: int) -> bool:
     """Recognizer for levels over ``base``, via the characterization that a
     level is the ur-pot of its level members."""
-    memo = frag.cache(("is_ur_level", tuple(sorted(base))))
+    return _is_ur_level(frag, base, frag.cache(("is_ur_level", tuple(sorted(base)))), t)
+
+
+def _is_ur_level(frag: Fragment, base: FrozenSet[int], memo: dict, t: int) -> bool:
     hit = memo.get(t)
     if hit is not None:
         return hit
@@ -574,7 +591,7 @@ def is_ur_level(frag: Fragment, base: FrozenSet[int], t: int) -> bool:
         memo[t] = False
         return False
     memo[t] = False  # recursion guard; members may include base elements
-    sub = [r for r in o.members if is_ur_level(frag, base, r)]
+    sub = [r for r in o.members if _is_ur_level(frag, base, memo, r)]
     hit = _ur_pot_mask(frag, base, sub) == member_mask(frag, t)
     memo[t] = hit
     return hit

@@ -255,6 +255,54 @@ def test_export_dot_pure_is_layered(tmp_path, capsys):
     assert "->" in text
 
 
+def reference_export(frag, labels):
+    """The DOT text as the list-and-join export built it."""
+    lines = ["digraph universe {"]
+    order = frag.canonical_order()
+    remap = {old: new for new, old in enumerate(order)}
+    for old in order:
+        o = frag.obj(old)
+        shape = "box" if o.is_bland else "ellipse"
+        label = frag.render(old).replace("{", "\\{").replace("}", "\\}") \
+            if labels else str(remap[old])
+        lines.append(f'  n{remap[old]} [shape={shape} label="{label}"];')
+    for old in order:
+        o = frag.obj(old)
+        if o.is_bland:
+            for m in sorted(o.members, key=lambda i: remap[i]):
+                lines.append(f"  n{remap[old]} -> n{remap[m]};")
+        else:
+            for w, b in sorted(o.tclass, key=lambda p: (p[0], remap[p[1]])):
+                lines.append(f'  n{remap[old]} -> n{remap[b]} [label="w{w}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("labels", [False, True])
+def test_streamed_export_matches_reference(tmp_path, capsys, labels):
+    path = tmp_path / "conway4.json"
+    assert cli.main(["build", "--spec", "conway", "--depth", "4",
+                     "--out", str(path)]) == 0
+    dot = tmp_path / "c.dot"
+    assert cli.main(["export", "--in", str(path), "--dot", str(dot)]
+                    + (["--labels"] if labels else [])) == 0
+    want = reference_export(cli.import_fragment(path.read_text()), labels)
+    assert dot.read_bytes() == want.encode("utf-8")
+
+
+def test_build_to_unwritable_path(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["build", "--spec", "pure", "--depth", "2",
+                     "--out", str(out)]) == 65
+    assert capsys.readouterr().err.startswith("bad data:")
+
+
+def test_export_to_unwritable_path(capsys, church_file, tmp_path):
+    dot = tmp_path / "missing" / "x.dot"
+    assert cli.main(["export", "--in", church_file, "--dot", str(dot)]) == 65
+    assert capsys.readouterr().err.startswith("bad data:")
+
+
 CORE_ROWS_CHURCH4 = [
     "least-stage-is-least", "wevels-well-ordered", "wevel-recognizer-exact",
     "nothing-in-its-own-stage", "no-self-membership", "stage-inclusion-vs-membership",

@@ -124,6 +124,19 @@ def test_deep_carrier_injective_sampled_deeper(sets):
             assert (codes[i] is codes[j]) == (p is q)
 
 
+def reference_deep_carrier(a):
+    """The unmemoised recursion the memoised map replaced."""
+    return ps.carrier(ps.mk_set(reference_deep_carrier(x) for x in a))
+
+
+def test_deep_carrier_matches_reference():
+    rank4 = ps.lt_levels(6)[-1].elements  # every pure set of rank <= 4
+    low = [p for p in rank4 if p.rank <= 3]
+    assert len(low) == 16
+    for p in low + list(rank4[::257]) + [rank4[-1]]:
+        assert ps.deep_carrier(p) is reference_deep_carrier(p), p
+
+
 def test_interning_is_thread_safe():
     import threading
 

@@ -464,6 +464,47 @@ def test_wevel_id_lookups_mid_build_still_raise():
     assert frag.wevel_id(2) == oid
 
 
+# -- memoised renders against the unmemoised render they replaced ---------------------------
+
+def reference_render(frag, oid):
+    """Brace notation, recomputed from scratch on every call."""
+    o = frag.obj(oid)
+    if o.is_bland:
+        inner = sorted((frag.sort_key(m), m) for m in o.members)
+        return "{" + ",".join(reference_render(frag, m) for _, m in inner) + "}"
+    pairs = sorted((w, frag.sort_key(b), b) for w, b in o.tclass)
+    w, _, b = pairs[0]
+    return f"*{w}{reference_render(frag, b)}"
+
+
+def replay(src):
+    """A fresh fragment grown by registering ``src``'s objects in id order;
+    yields it after each registration."""
+    frag = universe.Fragment(spec=src.spec, depth=src.depth, exhaustive=src.exhaustive)
+    for o in src.objects:
+        if o.is_bland:
+            frag.register_bland(o.members, o.ordrank)
+        else:
+            frag.register_tap(o.tclass)
+        yield frag
+
+
+# church:1 depth 4 has a tap class of two pairs, so the least pair matters
+@pytest.mark.parametrize("name,depth", [("church:2", 3), ("pure", 4), ("conway", 4),
+                                        ("church:1", 4)])
+def test_render_matches_reference(name, depth):
+    src = built(name, depth)
+    for a in src.ids():
+        assert src.render(a) == reference_render(src, a), a
+    # each object is first rendered when registered, then again after the
+    # fragment has grown past it
+    for frag in replay(src):
+        new = len(frag) - 1
+        assert frag.render(new) == reference_render(frag, new), new
+    for a in frag.ids():
+        assert frag.render(a) == reference_render(frag, a) == src.render(a), a
+
+
 # -- the core suite rows -------------------------------------------------------------------
 
 CORE_ROWS_CHURCH3 = [
