@@ -1,8 +1,9 @@
 """Command-line front end: build, query, verify, translate, export.
 
 Exit codes: 0 success, 2 object budget exceeded, 3 answer beyond the built
-fragment, 64 usage (unknown spec, incompatible suite), 65 bad data (malformed
-universe file or formula, or an output file that cannot be written).
+fragment, 64 usage (a missing or malformed argument, unknown spec, incompatible
+suite), 65 bad data (malformed universe file or formula, or a file that cannot
+be read or written).
 """
 
 from __future__ import annotations
@@ -30,6 +31,23 @@ EXIT_DATA = 65
 
 class DataError(WandsetError):
     pass
+
+
+class UsageError(WandsetError):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as a UsageError (exit 64), not exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return int(text)
 
 
 # -- universe files ------------------------------------------------------------
@@ -110,12 +128,16 @@ def import_fragment(text: str) -> Fragment:
         raise DataError(str(exc)) from exc
 
 
-def _load(path: str) -> Fragment:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return import_fragment(fh.read())
+            return fh.read()
     except OSError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _load(path: str) -> Fragment:
+    return import_fragment(_read(path))
 
 
 @contextlib.contextmanager
@@ -213,9 +235,8 @@ def _print_suite(rows: List[Tuple[str, bool, str]]) -> bool:
 def cmd_build(args) -> int:
     try:
         spec = wandspec.get_spec(args.spec)
-    except KeyError:
-        print(f"unknown spec {args.spec!r}", file=sys.stderr)
-        return EXIT_USAGE
+    except (KeyError, ValueError):
+        raise UsageError(f"unknown spec {args.spec!r}") from None
     try:
         frag = universe.build(spec, args.depth, max_objects=args.max_objects,
                               mode=args.mode)
@@ -234,7 +255,16 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+# the object and wand arguments each query needs
+_QUERY_ARGS = {"rank": ("obj",), "member": ("x", "of"), "tap": ("wand", "arg"),
+               "decompose": ("obj",), "kind": ("obj",)}
+
+
 def cmd_query(args) -> int:
+    missing = [name for name in _QUERY_ARGS[args.what] if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"query {args.what} needs "
+                         + " and ".join(f"--{name}" for name in missing))
     frag = _load(args.infile)
     if args.what == "rank":
         oid = _parse_object(frag, args.obj)
@@ -297,8 +327,7 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     frag = _load(args.src)
-    with open(args.formula, "r", encoding="utf-8") as fh:
-        sentences = formula.parse_sentences(fh.read())
+    sentences = formula.parse_sentences(_read(args.formula))
     model = formula.fragment_model(frag)
     for name, f in sentences:
         print(f"{name}: {'true' if formula.eval_formula(model, f) else 'false'}")
@@ -307,8 +336,7 @@ def cmd_eval(args) -> int:
 
 def cmd_translate(args) -> int:
     frag = _load(args.src)
-    with open(args.formula, "r", encoding="utf-8") as fh:
-        sentences = formula.parse_sentences(fh.read())
+    sentences = formula.parse_sentences(_read(args.formula))
     fn, src_sig, dst_sig = formula.TRANSLATIONS[args.translation]
     if not args.dst:
         for name, f in sentences:
@@ -364,7 +392,7 @@ def cmd_export(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wandset")
+    parser = _Parser(prog="wandset")
     sub = parser.add_subparsers(dest="command", required=True)
 
     default_cap = int(os.environ.get("WANDSET_MAX_OBJECTS",
@@ -372,7 +400,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="grow a fragment and save it")
     b.add_argument("--spec", required=True)
-    b.add_argument("--depth", type=int, required=True)
+    b.add_argument("--depth", type=_positive_int, required=True)
     b.add_argument("--max-objects", type=int, default=default_cap)
     b.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     b.add_argument("--out", required=True)
@@ -416,10 +444,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CapExceeded as exc:
         print(f"object budget exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

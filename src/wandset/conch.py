@@ -12,12 +12,13 @@ objects must equal stage sigma exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import universe, wandspec
 from .errors import CapExceeded, NotAConch, NotAPair
-from .pureset import (PureSet, carrier, deep_carrier, in_carrier_levels, is_carrier,
-                      kpair, kunpair, mk_set, rank, uncarrier)
+from .pureset import (PureSet, _intern, carrier, deep_carrier, in_carrier_levels,
+                      is_carrier, kpair, kunpair, mk_set, rank, subsets, uncarrier)
 from .universe import Fragment
 from .wandspec import WandSpec
 
@@ -119,7 +120,7 @@ class Stages:
     view: _ConchView = None
     _ranked_cache: Dict[int, Tuple[PureSet, ...]] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def wandcode_set(self) -> frozenset:
         return frozenset(self.wandcodes)
 
@@ -174,10 +175,7 @@ def gen_stages(spec: WandSpec, depth: int, max_width: int = 20) -> Stages:
             raise CapExceeded(
                 f"stage {sigma}: 2**{len(below)} carriers exceed width {max_width}")
         spread = sorted(below, key=PureSet.sort_key)
-        fresh = set()
-        for mask in range(1 << len(spread)):
-            c = carrier(mk_set(spread[i] for i in range(len(spread)) if mask >> i & 1))
-            fresh.add(c)
+        fresh = {carrier(_intern(t)) for t in subsets(spread)}
         fresh.update(pending_taps)
         for c in fresh:
             st.conchrank.setdefault(c, sigma)
@@ -225,6 +223,7 @@ def check_stage_laws(stages: Stages) -> List[str]:
     bad: List[str] = []
     spec = stages.spec
     view = stages.view
+    wand_index = {c: stages.wandcodes.index(c) for c in stages.wandcodes}
 
     # stages are cumulative: each stage's "below" is exactly the union of
     # the earlier stages, and stage contents grow monotonically
@@ -257,10 +256,10 @@ def check_stage_laws(stages: Stages) -> List[str]:
             continue
         args = []
         for wcode, b in pairs:
-            if wcode not in stages.wandcode_set or b not in stages.conchrank:
+            if wcode not in wand_index or b not in stages.conchrank:
                 bad.append(f"tap class member at rank {r} malformed")
                 continue
-            args.append((stages.wandcodes.index(wcode), b))
+            args.append((wand_index[wcode], b))
         ranks = {stages.stage_rank(b) for _, b in args}
         if len(ranks) != 1 or ranks.pop() + 1 != r:
             bad.append(f"tap class rank law broken at rank {r}")

@@ -3,16 +3,19 @@
 Every value built through :func:`mk_set` is deduplicated, sorted into a fixed
 total order (rank, then cardinality, then lexicographic on elements) and
 interned, so structural equality coincides with object identity for the life
-of the process.  All operations are pure.  The only mutation points are the
-interning table, keyed by the sorted element tuple (the interned set's own
-``elements``) and guarded by a lock, and the :func:`deep_carrier` memo, keyed
-by the interned set; both live as long as the process.
+of the process.  The trusted entry ``_intern`` skips dedup and sort; its
+caller guarantees a canonical, duplicate-free tuple, such as any subset that
+:func:`subsets` cuts from a canonically sorted spread.  All operations are
+pure.  The only mutation points are the interning table, keyed by the sorted
+element tuple (the interned set's own ``elements``) and guarded by a lock,
+and the :func:`deep_carrier` memo, keyed by the interned set; both live as
+long as the process.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DepthCapExceeded, NotACarrier, NotAPair, NotInCodeImage
 
@@ -20,6 +23,7 @@ __all__ = [
     "PureSet",
     "EMPTY",
     "mk_set",
+    "subsets",
     "rank",
     "kpair",
     "kunpair",
@@ -51,7 +55,8 @@ class PureSet:
 
     def __init__(self, elements: Tuple["PureSet", ...]):
         self.elements = elements
-        self.rank = 0 if not elements else 1 + max(e.rank for e in elements)
+        # canonical order sorts by rank first, so the last element ranks highest
+        self.rank = 1 + elements[-1].rank if elements else 0
         self._key = None
 
     def sort_key(self):
@@ -92,7 +97,12 @@ def mk_set(elems: Iterable[PureSet]) -> PureSet:
     Duplicates are dropped, elements are sorted into the canonical order and
     the result is interned.  Idempotent under re-wrapping.
     """
-    ordered = tuple(sorted(set(elems), key=PureSet.sort_key))
+    return _intern(tuple(sorted(set(elems), key=PureSet.sort_key)))
+
+
+def _intern(ordered: Tuple[PureSet, ...]) -> PureSet:
+    """Intern ``ordered`` as is; the caller guarantees it is in canonical order
+    and duplicate-free, else the table would hold two values for one set."""
     hit = _TABLE.get(ordered)
     if hit is not None:
         return hit
@@ -104,7 +114,19 @@ def mk_set(elems: Iterable[PureSet]) -> PureSet:
         return hit
 
 
+def subsets(spread: Sequence) -> List[tuple]:
+    """Every subset of ``spread`` as a tuple in spread order, indexed by mask:
+    entry ``m`` holds ``spread[i]`` exactly when bit ``i`` of ``m`` is set.
+    Each entry extends the entry of its mask without the top bit."""
+    out = [()]
+    for x in spread:
+        out += [t + (x,) for t in out]
+    return out
+
+
 EMPTY = mk_set(())
+_SINGLETON_EMPTY = _intern((EMPTY,))
+_CARRIER_OF_EMPTY = _intern((_intern((_SINGLETON_EMPTY,)),))  # {<empty, empty>}
 
 
 def rank(s: PureSet) -> int:
@@ -139,7 +161,11 @@ def kunpair(p: PureSet) -> Tuple[PureSet, PureSet]:
 
 def carrier(a: PureSet) -> PureSet:
     """The code {<empty, a>} marking a as a bland value."""
-    return mk_set((kpair(EMPTY, a),))
+    if a is EMPTY:
+        return _CARRIER_OF_EMPTY
+    # <empty, a> = {{empty}, {empty, a}} is canonical as written: a ranks
+    # above empty, so {empty, a} ranks above {empty}
+    return _intern((_intern((_SINGLETON_EMPTY, _intern((EMPTY, a)))),))
 
 
 def uncarrier(c: PureSet) -> PureSet:
@@ -206,12 +232,8 @@ def carrier_level(alpha: int, base: frozenset, max_width: int = _DEFAULT_WIDTH) 
     for _ in range(alpha):
         if len(level) > max_width:
             raise DepthCapExceeded(f"level width {len(level)} exceeds {max_width}")
-        spread = list(level)
-        nxt = set(base)
-        for mask in range(1 << len(spread)):
-            subset = [spread[i] for i in range(len(spread)) if mask >> i & 1]
-            nxt.add(carrier(mk_set(subset)))
-        level = frozenset(nxt)
+        spread = sorted(level, key=PureSet.sort_key)  # canonical, as _intern needs
+        level = frozenset(base).union(carrier(_intern(t)) for t in subsets(spread))
     return level
 
 
@@ -238,9 +260,7 @@ def _carrier_pot(base: frozenset, hs, max_width: int) -> frozenset:
         payload = uncarrier(r).elements
         if len(payload) > max_width:
             raise DepthCapExceeded(f"payload width {len(payload)} exceeds {max_width}")
-        for mask in range(1 << len(payload)):
-            out.add(carrier(mk_set(
-                payload[i] for i in range(len(payload)) if mask >> i & 1)))
+        out.update(carrier(_intern(t)) for t in subsets(payload))
     return frozenset(out)
 
 
@@ -275,11 +295,7 @@ def lt_levels(n: int, max_width: int = 16) -> list:
             break
         if len(level) > max_width:
             raise DepthCapExceeded(f"level width {len(level)} exceeds {max_width}")
-        spread = level.elements
-        subsets = []
-        for mask in range(1 << len(spread)):
-            subsets.append(mk_set(spread[i] for i in range(len(spread)) if mask >> i & 1))
-        level = mk_set(subsets)
+        level = mk_set(_intern(t) for t in subsets(level.elements))
     return levels
 
 
@@ -289,9 +305,7 @@ def _pot(members: Iterable[PureSet], max_width: int) -> Optional[PureSet]:
     for r in members:
         if len(r) > max_width:
             raise DepthCapExceeded(f"powerset width {len(r)} exceeds {max_width}")
-        spread = r.elements
-        for mask in range(1 << len(spread)):
-            out.add(mk_set(spread[i] for i in range(len(spread)) if mask >> i & 1))
+        out.update(_intern(t) for t in subsets(r.elements))
     return mk_set(out)
 
 
@@ -316,9 +330,7 @@ def lt_history_witness(s: PureSet, max_width: int = 16) -> Optional[frozenset]:
     """
     if len(s) > max_width:
         raise DepthCapExceeded(f"member count {len(s)} exceeds {max_width}")
-    spread = s.elements
-    for mask in range(1 << len(spread)):
-        h = [spread[i] for i in range(len(spread)) if mask >> i & 1]
+    for h in subsets(s.elements):
         hset = set(h)
         if _pot(h, max_width) is not s:
             continue

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import wandspec
 from .errors import BeyondFragment, CapExceeded, NotBland, StabilityViolation, TapUndefinedAt
+from .pureset import mk_set, subsets, vn
 from .wandspec import WandSpec
 
 DEFAULT_MAX_OBJECTS = 200_000
@@ -161,8 +162,6 @@ class Fragment:
     def wand_obj_ids(self) -> Dict[int, int]:
         """Map wand index -> id of its designated hereditarily bland object,
         for wands whose designation is registered in this fragment."""
-        from .pureset import vn
-
         cache = self.cache("wand_objs")
         if "map" not in cache:
             out = {}
@@ -262,10 +261,8 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
                 raise CapExceeded(
                     f"stage {stage}: {len(prev_sorted)} objects found earlier; "
                     f"2**{len(prev_sorted)} subsets exceed budget {max_objects}")
-            for mask in range(projected):
-                members = frozenset(
-                    prev_sorted[i] for i in range(len(prev_sorted)) if mask >> i & 1)
-                frag.register_bland(members, stage)
+            for members in subsets(prev_sorted):
+                frag.register_bland(frozenset(members), stage)
         else:
             frag.register_bland(frozenset(prev_sorted), stage)  # the wevel itself
 
@@ -520,8 +517,6 @@ def encode_pure(frag: Fragment, p) -> Optional[int]:
 
 def decode_pure(frag: Fragment, a: int):
     """Pure-set shape of a hereditarily bland object."""
-    from .pureset import mk_set
-
     o = frag.obj(a)
     if not o.is_bland:
         raise NotBland(repr(o))

@@ -297,6 +297,38 @@ def test_build_to_unwritable_path(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("bad data:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["query", "kind"],
+    ["query", "tap", "--arg", "{}"],
+    ["query", "member", "--x", "{}"],
+    ["query", "rank"],
+    ["build", "--spec", "church:x", "--depth", "2"],
+    ["build", "--spec", "church:-1", "--depth", "2"],
+    ["build", "--spec", "pure", "--depth", "0"],
+    ["build", "--spec", "pure", "--depth", "two"],
+    ["build", "--spec", "pure"],
+    ["frobnicate"],
+], ids=["kind-without-obj", "tap-without-wand", "member-without-of",
+        "rank-without-obj", "spec-church-x", "spec-church-negative", "depth-0",
+        "depth-not-a-number", "depth-missing", "unknown-command"])
+def test_argument_errors_exit_64(capsys, church_file, tmp_path, argv):
+    where = ["--in", church_file] if argv[0] == "query" else \
+        ["--out", str(tmp_path / "x.json")] if argv[0] == "build" else []
+    assert cli.main(argv + where) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "translate"])
+def test_missing_formula_file_is_bad_data(capsys, church_file, tmp_path, command):
+    argv = [command, "--formula", str(tmp_path / "none.sent"), "--src", church_file]
+    if command == "translate":
+        argv += ["--translation", "tau"]
+    assert cli.main(argv) == 65
+    assert capsys.readouterr().err.startswith("bad data:")
+
+
 def test_export_to_unwritable_path(capsys, church_file, tmp_path):
     dot = tmp_path / "missing" / "x.dot"
     assert cli.main(["export", "--in", church_file, "--dot", str(dot)]) == 65

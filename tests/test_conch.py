@@ -51,6 +51,21 @@ def test_stage_rank_bound_holds(church_stages):
         assert measured <= bound
 
 
+def test_trusted_interning_on_conway_stage_subsets():
+    # every subset gen_stages cuts from a stage's sorted spread is canonical:
+    # the trusted entry lands on the value mk_set builds, with the rank the
+    # max-based rule gives
+    stages = conch.gen_stages(wandspec.get_spec("conway"), 5)
+    assert stages.wandcode_set is stages.wandcode_set
+    for st in stages.stages:
+        spread = sorted(st.below, key=ps.PureSet.sort_key)
+        for t in ps.subsets(spread):
+            s = ps._intern(t)
+            assert s is ps.mk_set(t)
+            assert s.rank == (1 + max(e.rank for e in t) if t else 0)
+            assert ps.carrier(s) in st.conches
+
+
 def test_gen_stages_cap():
     with pytest.raises(CapExceeded):
         conch.gen_stages(wandspec.get_spec("pure"), 7, max_width=8)

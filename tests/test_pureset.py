@@ -137,6 +137,40 @@ def test_deep_carrier_matches_reference():
         assert ps.deep_carrier(p) is reference_deep_carrier(p), p
 
 
+def reference_subsets(spread):
+    """The per-mask index scan that every powerset step used to run."""
+    return [tuple(spread[i] for i in range(len(spread)) if mask >> i & 1)
+            for mask in range(1 << len(spread))]
+
+
+def reference_rank(s):
+    return 0 if not s.elements else 1 + max(e.rank for e in s.elements)
+
+
+@pytest.mark.parametrize("width", range(11))
+def test_subsets_match_mask_loop(width):
+    spread = list(range(100, 100 + width))
+    assert ps.subsets(spread) == reference_subsets(spread)
+
+
+def test_trusted_interning_on_lt_level_subsets():
+    levels = ps.lt_levels(5)
+    for level in levels:
+        for t in ps.subsets(level.elements):
+            s = ps._intern(t)
+            assert s is ps.mk_set(t) and s.rank == reference_rank(s)
+    assert all(s.rank == reference_rank(s) for s in levels[-1])
+
+
+@given(pure_sets())
+def test_carrier_matches_pair_construction(a):
+    assert ps.carrier(a) is ps.mk_set((ps.kpair(E, a),))
+
+
+def test_carrier_of_empty_matches_pair_construction():
+    assert ps.carrier(E) is ps.mk_set((ps.kpair(E, E),))
+
+
 def test_interning_is_thread_safe():
     import threading
 
@@ -174,6 +208,33 @@ def test_carrier_levels_over_empty_base():
 def test_carrier_level_rank_law(n):
     level = ps.carrier_level(n, frozenset())
     assert ps.rank(ps.mk_set(level)) == 4 * n
+
+
+def reference_carrier_level(alpha, base):
+    """Levels as built before: subsets in the level's frozenset iteration
+    order, each sorted by mk_set, carriers through the Kuratowski pair."""
+    level = frozenset(base)
+    for _ in range(alpha):
+        spread = list(level)
+        nxt = set(base)
+        for mask in range(1 << len(spread)):
+            subset = [spread[i] for i in range(len(spread)) if mask >> i & 1]
+            nxt.add(ps.mk_set((ps.kpair(E, ps.mk_set(subset)),)))
+        level = frozenset(nxt)
+    return level
+
+
+@pytest.mark.parametrize("base", [
+    frozenset([S2, E, PAIR01]),
+    frozenset([ps.vn(3), S1, ps.mk_set([S2])]),
+])
+def test_carrier_level_matches_reference_over_unsorted_base(base):
+    levels = [ps.carrier_level(alpha, base) for alpha in range(3)]
+    for alpha, level in enumerate(levels):
+        assert level == reference_carrier_level(alpha, base)
+    # level 1 has 11 members; a frozenset of them iterates out of canonical
+    # order, which is what the sort before the trusted entry is for
+    assert any(list(l) != sorted(l, key=ps.PureSet.sort_key) for l in levels)
 
 
 def test_carrier_level_width_cap():
