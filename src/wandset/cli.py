@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import conch, formula, instances, universe, wandspec
 from .errors import (BeyondFragment, CapExceeded, ParseError, SignatureError,
-                     WandsetError)
+                     SpecError, WandsetError)
 from .universe import Fragment, Obj
 
 FORMAT_VERSION = 1
@@ -45,9 +45,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
-    return int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {n}")
+    return n
 
 
 # -- universe files ------------------------------------------------------------
@@ -235,14 +239,12 @@ def _print_suite(rows: List[Tuple[str, bool, str]]) -> bool:
 def cmd_build(args) -> int:
     try:
         spec = wandspec.get_spec(args.spec)
-    except (KeyError, ValueError):
+    except KeyError:
         raise UsageError(f"unknown spec {args.spec!r}") from None
-    try:
-        frag = universe.build(spec, args.depth, max_objects=args.max_objects,
-                              mode=args.mode)
-    except CapExceeded as exc:
-        print(f"object budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    except SpecError as exc:
+        raise UsageError(f"bad spec {args.spec!r}: {exc}") from None
+    frag = universe.build(spec, args.depth, max_objects=args.max_objects,
+                          mode=args.mode)
     for alpha, contents in enumerate(frag.wevel_contents):
         print(f"stage {alpha}: {len(contents)} objects found earlier")
     by_rank: Dict[int, int] = {}
@@ -274,8 +276,7 @@ def cmd_query(args) -> int:
         of = _parse_object(frag, args.of)
         if args.expansive:
             if not frag.spec.name.startswith("church:"):
-                print("--expansive requires a church spec", file=sys.stderr)
-                return EXIT_USAGE
+                raise UsageError("--expansive requires a church spec")
             print("true" if instances.varin(frag, x, of) else "false")
         else:
             o = frag.obj(of)
@@ -290,8 +291,7 @@ def cmd_query(args) -> int:
         print(f"base={base} path={path}")
     elif args.what == "kind":
         if not frag.spec.name.startswith("church:"):
-            print("kind classification requires a church spec", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("kind classification requires a church spec")
         oid = _parse_object(frag, args.obj)
         kind = instances.classify_kind(frag, oid)
         if kind.tag == "bland":
@@ -311,11 +311,9 @@ def cmd_verify(args) -> int:
     else:
         suites = [args.suite]
     if "church" in suites and not frag.spec.name.startswith("church:"):
-        print(f"suite church incompatible with spec {frag.spec.name}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"suite church incompatible with spec {frag.spec.name}")
     if ("conch" in suites or "church" in suites) and not frag.exhaustive:
-        print("conch/church suites require an exhaustive fragment", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("conch/church suites require an exhaustive fragment")
     ok = True
     for suite in suites:
         rows = {"core": _core_suite, "conch": _conch_suite,
@@ -407,7 +405,7 @@ def make_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_build)
 
     q = sub.add_parser("query", help="ask about one object")
-    q.add_argument("what", choices=["rank", "member", "tap", "decompose", "kind"])
+    q.add_argument("what", choices=list(_QUERY_ARGS))
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--obj")
     q.add_argument("--x")
@@ -460,7 +458,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"bad data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except KeyError as exc:
-        print(f"unknown name: {exc}", file=sys.stderr)
+        print(f"usage error: unknown name {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

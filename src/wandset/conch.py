@@ -223,7 +223,9 @@ def check_stage_laws(stages: Stages) -> List[str]:
     bad: List[str] = []
     spec = stages.spec
     view = stages.view
-    wand_index = {c: stages.wandcodes.index(c) for c in stages.wandcodes}
+    wand_index: Dict[PureSet, int] = {}
+    for i, c in enumerate(stages.wandcodes):
+        wand_index.setdefault(c, i)
 
     # stages are cumulative: each stage's "below" is exactly the union of
     # the earlier stages, and stage contents grow monotonically

@@ -17,6 +17,10 @@ class NotInCodeImage(WandsetError):
     """Argument is not the canonical code of any pure set."""
 
 
+class SpecError(WandsetError, ValueError):
+    """A registered spec family was given a malformed parameter."""
+
+
 class DepthCapExceeded(WandsetError):
     """A level/stage enumeration would exceed its configured cap."""
 

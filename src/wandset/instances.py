@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import universe, wandspec
-from .errors import BeyondFragment, TaxonomyViolation
+from .errors import BeyondFragment, SpecError, TaxonomyViolation
 from .pureset import deep_carrier, vn
 from .universe import Fragment
 from .wandspec import SetQuery, WandId, WandSpec
@@ -368,7 +368,7 @@ def church_spec(k: int) -> WandSpec:
     cardinal (with stage guards on the existential witnesses).
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise SpecError(f"k must be >= 0, not {k}")
 
     def d(n: int, a, q: SetQuery) -> bool:
         if n == 0:

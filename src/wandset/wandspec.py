@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Tuple
 
+from .errors import SpecError
 from .pureset import PureSet
 
 
@@ -302,7 +303,11 @@ def get_spec(name: str) -> WandSpec:
     from . import instances  # noqa: F401  (registration side effect)
 
     if name.startswith("church:"):
-        k = int(name.split(":", 1)[1])
+        text = name.split(":", 1)[1]
+        try:
+            k = int(text)
+        except ValueError:
+            raise SpecError(f"k must be an integer, not {text!r}") from None
         return REGISTRY["church"](k)
     if name in REGISTRY:
         return REGISTRY[name]()

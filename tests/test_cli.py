@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from wandset import cli
+from wandset import cli, wandspec
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +154,20 @@ def test_query_member_expansive(capsys, church_file):
     assert capsys.readouterr().out.strip() == "false"
 
 
-def test_query_expansive_requires_church(pure_file):
+def assert_one_usage_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_query_expansive_requires_church(capsys, pure_file):
     assert cli.main(["query", "member", "--expansive", "--x", "{}",
                      "--of", "0", "--in", pure_file]) == 64
+    assert_one_usage_error_line(capsys)
+
+
+def test_query_kind_requires_church(capsys, pure_file):
+    assert cli.main(["query", "kind", "--obj", "0", "--in", pure_file]) == 64
+    assert_one_usage_error_line(capsys)
 
 
 def test_query_decompose(capsys, church_file):
@@ -193,15 +204,18 @@ def test_verify_church_suite(capsys, church_file):
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_verify_suite_spec_mismatch(pure_file):
+def test_verify_suite_spec_mismatch(capsys, pure_file):
     assert cli.main(["verify", "--suite", "church", "--in", pure_file]) == 64
+    assert_one_usage_error_line(capsys)
 
 
-def test_verify_conch_requires_exhaustive(tmp_path):
+def test_verify_conch_requires_exhaustive(capsys, tmp_path):
     path = tmp_path / "sampled.json"
     assert cli.main(["build", "--spec", "church:2", "--depth", "3",
                      "--mode", "sampled", "--out", str(path)]) == 0
+    capsys.readouterr()
     assert cli.main(["verify", "--suite", "conch", "--in", str(path)]) == 64
+    assert_one_usage_error_line(capsys)
 
 
 def test_verify_conch_reports_slack(capsys, church_file):
@@ -315,9 +329,31 @@ def test_argument_errors_exit_64(capsys, church_file, tmp_path, argv):
     where = ["--in", church_file] if argv[0] == "query" else \
         ["--out", str(tmp_path / "x.json")] if argv[0] == "build" else []
     assert cli.main(argv + where) == 64
-    captured = capsys.readouterr()
-    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+    assert_one_usage_error_line(capsys)
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("spec", ["church:x", "church:-1"])
+def test_bad_spec_parameter_is_named(capsys, tmp_path, spec):
+    assert cli.main(["build", "--spec", spec, "--depth", "2",
+                     "--out", str(tmp_path / "x.json")]) == 64
+    assert capsys.readouterr().err.startswith(f"usage error: bad spec {spec!r}")
+
+
+def test_spec_factory_failure_is_not_a_usage_error(monkeypatch, tmp_path):
+    def broken(k):
+        raise ValueError("factory bug")
+
+    monkeypatch.setitem(wandspec.REGISTRY, "church", broken)
+    with pytest.raises(ValueError, match="factory bug"):
+        cli.main(["build", "--spec", "church:1", "--depth", "2",
+                  "--out", str(tmp_path / "x.json")])
+
+
+@pytest.mark.parametrize("depth", ["+2", " 2", "2 "])
+def test_depth_accepts_what_int_accepts(tmp_path, depth):
+    assert cli.main(["build", "--spec", "pure", "--depth", depth,
+                     "--out", str(tmp_path / "x.json")]) == 0
 
 
 @pytest.mark.parametrize("command", ["eval", "translate"])

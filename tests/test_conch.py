@@ -56,7 +56,6 @@ def test_trusted_interning_on_conway_stage_subsets():
     # the trusted entry lands on the value mk_set builds, with the rank the
     # max-based rule gives
     stages = conch.gen_stages(wandspec.get_spec("conway"), 5)
-    assert stages.wandcode_set is stages.wandcode_set
     for st in stages.stages:
         spread = sorted(st.below, key=ps.PureSet.sort_key)
         for t in ps.subsets(spread):

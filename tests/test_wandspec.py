@@ -1,7 +1,7 @@
 import pytest
 
 from wandset import instances, universe, wandspec
-from wandset.errors import StabilityViolation
+from wandset.errors import SpecError, StabilityViolation
 from wandset.wandspec import WandSpec
 
 from conftest import built
@@ -215,3 +215,6 @@ def test_registry_names():
         assert wandspec.get_spec(name).name == name
     with pytest.raises(KeyError):
         wandspec.get_spec("nope")
+    for name in ["church:x", "church:-1", "church:"]:
+        with pytest.raises(SpecError):
+            wandspec.get_spec(name)
