@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from . import conch, formula, instances, universe, wandspec
@@ -127,6 +128,18 @@ def import_fragment(text: str) -> Fragment:
             raise DataError("wevel list does not match depth")
         if any(not 0 <= i < len(frag.objects) for c in frag.wevel_contents for i in c):
             raise DataError("wevel ids must name objects")
+        # wevel i < depth lists the ids of rank below i and the last one every
+        # id, each in increasing order: one pass over each list
+        per_rank = Counter(o.ordrank for o in frag.objects)
+        below = 0
+        for i, c in enumerate(frag.wevel_contents):
+            last = i == frag.depth
+            if (len(c) != (len(frag.objects) if last else below)
+                    or any(a >= b for a, b in zip(c, c[1:]))
+                    or not last and any(frag.objects[j].ordrank >= i for j in c)):
+                raise DataError(f"wevel {i} must list "
+                                + ("every id" if last else f"the ids of rank below {i}"))
+            below += per_rank[i]
         return frag
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(str(exc)) from exc
@@ -282,6 +295,8 @@ def cmd_query(args) -> int:
             o = frag.obj(of)
             print("true" if o.is_bland and x in o.members else "false")
     elif args.what == "tap":
+        if args.wand not in frag.spec.wand_indices():
+            raise UsageError(f"--wand: spec {frag.spec.name} has no wand {args.wand}")
         arg = _parse_object(frag, args.arg)
         got = universe.tap(frag, args.wand, arg)
         print("none" if got is None else got)

@@ -382,24 +382,44 @@ class FiniteModel:
 def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..., bool]:
     """Compile ``f`` once over ``model`` into a function of the values of ``params``.
 
-    One pass over the tree gives every variable an integer slot, collects
-    each node's free-variable slots bottom-up and returns one closure per
-    node (a subtree shared by identity is compiled once).  The environment is
-    a list indexed by slot; a quantifier sets and restores its own slot in
-    place.  Each quantifier and each relational atom keeps its own memo,
-    keyed by the values of its free slots (the bare value for one slot,
-    ``()`` for none); connectives and equality keep none, since their
-    operands are memoised or cheap.  The memos live as long as the returned
-    function, so later calls reuse what earlier calls computed.  Connectives
-    short-circuit left to right, so oracles see only the tuples a top-down
-    reading reaches, and a model without an oracle for a defined atom raises
-    SignatureError when that atom is first evaluated.
+    One bottom-up pass gives every variable an integer slot and returns, for
+    each node, a closure over a list environment indexed by slot (a
+    quantifier sets and restores its own slot in place), the node's free
+    slots in first-use order, and its alpha-class id.  The id is interned
+    from a flat tuple: the node's tag, its children's class ids and, for each
+    child free slot, its position among the node's free slots (-1 for a
+    bound one).
+
+    Memos: all quantifiers of one alpha class share one memo, keyed by the
+    values of their free slots in that order, so the alpha-equivalent copies
+    of a subformula that a translation emits are evaluated once per binding.
+    All atoms of one relation share one memo keyed by their argument values,
+    so no oracle is called twice with the same arguments.  Connectives,
+    ``Not`` and ``Eq`` keep none.  The memos live as long as the returned
+    function.
+
+    Quantifiers move inward: ``(P op Q) op R`` chains of ``&`` or ``|`` are
+    reassociated to ``P op (Q op R)``; then, on a non-empty carrier, ``Qv.
+    L op R`` (``op`` one of ``&``, ``|``, ``->``) compiles as ``L op Qv. R``
+    when ``L`` does not mention ``v``, and a quantifier whose variable does
+    not occur in its body is dropped.  On an empty carrier both would change
+    the truth value, so quantifiers stay where they are.
+
+    Invariant: oracles are first called on the same tuples, in the same
+    order, as a top-down reading of ``f``.  Connectives short-circuit left to
+    right, and a guard left inside a quantifier only repeats calls it made
+    for the first binding.  A model without an oracle for a defined atom
+    raises SignatureError when that atom is first evaluated.
     """
     slots: Dict[Var, int] = {}
     for v in params:
         slots.setdefault(v, len(slots))
     allowed = _ALLOWED[model.signature]
-    compiled: Dict[int, Tuple[Callable, frozenset]] = {}
+    carrier = model.carrier
+    compiled: Dict[int, Tuple[Callable, Tuple[int, ...], int]] = {}
+    keep: List[object] = []  # the nodes ``compiled`` keys by id; rewriting makes temporary ones
+    classes: Dict[tuple, int] = {}
+    memos: Dict[object, dict] = {}
     bad: List[object] = []
 
     def slot(v: Var) -> int:
@@ -408,32 +428,49 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
             got = slots[v] = len(slots)
         return got
 
-    def node(g) -> Tuple[Callable, frozenset]:
+    def node(g) -> Tuple[Callable, Tuple[int, ...], int]:
         got = compiled.get(id(g))
         if got is None:
             got = compiled[id(g)] = build(g)
+            keep.append(g)
         return got
 
-    def build(g) -> Tuple[Callable, frozenset]:
-        if isinstance(g, Eq):
-            i, j = slot(g.x), slot(g.y)
-            return (lambda env: env[i] == env[j]), frozenset((i, j))
+    def alpha(key: tuple) -> int:
+        return classes.setdefault(key, len(classes))
+
+    def memoized(run: Callable, key: Callable, memo: dict) -> Callable:
+        def cached(env) -> bool:
+            k = key(env)
+            hit = memo.get(k)
+            if hit is None:
+                hit = memo[k] = run(env)
+            return hit
+        return cached
+
+    def build(g) -> Tuple[Callable, Tuple[int, ...], int]:
         if isinstance(g, ATOMS):
             if not isinstance(g, allowed) and not bad:
                 bad.append(g)
-            rel, args = _relation(model, g)
-            idx = tuple(slot(a) for a in args)
-            free = frozenset(idx)
-            if len(idx) == 1:
-                i, = idx
-                return _memoized(lambda env: bool(rel(env[i])), free), free
+            eq = isinstance(g, Eq)
+            rel, args = (None, (g.x, g.y)) if eq else _relation(model, g)
+            idx = tuple(map(slot, args))
+            free = tuple(dict.fromkeys(idx))
+            tag = g.name if isinstance(g, Defined) else type(g)
+            cls = alpha((tag, *map(free.index, idx)))
+            if eq:
+                i, j = idx
+                return (lambda env: env[i] == env[j]), free, cls
             get = _getter(idx)
-            return _memoized(lambda env: bool(rel(*get(env))), free), free
+            run = (lambda env: bool(rel(get(env)))) if len(idx) == 1 else (
+                lambda env: bool(rel(*get(env))))
+            return memoized(run, get, memos.setdefault((tag, len(idx)), {})), free, cls
         if isinstance(g, Not):
-            body, free = node(g.f)
-            return (lambda env: not body(env)), free
+            body, free, cls = node(g.f)
+            return (lambda env: not body(env)), free, alpha((Not, cls))
+        if isinstance(g, (And, Or)) and type(g.lhs) is type(g):
+            return node(_rotate(g))
         if isinstance(g, (And, Or, Implies, Iff)):
-            (lhs, lf), (rhs, rf) = node(g.lhs), node(g.rhs)
+            (lhs, lf, lc), (rhs, rf, rc) = node(g.lhs), node(g.rhs)
             if isinstance(g, And):
                 run = lambda env: lhs(env) and rhs(env)
             elif isinstance(g, Or):
@@ -442,11 +479,16 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
                 run = lambda env: not lhs(env) or rhs(env)
             else:
                 run = lambda env: lhs(env) == rhs(env)
-            return run, lf | rf
+            free = lf + tuple([s for s in rf if s not in lf])
+            return run, free, alpha((type(g), lc, rc, *map(free.index, rf)))
         if isinstance(g, (Forall, Exists)):
-            body, bf = node(g.body)
-            s = slot(g.v)
-            carrier = model.carrier
+            s, inner = slot(g.v), _rotate(g.body)
+            if carrier and isinstance(inner, (And, Or, Implies)) and s not in node(inner.lhs)[1]:
+                return node(type(inner)(inner.lhs, type(g)(g.v, inner.rhs)))
+            body, bf, bc = node(inner)
+            at = bf.index(s) if s in bf else -1
+            if carrier and at < 0:
+                return body, bf, bc
             want_all = isinstance(g, Forall)
 
             def run(env) -> bool:
@@ -460,11 +502,12 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
                 env[s] = saved
                 return out
 
-            free = bf - {s}
-            return _memoized(run, free), free
+            free = bf[:at] + bf[at + 1:] if at >= 0 else bf
+            cls = alpha((type(g), bc, at))
+            return memoized(run, _getter(free), memos.setdefault(cls, {})), free, cls
         raise TypeError(f"not a formula: {g!r}")
 
-    run, free = node(f)
+    run, free, _ = node(f)
     missing = sorted(v.name for v, i in slots.items() if i in free and v not in params)
     if missing:
         raise SignatureError(f"unbound variables: {missing}")
@@ -479,6 +522,14 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
         return run(env)
 
     return holds
+
+
+def _rotate(g):
+    """Reassociate a left-nested ``&`` or ``|`` chain to the right: ``(P op Q) op R``
+    becomes ``P op (Q op R)``, which short-circuits in the same order."""
+    while isinstance(g, (And, Or)) and type(g.lhs) is type(g):
+        g = type(g)(g.lhs.lhs, type(g)(g.lhs.rhs, g.rhs))
+    return g
 
 
 def _relation(model: FiniteModel, g) -> Tuple[Callable, Tuple[Var, ...]]:
@@ -502,21 +553,6 @@ def _getter(idx: Sequence[int]) -> Callable:
     """Read slots ``idx`` of an environment: a bare value for one slot, a
     tuple for several, ``()`` for none."""
     return itemgetter(*idx) if idx else (lambda env: ())
-
-
-def _memoized(run: Callable, free: frozenset) -> Callable:
-    """``run`` cached on the values of the slots in ``free``."""
-    key = _getter(sorted(free))
-    memo: dict = {}
-
-    def cached(env) -> bool:
-        k = key(env)
-        hit = memo.get(k)
-        if hit is None:
-            hit = memo[k] = run(env)
-        return hit
-
-    return cached
 
 
 def eval_formula(model: FiniteModel, f, env: Optional[Dict[Var, object]] = None) -> bool:
@@ -938,25 +974,12 @@ def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem
     q = _Q()
 
     def oracle(n, x, y):
-        k = _decode_num(q, n)
+        k = instances.vn_decode(q, n)
         if k is None or k < 1:
             return False
         return instances.n_equiv_over(q, x, y, k) is not None
 
     return oracle
-
-
-def _decode_num(q, h) -> Optional[int]:
-    if not q.is_bland(h):
-        return None
-    ms = q.members(h)
-    vals = set()
-    for m in ms:
-        v = _decode_num(q, m)
-        if v is None:
-            return None
-        vals.add(v)
-    return len(ms) if vals == set(range(len(ms))) else None
 
 
 def lt_model(frag) -> FiniteModel:

@@ -123,9 +123,13 @@ _COMPLEMENT = {"kind": "tapped", "ordrank": 1}
     ([], {2: [0, 1, 3]}),
     ([dict(_SINGLETON, members=[0])], {}),
     ([dict(_COMPLEMENT, **{"class": [[0, 0]]})], {}),
+    ([], {2: [0, 1]}),
+    ([], {1: []}),
+    ([], {2: [0, 2, 1]}),
 ], ids=["negative-member", "member-out-of-range", "negative-tap-argument",
         "tap-argument-out-of-range", "wand-out-of-range", "negative-wevel-id",
-        "wevel-id-out-of-range", "duplicate-bland-set", "duplicate-tap-class"])
+        "wevel-id-out-of-range", "duplicate-bland-set", "duplicate-tap-class",
+        "last-wevel-cut-short", "wevel-without-a-low-rank-id", "wevel-out-of-order"])
 def test_import_rejects_bad_ids(capsys, tmp_path, objs, wevels):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_corrupt(objs, wevels)))
@@ -322,9 +326,12 @@ def test_build_to_unwritable_path(capsys, tmp_path):
     (["build", "--spec", "pure", "--depth", "two"], "--depth: not an integer"),
     (["build", "--spec", "pure"], "--depth"),
     (["frobnicate"], "frobnicate"),
+    (["query", "tap", "--wand", "99", "--arg", "{}"], "has no wand 99"),
+    (["query", "tap", "--wand", "-1", "--arg", "{}"], "has no wand -1"),
 ], ids=["kind-without-obj", "tap-without-wand", "member-without-of",
         "rank-without-obj", "spec-church-x", "spec-church-negative", "depth-0",
-        "depth-not-a-number", "depth-missing", "unknown-command"])
+        "depth-not-a-number", "depth-missing", "unknown-command", "wand-99",
+        "wand-negative"])
 def test_argument_errors_exit_64(capsys, church_file, tmp_path, argv, says):
     where = ["--in", church_file] if argv[0] == "query" else \
         ["--out", str(tmp_path / "x.json")] if argv[0] == "build" else []
