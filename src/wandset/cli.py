@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from collections import Counter
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import conch, formula, instances, universe, wandspec
@@ -130,15 +131,15 @@ def import_fragment(text: str) -> Fragment:
             raise DataError("wevel ids must name objects")
         # wevel i < depth lists the ids of rank below i and the last one every
         # id, each in increasing order: one pass over each list
-        per_rank = Counter(o.ordrank for o in frag.objects)
+        per_rank = Counter(map(attrgetter("ordrank"), frag.objects))
         below = 0
         for i, c in enumerate(frag.wevel_contents):
-            last = i == frag.depth
-            if (len(c) != (len(frag.objects) if last else below)
-                    or any(a >= b for a, b in zip(c, c[1:]))
-                    or not last and any(frag.objects[j].ordrank >= i for j in c)):
-                raise DataError(f"wevel {i} must list "
-                                + ("every id" if last else f"the ids of rank below {i}"))
+            if i == frag.depth:
+                if c != tuple(range(len(frag.objects))):
+                    raise DataError(f"wevel {i} must list every id")
+            elif (len(c) != below or any(a >= b for a, b in zip(c, c[1:]))
+                    or any(frag.objects[j].ordrank >= i for j in c)):
+                raise DataError(f"wevel {i} must list the ids of rank below {i}")
             below += per_rank[i]
         return frag
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

@@ -121,6 +121,8 @@ class Exists:
 
 
 ATOMS = (Bland, Wand, In, Tap, Eq, Defined)
+_RELATIONS = frozenset((Bland, Wand, In, Tap, Defined))
+_MOVABLE = frozenset((And, Or, Implies))  # a quantifier moves inward past their left operand
 _ALLOWED = {
     SIG_WS: (Bland, Wand, In, Tap, Eq, Defined),
     SIG_LT: (Wand, In, Eq, Defined),
@@ -386,9 +388,10 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
     each node, a closure over a list environment indexed by slot (a
     quantifier sets and restores its own slot in place), the node's free
     slots in first-use order, and its alpha-class id.  The id is interned
-    from a flat tuple: the node's tag, its children's class ids and, for each
-    child free slot, its position among the node's free slots (-1 for a
-    bound one).
+    from a flat tuple of the node's tag, its children's class ids and the
+    positions that wire them together: where each argument of an atom, or
+    each free slot of a right operand, sits among the node's free slots, and
+    where a quantifier's variable sits among its body's (-1 if absent).
 
     Memos: all quantifiers of one alpha class share one memo, keyed by the
     values of their free slots in that order, so the alpha-equivalent copies
@@ -438,7 +441,9 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
     def alpha(key: tuple) -> int:
         return classes.setdefault(key, len(classes))
 
-    def memoized(run: Callable, key: Callable, memo: dict) -> Callable:
+    def memoized(run: Callable, key: Callable, name) -> Callable:
+        memo = memos.setdefault(name, {})
+
         def cached(env) -> bool:
             k = key(env)
             hit = memo.get(k)
@@ -448,48 +453,46 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
         return cached
 
     def build(g) -> Tuple[Callable, Tuple[int, ...], int]:
-        if isinstance(g, ATOMS):
-            if not isinstance(g, allowed) and not bad:
+        kind = type(g)
+        if kind is Eq:
+            i, j = idx = slot(g.x), slot(g.y)
+            free = (i,) if i == j else idx
+            return (lambda env: env[i] == env[j]), free, alpha((Eq, len(free)))
+        if kind in _RELATIONS:
+            if kind not in allowed and not bad:
                 bad.append(g)
-            eq = isinstance(g, Eq)
-            rel, args = (None, (g.x, g.y)) if eq else _relation(model, g)
+            rel, args = _relation(model, g)
             idx = tuple(map(slot, args))
-            free = tuple(dict.fromkeys(idx))
-            tag = g.name if isinstance(g, Defined) else type(g)
-            cls = alpha((tag, *map(free.index, idx)))
-            if eq:
-                i, j = idx
-                return (lambda env: env[i] == env[j]), free, cls
+            free = idx if len(idx) == 1 else tuple(dict.fromkeys(idx))
+            tag = g.name if kind is Defined else kind
             get = _getter(idx)
             run = (lambda env: bool(rel(get(env)))) if len(idx) == 1 else (
                 lambda env: bool(rel(*get(env))))
-            return memoized(run, get, memos.setdefault((tag, len(idx)), {})), free, cls
-        if isinstance(g, Not):
+            return memoized(run, get, (tag, len(idx))), free, alpha((tag, *map(free.index, idx)))
+        if kind is Not:
             body, free, cls = node(g.f)
             return (lambda env: not body(env)), free, alpha((Not, cls))
-        if isinstance(g, (And, Or)) and type(g.lhs) is type(g):
-            return node(_rotate(g))
-        if isinstance(g, (And, Or, Implies, Iff)):
+        if kind in _MOVABLE or kind is Iff:
             (lhs, lf, lc), (rhs, rf, rc) = node(g.lhs), node(g.rhs)
-            if isinstance(g, And):
+            if kind is And:
                 run = lambda env: lhs(env) and rhs(env)
-            elif isinstance(g, Or):
+            elif kind is Or:
                 run = lambda env: lhs(env) or rhs(env)
-            elif isinstance(g, Implies):
+            elif kind is Implies:
                 run = lambda env: not lhs(env) or rhs(env)
             else:
                 run = lambda env: lhs(env) == rhs(env)
-            free = lf + tuple([s for s in rf if s not in lf])
-            return run, free, alpha((type(g), lc, rc, *map(free.index, rf)))
-        if isinstance(g, (Forall, Exists)):
+            free = tuple(dict.fromkeys(lf + rf))
+            return run, free, alpha((kind, lc, rc, *map(free.index, rf)))
+        if kind is Forall or kind is Exists:
             s, inner = slot(g.v), _rotate(g.body)
-            if carrier and isinstance(inner, (And, Or, Implies)) and s not in node(inner.lhs)[1]:
-                return node(type(inner)(inner.lhs, type(g)(g.v, inner.rhs)))
+            if carrier and type(inner) in _MOVABLE and s not in node(inner.lhs)[1]:
+                return node(type(inner)(inner.lhs, kind(g.v, inner.rhs)))
             body, bf, bc = node(inner)
             at = bf.index(s) if s in bf else -1
             if carrier and at < 0:
                 return body, bf, bc
-            want_all = isinstance(g, Forall)
+            want_all = kind is Forall
 
             def run(env) -> bool:
                 saved = env[s]
@@ -503,8 +506,8 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
                 return out
 
             free = bf[:at] + bf[at + 1:] if at >= 0 else bf
-            cls = alpha((type(g), bc, at))
-            return memoized(run, _getter(free), memos.setdefault(cls, {})), free, cls
+            cls = alpha((kind, bc, at))
+            return memoized(run, _getter(free), cls), free, cls
         raise TypeError(f"not a formula: {g!r}")
 
     run, free, _ = node(f)

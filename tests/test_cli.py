@@ -138,6 +138,22 @@ def test_import_rejects_bad_ids(capsys, tmp_path, objs, wevels):
     assert err.startswith("bad data:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage2", [[0, 1], [0, 2, 1], [0, 0, 2], [0, 1, 3]],
+                         ids=["cut-short", "out-of-order", "repeated-id", "id-of-rank-2"])
+def test_import_rejects_a_wrong_inner_wevel(capsys, church_file, tmp_path, stage2):
+    # stage 2 of church:2 depth 3 holds the three objects of rank below 2; the
+    # depth-2 golden file has no inner wevel long enough to reorder
+    doc = json.loads(open(church_file).read())
+    assert doc["wevels"][2] == [0, 1, 2]
+    doc["wevels"][2] = stage2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["query", "kind", "--obj", "0"], ["export", "--dot", str(tmp_path / "x.dot")],
+                 ["verify", "--suite", "core"]):
+        assert cli.main(argv + ["--in", str(bad)]) == 65
+        assert capsys.readouterr().err == "bad data: wevel 2 must list the ids of rank below 2\n"
+
+
 def test_query_tap(capsys, church_file):
     assert cli.main(["query", "tap", "--wand", "0", "--arg", "{}",
                      "--in", church_file]) == 0

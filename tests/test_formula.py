@@ -565,6 +565,8 @@ def test_eval_keeps_quantifiers_in_place_on_an_empty_carrier():
     "forall x. (exists z. Tap(z,x,x)) <-> (exists z. Tap(z,z,x))",
     "forall x. forall y. (exists z. Tap(z,x,y)) <-> (exists z. Tap(z,y,x))",
     "forall x. forall y. (exists z. In(z,x) & ~In(z,y)) <-> (exists z. In(z,y) & ~In(z,x))",
+    "forall a. (exists z. In(z,a)) <-> (exists x. In(a,x))",
+    "forall x. (exists y. (x = x <-> In(x,y))) <-> (exists y. (x = y <-> In(x,y)))",
 ])
 def test_eval_keeps_apart_subformulas_that_differ_in_wiring(church3, text):
     # each side has the shape of the other with its variables wired
