@@ -17,6 +17,7 @@ target model supplies; everything else is expanded syntactically.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -175,33 +176,24 @@ def _atoms(f) -> Iterable[object]:
 
 # -- parsing and rendering -------------------------------------------------------
 
-_PUNCT = ("<->", "->", "|", "&", "~", "(", ")", ",", "=", ".")
+# a punctuation mark, a run of word characters (str.isalnum or "_"; it must
+# start with a letter or "_") or any other non-blank; blanks match nothing
+_TOKEN = re.compile(r"(<->|->|[|&~(),=.])|(\w+)|(\S)")
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
+    for m in _TOKEN.finditer(text):
+        punct, word, other = m.groups()
+        at = m.start()
+        if punct:
+            out.append(("punct", punct, at))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            out.append(("ident", word, at))
+        elif other == "#":
             break
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                out.append(("punct", p, i))
-                i += len(p)
-                break
         else:
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                out.append(("ident", text[i:j], i))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
+            raise ParseError(f"unexpected character {text[at]!r}", at)
     out.append(("end", "", len(text)))
     return out
 
@@ -391,7 +383,8 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
     from a flat tuple of the node's tag, its children's class ids and the
     positions that wire them together: where each argument of an atom, or
     each free slot of a right operand, sits among the node's free slots, and
-    where a quantifier's variable sits among its body's (-1 if absent).
+    where a quantifier's variable sits among its body's (-1 if absent).  A
+    one-argument atom's class is its tag alone.
 
     Memos: all quantifiers of one alpha class share one memo, keyed by the
     values of their free slots in that order, so the alpha-equivalent copies
@@ -438,9 +431,6 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
             keep.append(g)
         return got
 
-    def alpha(key: tuple) -> int:
-        return classes.setdefault(key, len(classes))
-
     def memoized(run: Callable, key: Callable, name) -> Callable:
         memo = memos.setdefault(name, {})
 
@@ -457,7 +447,8 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
         if kind is Eq:
             i, j = idx = slot(g.x), slot(g.y)
             free = (i,) if i == j else idx
-            return (lambda env: env[i] == env[j]), free, alpha((Eq, len(free)))
+            cls = classes.setdefault((Eq, len(free)), len(classes))
+            return (lambda env: env[i] == env[j]), free, cls
         if kind in _RELATIONS:
             if kind not in allowed and not bad:
                 bad.append(g)
@@ -468,10 +459,13 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
             get = _getter(idx)
             run = (lambda env: bool(rel(get(env)))) if len(idx) == 1 else (
                 lambda env: bool(rel(*get(env))))
-            return memoized(run, get, (tag, len(idx))), free, alpha((tag, *map(free.index, idx)))
+            cls = classes.setdefault(tag if len(idx) == 1 else (tag, *map(free.index, idx)),
+                                     len(classes))
+            return memoized(run, get, (tag, len(idx))), free, cls
         if kind is Not:
-            body, free, cls = node(g.f)
-            return (lambda env: not body(env)), free, alpha((Not, cls))
+            body, free, bc = node(g.f)
+            cls = classes.setdefault((Not, bc), len(classes))
+            return (lambda env: not body(env)), free, cls
         if kind in _MOVABLE or kind is Iff:
             (lhs, lf, lc), (rhs, rf, rc) = node(g.lhs), node(g.rhs)
             if kind is And:
@@ -483,7 +477,8 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
             else:
                 run = lambda env: lhs(env) == rhs(env)
             free = tuple(dict.fromkeys(lf + rf))
-            return run, free, alpha((kind, lc, rc, *map(free.index, rf)))
+            cls = classes.setdefault((kind, lc, rc, *map(free.index, rf)), len(classes))
+            return run, free, cls
         if kind is Forall or kind is Exists:
             s, inner = slot(g.v), _rotate(g.body)
             if carrier and type(inner) in _MOVABLE and s not in node(inner.lhs)[1]:
@@ -506,7 +501,7 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
                 return out
 
             free = bf[:at] + bf[at + 1:] if at >= 0 else bf
-            cls = alpha((kind, bc, at))
+            cls = classes.setdefault((kind, bc, at), len(classes))
             return memoized(run, _getter(free), cls), free, cls
         raise TypeError(f"not a formula: {g!r}")
 

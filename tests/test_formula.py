@@ -83,6 +83,59 @@ def test_sentence_file_parsing():
     assert F.free_vars(got[0][1]) == frozenset()
 
 
+_PUNCT = ("<->", "->", "|", "&", "~", "(", ")", ",", "=", ".")
+
+
+def reference_tokenize(text):
+    """The character loop that the regular-expression tokenizer replaced."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "#":
+            break
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                out.append(("punct", p, i))
+                i += len(p)
+                break
+        else:
+            if ch.isalpha() or ch == "_":
+                j = i
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                out.append(("ident", text[i:j], i))
+                i = j
+            else:
+                raise ParseError(f"unexpected character {ch!r}", i)
+    out.append(("end", "", len(text)))
+    return out
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.args)
+
+
+@given(st.text(alphabet="xyz_AB019 \t\n\u00a0\u2003<->|&~(),=.#!\u00e9\u03bb\u00b2\u0663\u00bd",
+               max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_tokenize_matches_reference(text):
+    assert _tokens_or_error(F._tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+def test_tokenize_matches_reference_on_the_corpora():
+    for _, f in (F.ws_axioms() + F.lt_axioms() + F.random_sentences(F.SIG_WS, 50, seed=5)
+                 + F.bullet_circle_identities()):
+        text = F.render(f)
+        assert _tokens_or_error(F._tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
 # -- evaluation ---------------------------------------------------------------------
 
 def test_eval_empty_set_exists(church3):
