@@ -119,7 +119,7 @@ def _tokens_or_error(tokenize, text):
     try:
         return tokenize(text)
     except ParseError as exc:
-        return ("error", str(exc), exc.args)
+        return ("error", str(exc))
 
 
 @given(st.text(alphabet="xyz_AB019 \t\n\u00a0\u2003<->|&~(),=.#!\u00e9\u03bb\u00b2\u0663\u00bd",
