@@ -32,7 +32,7 @@ class ConchStage:
     below: FrozenSet[PureSet]            # everything of stage rank < sigma
     _stages: "Stages" = field(repr=False, default=None)
     _dom: Optional[FrozenSet[Tuple[PureSet, PureSet]]] = None
-    _equiv: Optional[FrozenSet[Tuple[PureSet, ...]]] = None
+    _classes: Optional[FrozenSet[FrozenSet[Tuple[PureSet, PureSet]]]] = None
 
     @property
     def dom_pairs(self) -> FrozenSet[Tuple[PureSet, PureSet]]:
@@ -49,21 +49,16 @@ class ConchStage:
         return self._dom
 
     @property
-    def equiv_quads(self) -> FrozenSet[Tuple[PureSet, ...]]:
-        """All <w, a, u, b> with both arguments of stage rank <= sigma that
-        the official equivalence (including its identity clause) relates."""
-        if self._equiv is None:
+    def classes(self) -> FrozenSet[FrozenSet[Tuple[PureSet, PureSet]]]:
+        """The official classes of <wand code, conch> pairs with the conch of
+        stage rank <= sigma, singletons included."""
+        if self._classes is None:
             st = self._stages
-            out = set()
-            objs = st.ranked(self.sigma)
-            for a in objs:
-                for b in objs:
-                    for w in st.spec.wand_indices():
-                        for u in st.spec.wand_indices():
-                            if wandspec.equiv(st.spec, w, a, u, b, st.view):
-                                out.add((st.wandcodes[w], a, st.wandcodes[u], b))
-            self._equiv = frozenset(out)
-        return self._equiv
+            codes = st.wandcodes
+            self._classes = frozenset(
+                frozenset((codes[w], a) for w, a in cls)
+                for cls in wandspec.partition(st.spec, st.view, self.sigma))
+        return self._classes
 
 
 class _ConchView:
@@ -282,15 +277,12 @@ def check_stage_laws(stages: Stages) -> List[str]:
         for (w, a) in hi.dom_pairs:
             if stages.stage_rank(a) <= sigma and (w, a) not in lo_dom:
                 bad.append(f"dom pair appeared late at stage {sigma + 1}")
-        lo_eq = lo.equiv_quads
-        for quad in hi.equiv_quads:
-            _, a, _, b = quad
-            low_enough = max(stages.stage_rank(a), stages.stage_rank(b)) <= sigma
-            if low_enough and quad not in lo_eq:
-                bad.append(f"equiv quad appeared late at stage {sigma + 1}")
-        for quad in lo_eq:
-            if quad not in hi.equiv_quads:
-                bad.append(f"equiv quad lost from stage {sigma} to {sigma + 1}")
+        kept = {frozenset(p for p in cls if stages.stage_rank(p[1]) <= sigma)
+                for cls in hi.classes} - {frozenset()}
+        for _ in _not_within(lo.classes, kept):
+            bad.append(f"equiv class lost from stage {sigma} to {sigma + 1}")
+        for _ in _not_within(kept, lo.classes):
+            bad.append(f"equiv class appeared late at stage {sigma + 1}")
 
     # found-at reading: rank <= alpha iff found at the carrier of the
     # alpha-stage's earlier conches
@@ -304,6 +296,12 @@ def check_stage_laws(stages: Stages) -> List[str]:
                 bad.append(f"found-at mismatch at stage {alpha}")
                 break
     return bad
+
+
+def _not_within(finer, coarser) -> list:
+    """The classes of ``finer`` that no class of ``coarser`` holds whole."""
+    home = {p: cls for cls in coarser for p in cls}
+    return [cls for cls in finer if not cls <= home.get(next(iter(cls)), frozenset())]
 
 
 def _found_at_code(stages: Stages, c: PureSet, wev: PureSet) -> bool:
@@ -494,15 +492,8 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
                 if lhs != rhs:
                     report.record("relation_stability",
                                   f"dom disagrees at stage {sigma} (wand {w})")
-            for b in ids:
-                if frag.obj(b).ordrank > sigma:
-                    continue
-                for w in frag.spec.wand_indices():
-                    for u in frag.spec.wand_indices():
-                        lhs = wandspec.equiv(frag.spec, w, a, u, b, view)
-                        rhs = (stages.wandcodes[w], codes[a],
-                               stages.wandcodes[u], codes[b]) in stage.equiv_quads
-                        if lhs != rhs:
-                            report.record("relation_stability",
-                                          f"equiv disagrees at stage {sigma}")
+        recoded = frozenset(frozenset((stages.wandcodes[w], codes[a]) for w, a in cls)
+                            for cls in wandspec.partition(frag.spec, view, sigma))
+        if recoded != stage.classes:
+            report.record("relation_stability", f"equiv classes disagree at stage {sigma}")
     return report

@@ -24,9 +24,8 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import instances, wandspec
-from .errors import NotAPair, NotInCodeImage, ParseError, SignatureError
-from .pureset import (PureSet, deep_uncarrier, is_carrier, kunpair, lt_levels, uncarrier, vn,
-                      vn_value)
+from .errors import NotAPair, ParseError, SignatureError
+from .pureset import PureSet, is_carrier, kunpair, lt_levels, uncarrier, vn
 
 SIG_WS = "ws"
 SIG_LT = "lt"
@@ -1034,23 +1033,16 @@ def conch_model(stages) -> FiniteModel:
                                          and x in uncarrier(y))
     model.defined["wand*"] = lambda x: x in code_index
     model.defined["tap*"] = tap_star
-    model.defined["finord*"] = lambda x: _decode_conch_num(x) is not None
+    model.defined["finord*"] = lambda x: instances.vn_decode(view, x) is not None
 
     def nequiv_star(n, x, y):
-        k = _decode_conch_num(n)
+        k = instances.vn_decode(view, n)
         if k is None or k < 1:
             return False
         return instances.n_equiv_over(view, x, y, k) is not None
 
     model.defined["nequiv*"] = nequiv_star
     return model
-
-
-def _decode_conch_num(h) -> Optional[int]:
-    try:
-        return vn_value(deep_uncarrier(h))
-    except NotInCodeImage:
-        return None
 
 
 def varin_model(frag) -> FiniteModel:

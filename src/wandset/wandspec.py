@@ -8,11 +8,17 @@ identical arguments, and otherwise only where, restricted to everything found
 at or below the arguments' stages, E is an equivalence relation and D is
 preserved under E.  If the raw predicates misbehave anywhere in that region,
 identity of taps collapses to strict identity there.
+
+The official equivalence is built as a partition.  One sweep per rank m
+(:func:`classes`) unions the raw-E edges among the (wand, handle) pairs of
+rank <= m and checks the good-behaviour conditions on the classes it forms;
+``wellbehaved_at``, ``tap_class``, ``minirank`` and ``check_wellbehaved``
+read those classes, and the conch stages read them too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Tuple
 
 from .errors import SpecError
@@ -60,8 +66,9 @@ class WandSpec:
 
     ``equiv_candidates(w, a, q, top)``, when given, must yield a superset of
     the pairs (u, b) with rank at most ``top`` for which raw E can hold
-    against (w, a); it only prunes the well-behavedness sweep and never
-    changes answers.
+    against (w, a).  It feeds the class sweep: only the pairs it yields are
+    probed for raw-E edges, so it prunes that sweep and never changes
+    answers.
     """
 
     name: str
@@ -115,94 +122,123 @@ def equiv(spec: WandSpec, w: int, a, u: int, b, q: SetQuery) -> bool:
 def wellbehaved_at(spec: WandSpec, q: SetQuery, m: int) -> bool:
     """Whether raw E restricted to rank <= m is an equivalence relation and
     raw D restricted there is preserved under it."""
-    cache = _query_cache(q)
-    key = ("wb", m, len(q.objects_below(m + 1)))
-    hit = cache.get(key)
-    if hit is None:
-        hit = not _wellbehaved_violations(spec, q, m, first_only=True)
-        cache[key] = hit
-    return hit
+    return classes(spec, q, m).broken is None
 
 
-def _related_pairs(spec: WandSpec, q: SetQuery, m: int) -> set:
-    """All (w, a, u, b), both ranks <= m, (w,a) != (u,b), where raw E holds."""
-    objs = q.objects_below(m + 1)
-    out = set()
-    for w in spec.wand_indices():
-        for a in objs:
-            if spec.equiv_candidates is not None:
-                cands = spec.equiv_candidates(w, a, q, m)
-            else:
-                cands = ((u, b) for u in spec.wand_indices() for b in objs)
-            for u, b in cands:
-                if (w, a) == (u, b) or q.ordrank(b) > m:
-                    continue
-                if spec.raw_equiv(w, a, u, b, q):
-                    out.add((w, a, u, b))
-    return out
+# -- the official classes -----------------------------------------------------
 
+@dataclass(frozen=True)
+class Classes:
+    """The official classes of the (wand, handle) pairs of rank <= some m.
 
-def _wellbehaved_violations(spec: WandSpec, q: SetQuery, m: int,
-                            first_only: bool = False) -> list:
-    """Violations of the good-behavior conditions for raw D/E below rank m.
-
-    Reflexive plus Euclidean is the same as being an equivalence relation,
-    so the sweep checks that the raw-E graph decomposes into full cliques:
-    any missing edge inside a connected component is a violation.
+    ``label`` maps each pair in a class of two or more to that class, a tuple
+    of pairs; every other pair is a class of its own.  ``broken`` is the
+    least rank at which raw E/D misbehave, when that is at or below m, and
+    ``violations`` says how: from that rank up the official equivalence is
+    strict identity, so ``label`` is the last well-behaved rank's.  ``degree``
+    counts each labelled pair's raw-E partners, for the clique check of the
+    next rank.
     """
-    out = []
+
+    label: dict
+    degree: dict
+    broken: Optional[int] = None
+    violations: Tuple[str, ...] = ()
+
+    def of(self, w: int, a) -> Tuple:
+        """The class of (w, a)."""
+        return self.label.get((w, a)) or ((w, a),)
+
+    def groups(self) -> list:
+        """The classes of two or more pairs, each once."""
+        return list({id(cls): cls for cls in self.label.values()}.values())
+
+
+def classes(spec: WandSpec, q: SetQuery, m: int) -> Classes:
+    """The official classes up to rank m, one sweep per rank.
+
+    Rank m starts from rank m - 1's classes and probes raw E only on pairs
+    whose larger rank is m (through ``equiv_candidates`` when the spec has
+    one).  Each rank is kept on the query under its population, so growth
+    below m rebuilds it.  A violation persists as ranks are added, so every
+    rank above a broken one is broken too.
+    """
     objs = q.objects_below(m + 1)
+    cache = _query_cache(q)
+    key = ("classes", m, len(objs))
+    got = cache.get(key)
+    if got is None:
+        base = classes(spec, q, m - 1) if m > 0 else Classes({}, {})
+        got = base if base.broken is not None else _sweep(spec, q, m, objs, base)
+        cache[key] = got
+    return got
 
-    def bad(msg: str) -> bool:
-        out.append(msg)
-        return first_only
 
-    for w in spec.wand_indices():
-        for a in objs:
-            if not spec.raw_equiv(w, a, w, a, q):
-                if bad(f"raw E not reflexive at wand {w}, rank {q.ordrank(a)}"):
-                    return out
+def _sweep(spec: WandSpec, q: SetQuery, m: int, objs: Sequence, base: Classes) -> Classes:
+    """Extend ``base`` by the pairs of rank m (union-find over raw-E edges).
 
-    related = _related_pairs(spec, q, m)
-
-    parent: dict = {}
+    Every new pair must be raw-E reflexive, every class a raw-E clique and
+    raw D constant on every class.  The clique check counts edges: a class
+    of n pairs is a clique when its pairs have n(n - 1) partners in all.
+    """
+    parent = {x: cls[0] for x, cls in base.label.items()}
+    degree = dict(base.degree)
+    fresh = [a for a in objs if q.ordrank(a) == m]
+    wands = spec.wand_indices()
+    bad = []
 
     def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
         return x
 
-    for w, a, u, b in related:
-        parent.setdefault((w, a), (w, a))
-        parent.setdefault((u, b), (u, b))
-        parent[find((w, a))] = find((u, b))
+    for w in wands:
+        for a in objs:
+            x, ra = (w, a), q.ordrank(a)
+            if ra == m and not spec.raw_equiv(w, a, w, a, q):
+                bad.append(f"raw E not reflexive at wand {w}, rank {m}")
+            if spec.equiv_candidates is None:
+                cands = ((u, b) for u in wands for b in (objs if ra == m else fresh))
+            else:
+                cands = spec.equiv_candidates(w, a, q, m)
+            for y in dict.fromkeys(cands):
+                if (max(ra, q.ordrank(y[1])) != m or y == x
+                        or not spec.raw_equiv(w, a, *y, q)):
+                    continue
+                degree[x] = degree.get(x, 0) + 1
+                parent.setdefault(x, x)
+                parent.setdefault(y, y)
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    if bool(spec.raw_dom(*rx, q)) != bool(spec.raw_dom(*ry, q)):
+                        bad.append("raw D not preserved under raw E")
+                    parent[rx] = ry
 
-    components: dict = {}
-    for node in parent:
-        components.setdefault(find(node), []).append(node)
+    groups: dict = {}
+    for x in parent:
+        groups.setdefault(find(x), []).append(x)
+    for cls in groups.values():
+        if sum(degree.get(y, 0) for y in cls) != len(cls) * (len(cls) - 1):
+            bad.append(f"raw E not an equivalence on a class of {len(cls)} "
+                       f"pairs at rank {m}")
+    if bad:
+        return replace(base, broken=m, violations=tuple(bad))
+    return Classes({x: cls for cls in map(tuple, groups.values()) for x in cls}, degree)
 
-    for members in components.values():
-        for w, a in members:
-            for u, b in members:
-                if (w, a) != (u, b) and (w, a, u, b) not in related:
-                    if bad(f"raw E not an equivalence: wands ({w},{u}) at "
-                           f"ranks ({q.ordrank(a)},{q.ordrank(b)})"):
-                        return out
-        doms = {bool(spec.raw_dom(w, a, q)) for w, a in members}
-        if len(doms) > 1:
-            if bad("raw D not preserved under raw E"):
-                return out
+
+def partition(spec: WandSpec, q: SetQuery, m: int) -> list:
+    """Every official class up to rank m, singletons included."""
+    found = classes(spec, q, m)
+    out = found.groups()
+    out.extend(((w, a),) for a in q.objects_below(m + 1) for w in spec.wand_indices()
+               if (w, a) not in found.label)
     return out
 
 
 def minirank(spec: WandSpec, w: int, a, q: SetQuery) -> bool:
     """No official equivalent of (w, a) has strictly lower rank."""
-    for b in q.objects_below(q.ordrank(a)):
-        for u in spec.wand_indices():
-            if equiv(spec, w, a, u, b, q):
-                return False
-    return True
+    r = q.ordrank(a)
+    return all(q.ordrank(b) >= r for _, b in classes(spec, q, r).of(w, a))
 
 
 def tap_class(spec: WandSpec, w: int, a, q: SetQuery) -> Optional[Tuple]:
@@ -213,13 +249,9 @@ def tap_class(spec: WandSpec, w: int, a, q: SetQuery) -> Optional[Tuple]:
     """
     if not dom(spec, w, a, q):
         return None
-    eqs = []
-    for b in q.objects_below(q.ordrank(a) + 1):
-        for u in spec.wand_indices():
-            if equiv(spec, w, a, u, b, q):
-                eqs.append((u, b))
-    low = min(q.ordrank(b) for _, b in eqs)  # (w, a) itself is always in eqs
-    kept = [(u, b) for u, b in eqs if q.ordrank(b) == low]
+    cls = classes(spec, q, q.ordrank(a)).of(w, a)
+    low = min(q.ordrank(b) for _, b in cls)
+    kept = [(u, b) for u, b in cls if q.ordrank(b) == low]
     kept.sort(key=lambda p: (p[0], q.sort_key(p[1])))
     return tuple(kept)
 
@@ -231,7 +263,6 @@ class BehaviorReport:
     """Outcome of sweeping the good-behavior laws over a whole fragment."""
 
     spec_name: str
-    checked: int = 0
     violations: list = field(default_factory=list)
 
     @property
@@ -243,48 +274,24 @@ def check_wellbehaved(spec: WandSpec, q: SetQuery, top_rank: int,
                       wrapped: bool = True) -> BehaviorReport:
     """Assert the domain/equivalence laws over everything below top_rank.
 
-    With ``wrapped`` the official predicates are swept (the report must come
-    back empty); without it the raw predicates are swept directly, which is
-    how adversarial fixtures are exposed.
+    With ``wrapped`` the official classes are checked: official ``dom`` is
+    constant on each and official ``equiv`` links each member to the first
+    (the report must come back empty).  Without it the report holds the raw
+    violations the class sweep met, which is how adversarial fixtures are
+    exposed.
     """
     report = BehaviorReport(spec.name)
-    objs = list(q.objects_below(top_rank + 1))
-    wids = list(spec.wand_indices())
-
-    if wrapped:
-        dm = lambda w, a: dom(spec, w, a, q)
-        eq = lambda w, a, u, b: equiv(spec, w, a, u, b, q)
-    else:
-        dm = lambda w, a: spec.raw_dom(w, a, q)
-        eq = lambda w, a, u, b: _raw_equiv_memo(spec, q, w, a, u, b)
-
-    for w in wids:
-        for a in objs:
-            report.checked += 1
-            if not eq(w, a, w, a):
-                report.violations.append(
-                    f"equiv not reflexive: wand {w}, rank {q.ordrank(a)}")
-
-    related = []
-    for w in wids:
-        for a in objs:
-            for u in wids:
-                for b in objs:
-                    if eq(w, a, u, b):
-                        related.append((w, a, u, b))
-                        if dm(w, a) and not dm(u, b):
-                            report.violations.append(
-                                f"dom not preserved: wands ({w},{u})")
-
-    by_lhs: dict = {}
-    for w, a, u, b in related:
-        by_lhs.setdefault((w, a), []).append((u, b))
-    for partners in by_lhs.values():
-        for u, b in partners:
-            for v, c in partners:
-                if not eq(u, b, v, c):
-                    report.violations.append(
-                        f"equiv not euclidean: wands ({u},{v})")
+    found = classes(spec, q, top_rank)
+    if not wrapped:
+        report.violations.extend(found.violations)
+        return report
+    for cls in found.groups():
+        (w, a), rest = cls[0], cls[1:]
+        for u, b in rest:
+            if not equiv(spec, w, a, u, b, q):
+                report.violations.append(f"equiv splits a class: wands ({w},{u})")
+            if dom(spec, w, a, q) != dom(spec, u, b, q):
+                report.violations.append(f"dom not preserved: wands ({w},{u})")
     return report
 
 

@@ -416,3 +416,24 @@ def test_verify_core_and_church_on_church_depth4(capsys, tmp_path):
     assert cli.main(["verify", "--suite", "church", "--in", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == \
         ["# suite church"] + [f"PASS {name} :: []" for name in CHURCH_ROWS_CHURCH4]
+
+
+CONCH_OUT_CHURCH3 = """\
+# suite conch
+PASS stage-encoding-laws
+PASS roundtrip-code-clauses
+PASS roundtrip-code-injective
+PASS roundtrip-cross-construction
+PASS roundtrip-hb-iso
+PASS roundtrip-level-correspondence
+PASS roundtrip-rank-correspondence
+PASS roundtrip-relation-stability
+PASS stage-0-rank-bound :: measured 4 bound 15 slack 11
+PASS stage-1-rank-bound :: measured 8 bound 19 slack 11
+PASS stage-2-rank-bound :: measured 12 bound 23 slack 11
+"""
+
+
+def test_verify_conch_on_church_depth3(capsys, church_file):
+    assert cli.main(["verify", "--suite", "conch", "--in", church_file]) == 0
+    assert capsys.readouterr().out == CONCH_OUT_CHURCH3

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from wandset import conch, pureset as ps, universe, wandspec
+from wandset import conch, instances, pureset as ps, universe, wandspec
 from wandset.errors import CapExceeded, NotAConch
 
 from conftest import built
@@ -74,6 +76,75 @@ def test_stage_laws_clean():
     for name in ("pure", "conway", "church:2"):
         stages = conch.gen_stages(wandspec.get_spec(name), 3)
         assert conch.check_stage_laws(stages) == []
+
+
+def sized_spec():
+    """One wand on bland sets; raw E links bland sets of rank <= 2 with the
+    same number of members, so classes of two or more sit below the top."""
+
+    def d(w, a, q):
+        return q.is_bland(a)
+
+    def low_bland(a, q):
+        return q.is_bland(a) and q.ordrank(a) <= 2
+
+    def e(w, a, u, b, q):
+        return a == b or (low_bland(a, q) and low_bland(b, q)
+                          and len(q.members(a)) == len(q.members(b)))
+
+    def candidates(w, a, q, top):
+        yield (w, a)
+        if low_bland(a, q):
+            yield from ((w, b) for b in q.objects_below(min(top, 2) + 1) if q.is_bland(b))
+
+    return wandspec.WandSpec(name="sized", wands=instances._wand_ids(1),
+                             raw_dom=d, raw_equiv=e, equiv_candidates=candidates)
+
+
+@pytest.fixture(scope="module")
+def sized_stages():
+    stages = conch.gen_stages(sized_spec(), 4)
+    for st in stages.stages:
+        st.dom_pairs, st.classes  # recorded before the copies below share them
+    return stages
+
+
+def with_stage(stages, sigma, **recorded):
+    """A copy of ``stages`` whose stage sigma recorded other relations."""
+    out = list(stages.stages)
+    out[sigma] = dataclasses.replace(out[sigma], **recorded)
+    return dataclasses.replace(stages, stages=out)
+
+
+def split_one(stages, sigma, low):
+    """Stage sigma's classes with one member of rank <= ``low`` split off a
+    class that holds two such members."""
+    classes = stages.stages[sigma].classes
+    cls = next(c for c in classes
+               if sum(stages.stage_rank(a) <= low for _, a in c) >= 2)
+    alone = next(p for p in cls if stages.stage_rank(p[1]) <= low)
+    return classes - {cls} | {frozenset([alone]), cls - {alone}}
+
+
+def test_sized_stages_stable_with_classes_below_the_top(sized_stages):
+    assert conch.check_stage_laws(sized_stages) == []
+    assert any(len(c) > 1 for c in sized_stages.stages[2].classes)
+
+
+def test_stage_laws_report_a_dropped_dom_pair(sized_stages):
+    pair = next(p for p in sized_stages.stages[2].dom_pairs
+                if sized_stages.stage_rank(p[1]) == 2)
+    hi = with_stage(sized_stages, 3, _dom=sized_stages.stages[3].dom_pairs - {pair})
+    assert conch.check_stage_laws(hi) == ["dom pair lost from stage 2 to 3"]
+    lo = with_stage(sized_stages, 2, _dom=sized_stages.stages[2].dom_pairs - {pair})
+    assert conch.check_stage_laws(lo) == ["dom pair appeared late at stage 3"]
+
+
+def test_stage_laws_report_a_split_class(sized_stages):
+    hi = with_stage(sized_stages, 3, _classes=split_one(sized_stages, 3, 2))
+    assert conch.check_stage_laws(hi) == ["equiv class lost from stage 2 to 3"]
+    lo = with_stage(sized_stages, 2, _classes=split_one(sized_stages, 2, 2))
+    assert conch.check_stage_laws(lo) == ["equiv class appeared late at stage 3"]
 
 
 # -- stage ranks -----------------------------------------------------------------------

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wandset import conch, formula as F
-from wandset.errors import ParseError, SignatureError
+from wandset import conch, formula as F, instances, pureset as ps, wandspec
+from wandset.errors import NotInCodeImage, ParseError, SignatureError
 
 from conftest import built
 
@@ -628,3 +628,21 @@ def test_eval_keeps_apart_subformulas_that_differ_in_wiring(church3, text):
     f = F.parse(text)
     assert not F.eval_formula(m, f)
     _assert_same_order(m, [(text, f)])
+
+
+def reference_decode_conch_num(h):
+    """The numeral decoder of the stage reading before it used ``vn_decode``."""
+    try:
+        return ps.vn_value(ps.deep_uncarrier(h))
+    except NotInCodeImage:
+        return None
+
+
+@pytest.mark.parametrize("name,depth", [("church:2", 3), ("conway", 4)])
+def test_vn_decode_matches_the_conch_numeral_decoder(name, depth):
+    stages = conch.gen_stages(wandspec.get_spec(name), depth)
+    got = {}
+    for c in stages.ranked(depth - 1):
+        got[c] = instances.vn_decode(stages.view, c)
+        assert got[c] == reference_decode_conch_num(c), c
+    assert set(got.values()) >= {None, 0, 1, 2}

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from wandset import instances, universe, wandspec
+from wandset import conch, instances, universe, wandspec
 from wandset.errors import SpecError, StabilityViolation
 from wandset.wandspec import WandSpec
 
@@ -35,7 +37,7 @@ def peeking_spec() -> WandSpec:
 
     return WandSpec(name="peeking", wands=instances._wand_ids(1),
                     raw_dom=d, raw_equiv=e,
-                    equiv_candidates=lambda w, a, q: ((w, a),))
+                    equiv_candidates=lambda w, a, q, top: ((w, a),))
 
 
 def late_breaking_spec() -> WandSpec:
@@ -208,6 +210,251 @@ def test_peeking_spec_flagged():
     big = universe.build(spec, 4)
     with pytest.raises(StabilityViolation):
         universe.check_stage_stability(spec, small, big)
+
+
+# -- the quadruple scans the class sweep replaced, kept as references ---------------
+
+def reference_related_pairs(spec, q, m):
+    """All (w, a, u, b), both ranks <= m, (w,a) != (u,b), where raw E holds."""
+    objs = q.objects_below(m + 1)
+    out = set()
+    for w in spec.wand_indices():
+        for a in objs:
+            if spec.equiv_candidates is not None:
+                cands = spec.equiv_candidates(w, a, q, m)
+            else:
+                cands = ((u, b) for u in spec.wand_indices() for b in objs)
+            for u, b in cands:
+                if (w, a) == (u, b) or q.ordrank(b) > m:
+                    continue
+                if spec.raw_equiv(w, a, u, b, q):
+                    out.add((w, a, u, b))
+    return out
+
+
+def reference_violations(spec, q, m, first_only=False):
+    """The raw good-behaviour sweep below rank m, from scratch: reflexivity,
+    then full cliques over the components of the raw-E graph, then raw D
+    constant on each component."""
+    out = []
+    objs = q.objects_below(m + 1)
+
+    def bad(msg):
+        out.append(msg)
+        return first_only
+
+    for w in spec.wand_indices():
+        for a in objs:
+            if not spec.raw_equiv(w, a, w, a, q):
+                if bad(f"raw E not reflexive at wand {w}, rank {q.ordrank(a)}"):
+                    return out
+    related = reference_related_pairs(spec, q, m)
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    for w, a, u, b in related:
+        parent.setdefault((w, a), (w, a))
+        parent.setdefault((u, b), (u, b))
+        parent[find((w, a))] = find((u, b))
+    components = {}
+    for node in parent:
+        components.setdefault(find(node), []).append(node)
+    for members in components.values():
+        for w, a in members:
+            for u, b in members:
+                if (w, a) != (u, b) and (w, a, u, b) not in related:
+                    if bad("raw E not an equivalence"):
+                        return out
+        if len({bool(spec.raw_dom(w, a, q)) for w, a in members}) > 1:
+            if bad("raw D not preserved under raw E"):
+                return out
+    return out
+
+
+def reference_wellbehaved_at(spec, q, m):
+    cache = wandspec._query_cache(q)
+    key = ("reference-wb", m, len(q.objects_below(m + 1)))
+    if key not in cache:
+        cache[key] = not reference_violations(spec, q, m, first_only=True)
+    return cache[key]
+
+
+def reference_equiv(spec, w, a, u, b, q):
+    nwands = len(spec.wands)
+    if not (0 <= w < nwands and 0 <= u < nwands):
+        return False
+    if w == u and a == b:
+        return True
+    if not spec.raw_equiv(w, a, u, b, q):
+        return False
+    return reference_wellbehaved_at(spec, q, max(q.ordrank(a), q.ordrank(b)))
+
+
+def reference_minirank(spec, w, a, q):
+    for b in q.objects_below(q.ordrank(a)):
+        for u in spec.wand_indices():
+            if reference_equiv(spec, w, a, u, b, q):
+                return False
+    return True
+
+
+def reference_tap_class(spec, w, a, q):
+    if not wandspec.dom(spec, w, a, q):
+        return None
+    eqs = [(u, b) for b in q.objects_below(q.ordrank(a) + 1)
+           for u in spec.wand_indices() if reference_equiv(spec, w, a, u, b, q)]
+    low = min(q.ordrank(b) for _, b in eqs)
+    kept = [(u, b) for u, b in eqs if q.ordrank(b) == low]
+    kept.sort(key=lambda p: (p[0], q.sort_key(p[1])))
+    return tuple(kept)
+
+
+def reference_check_wellbehaved(spec, q, top_rank, wrapped=True):
+    """The four-loop sweep: reflexive, dom preserved, euclidean."""
+    violations = []
+    objs = list(q.objects_below(top_rank + 1))
+    wids = list(spec.wand_indices())
+    if wrapped:
+        dm = lambda w, a: wandspec.dom(spec, w, a, q)
+        eq = lambda w, a, u, b: reference_equiv(spec, w, a, u, b, q)
+    else:
+        dm = lambda w, a: spec.raw_dom(w, a, q)
+        eq = lambda w, a, u, b: spec.raw_equiv(w, a, u, b, q)
+    for w in wids:
+        for a in objs:
+            if not eq(w, a, w, a):
+                violations.append("equiv not reflexive")
+    by_lhs = {}
+    for w in wids:
+        for a in objs:
+            for u in wids:
+                for b in objs:
+                    if eq(w, a, u, b):
+                        by_lhs.setdefault((w, a), []).append((u, b))
+                        if dm(w, a) and not dm(u, b):
+                            violations.append("dom not preserved")
+    for partners in by_lhs.values():
+        for u, b in partners:
+            for v, c in partners:
+                if not eq(u, b, v, c):
+                    violations.append("equiv not euclidean")
+    return violations
+
+
+def reference_equiv_quads(stages, sigma):
+    """All <w, a, u, b> with both conches of stage rank <= sigma that the
+    official equivalence relates (the old ``ConchStage.equiv_quads``)."""
+    spec, view, codes = stages.spec, stages.view, stages.wandcodes
+    objs = stages.ranked(sigma)
+    return {(codes[w], a, codes[u], b) for a in objs for b in objs
+            for w in spec.wand_indices() for u in spec.wand_indices()
+            if reference_equiv(spec, w, a, u, b, view)}
+
+
+# -- differential tests against the references -----------------------------------------
+
+# the late-breaking fixture is sampled at depth 4: its rank-3 break needs
+# that depth, and the quadruple scans are quadratic in its 1,028 objects
+FIXTURES = {"lopsided": (lopsided_spec, 3, "exhaustive"),
+            "late-breaking": (late_breaking_spec, 4, "sampled"),
+            "peeking": (peeking_spec, 4, "exhaustive")}
+CASES = ([(name, 3) for name in SHIPPED]
+         + [(name, 4) for name in ("pure", "conway", "partial-fun", "multiset")]
+         + [(name, depth) for name, (_, depth, _) in FIXTURES.items()])
+
+
+def case_spec(name):
+    return FIXTURES[name][0]() if name in FIXTURES else wandspec.get_spec(name)
+
+
+def case_fragment(name, depth):
+    if name in FIXTURES:
+        return universe.build(case_spec(name), depth, mode=FIXTURES[name][2])
+    return built(name, depth)
+
+
+def pairs_up_to(spec, q, m):
+    return [(w, a) for a in q.objects_below(m + 1) for w in spec.wand_indices()]
+
+
+def assert_pairs_match_reference(spec, q, m):
+    for w, a in pairs_up_to(spec, q, m):
+        assert wandspec.tap_class(spec, w, a, q) == reference_tap_class(spec, w, a, q), (w, a)
+        assert wandspec.minirank(spec, w, a, q) == reference_minirank(spec, w, a, q), (w, a)
+
+
+@pytest.mark.parametrize("name,depth", CASES)
+def test_class_sweep_matches_quadruple_scans(name, depth):
+    frag = case_fragment(name, depth)
+    spec, view = frag.spec, universe.FragmentView(frag)
+    top = depth - 1
+    for m in range(depth):
+        assert wandspec.wellbehaved_at(spec, view, m) == reference_wellbehaved_at(spec, view, m), m
+    for wrapped in (True, False):
+        report = wandspec.check_wellbehaved(spec, view, top, wrapped=wrapped)
+        assert report.ok == (not reference_check_wellbehaved(spec, view, top, wrapped)), wrapped
+    assert_pairs_match_reference(spec, view, top)
+    pairs = pairs_up_to(spec, view, top)
+    rng = random.Random(f"{name}:{depth}")
+    quads = [rng.choice(pairs) + rng.choice(pairs) for _ in range(300)] if pairs else []
+    quads += [x + y for cls in wandspec.partition(spec, view, top) for x in cls for y in cls]
+    for quad in quads:
+        assert wandspec.equiv(spec, *quad, view) == reference_equiv(spec, *quad, view), quad
+
+
+# on the conch side every raw-E call decodes carriers, so the quadruple scan
+# over late-breaking's 1,028 stage-3 conches takes about 40 s: it runs at
+# depth 3 here, and its rank-3 break is compared on fragments above
+@pytest.mark.parametrize("name,depth", [
+    (name, 3 if name == "late-breaking" else depth) for name, depth in CASES])
+def test_stage_classes_match_reference_quads(name, depth):
+    stages = conch.gen_stages(case_spec(name), depth)
+    for st in stages.stages:
+        pairs = {x + y for cls in st.classes for x in cls for y in cls}
+        assert pairs == reference_equiv_quads(stages, st.sigma), st.sigma
+
+
+def test_rank_two_classes_survive_a_broken_rank_three():
+    frag = universe.build(late_breaking_spec(), 4)
+    spec, view = frag.spec, universe.FragmentView(frag)
+    assert not wandspec.wellbehaved_at(spec, view, 3)
+    assert wandspec.wellbehaved_at(spec, view, 2)
+    assert_pairs_match_reference(spec, view, 2)
+    assert any(len(cls) > 1 for cls in wandspec.partition(spec, view, 2))
+
+
+def test_classes_rebuilt_when_population_grows_below():
+    # a sampled build leaves out bland sets of three or more members; adding
+    # one of rank 3 after rank 3's classes were built must rebuild them
+    frag = universe.build(wandspec.get_spec("church:2"), 4, mode="sampled")
+    spec, view = frag.spec, frag.view()
+    before = wandspec.classes(spec, view, 3)
+    assert_pairs_match_reference(spec, view, 3)
+    low = [a for a in frag.ids() if frag.obj(a).ordrank == 2 and frag.obj(a).is_bland]
+    members = frozenset(low[:3])
+    assert len(members) == 3 and frag.bland_id(members) is None
+    frag.register_bland(members, 3)
+    assert wandspec.classes(spec, view, 3) is not before
+    for m in range(4):
+        assert wandspec.wellbehaved_at(spec, view, m) == reference_wellbehaved_at(spec, view, m)
+    assert_pairs_match_reference(spec, view, 3)
+
+
+def test_church1_classes_up_to_rank_two():
+    frag = built("church:1", 4)
+    spec, view = frag.spec, universe.FragmentView(frag)
+    for m in range(3):
+        assert wandspec.wellbehaved_at(spec, view, m) == reference_wellbehaved_at(spec, view, m)
+    assert_pairs_match_reference(spec, view, 2)
+    pairs = pairs_up_to(spec, view, 2)
+    for x in pairs:
+        for y in pairs:
+            assert wandspec.equiv(spec, *x, *y, view) == reference_equiv(spec, *x, *y, view)
 
 
 def test_registry_names():
