@@ -62,6 +62,21 @@ def late_breaking_spec() -> WandSpec:
                     raw_dom=d, raw_equiv=e)
 
 
+def dom_splitting_spec() -> WandSpec:
+    """Raw E is an honest equivalence (same member count on bland sets) but
+    raw D holds only below rank 2, so it is not preserved from rank 2 up."""
+
+    def d(w, a, q):
+        return q.is_bland(a) and q.ordrank(a) < 2
+
+    def e(w, a, u, b, q):
+        return (w == u and a == b) or (q.is_bland(a) and q.is_bland(b)
+                                       and len(q.members(a)) == len(q.members(b)))
+
+    return WandSpec(name="dom-splitting", wands=instances._wand_ids(1),
+                    raw_dom=d, raw_equiv=e)
+
+
 SHIPPED = ("pure", "conway", "partial-fun", "multiset", "church:2")
 
 
@@ -362,7 +377,8 @@ def reference_equiv_quads(stages, sigma):
 # that depth, and the quadruple scans are quadratic in its 1,028 objects
 FIXTURES = {"lopsided": (lopsided_spec, 3, "exhaustive"),
             "late-breaking": (late_breaking_spec, 4, "sampled"),
-            "peeking": (peeking_spec, 4, "exhaustive")}
+            "peeking": (peeking_spec, 4, "exhaustive"),
+            "dom-splitting": (dom_splitting_spec, 3, "exhaustive")}
 CASES = ([(name, 3) for name in SHIPPED]
          + [(name, 4) for name in ("pure", "conway", "partial-fun", "multiset")]
          + [(name, depth) for name, (_, depth, _) in FIXTURES.items()])
