@@ -120,8 +120,15 @@ class Exists:
     body: object
 
 
-ATOMS = (Bland, Wand, In, Tap, Eq, Defined)
-_RELATIONS = frozenset((Bland, Wand, In, Tap, Defined))
+# The node-shape tables.  Every reader of an atom's arguments or of a
+# connective's symbol goes through these; Defined reads its ``.args``.
+_ARGS = {Bland: ("t",), Wand: ("t",), In: ("x", "y"), Tap: ("w", "a", "c"), Eq: ("x", "y")}
+_CONNECTIVES = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+
+ATOMS = (*_ARGS, Defined)
+_HEADS = {k.__name__: k for k in _ARGS if k is not Eq}  # the atoms written ``Head(args)``
+_ORACLES = {Bland: "bland", Wand: "wand", In: "member", Tap: "tap"}  # FiniteModel fields
+_RELATIONS = frozenset((*_ORACLES, Defined))
 _MOVABLE = frozenset((And, Or, Implies))  # a quantifier moves inward past their left operand
 _ALLOWED = {
     SIG_WS: (Bland, Wand, In, Tap, Eq, Defined),
@@ -130,20 +137,21 @@ _ALLOWED = {
 }
 
 
+def _atom_args(g) -> Tuple[Var, ...]:
+    """The variables an atom is applied to, in argument order."""
+    kind = type(g)
+    return g.args if kind is Defined else tuple(getattr(g, n) for n in _ARGS[kind])
+
+
 def free_vars(f) -> frozenset:
-    if isinstance(f, (Bland, Wand)):
-        return frozenset((f.t,))
-    if isinstance(f, (In, Eq)):
-        return frozenset((f.x, f.y))
-    if isinstance(f, Tap):
-        return frozenset((f.w, f.a, f.c))
-    if isinstance(f, Defined):
-        return frozenset(f.args)
-    if isinstance(f, Not):
+    kind = type(f)
+    if kind in ATOMS:
+        return frozenset(_atom_args(f))
+    if kind is Not:
         return free_vars(f.f)
-    if isinstance(f, (And, Or, Implies, Iff)):
+    if kind in _CONNECTIVES:
         return free_vars(f.lhs) | free_vars(f.rhs)
-    if isinstance(f, (Forall, Exists)):
+    if kind is Forall or kind is Exists:
         return free_vars(f.body) - {f.v}
     raise TypeError(f"not a formula: {f!r}")
 
@@ -161,13 +169,14 @@ def _atoms(f) -> Iterable[object]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, ATOMS):
+        kind = type(g)
+        if kind in ATOMS:
             yield g
-        elif isinstance(g, Not):
+        elif kind is Not:
             stack.append(g.f)
-        elif isinstance(g, (And, Or, Implies, Iff)):
+        elif kind in _CONNECTIVES:
             stack.extend((g.rhs, g.lhs))
-        elif isinstance(g, (Forall, Exists)):
+        elif kind is Forall or kind is Exists:
             stack.append(g.body)
         else:
             raise TypeError(f"not a formula: {g!r}")
@@ -270,25 +279,20 @@ class _Parser:
         _, head, at = self.take("ident")
         if head in ("forall", "exists"):
             raise ParseError("quantifier cannot start an atom", at)
-        if head in ("Bland", "Wand", "In", "Tap"):
-            self.take("punct", "(")
-            args = [Var(self.take("ident")[1])]
-            while self.peek()[:2] == ("punct", ","):
-                self.take("punct", ",")
-                args.append(Var(self.take("ident")[1]))
-            self.take("punct", ")")
-            arity = {"Bland": 1, "Wand": 1, "In": 2, "Tap": 3}[head]
-            if len(args) != arity:
-                raise ParseError(f"{head} takes {arity} arguments", at)
-            if head == "Bland":
-                return Bland(args[0])
-            if head == "Wand":
-                return Wand(args[0])
-            if head == "In":
-                return In(args[0], args[1])
-            return Tap(args[0], args[1], args[2])
-        self.take("punct", "=")
-        return Eq(Var(head), Var(self.take("ident")[1]))
+        kind = _HEADS.get(head)
+        if kind is None:
+            self.take("punct", "=")
+            return Eq(Var(head), Var(self.take("ident")[1]))
+        self.take("punct", "(")
+        args = [Var(self.take("ident")[1])]
+        while self.peek()[:2] == ("punct", ","):
+            self.take("punct", ",")
+            args.append(Var(self.take("ident")[1]))
+        self.take("punct", ")")
+        arity = len(_ARGS[kind])
+        if len(args) != arity:
+            raise ParseError(f"{head} takes {arity} arguments", at)
+        return kind(*args)
 
 
 def parse(text: str):
@@ -301,32 +305,18 @@ def parse(text: str):
 
 def render(f) -> str:
     """Canonical text form; ``parse(render(f))`` returns an equal formula."""
-    if isinstance(f, Bland):
-        return f"Bland({f.t.name})"
-    if isinstance(f, Wand):
-        return f"Wand({f.t.name})"
-    if isinstance(f, In):
-        return f"In({f.x.name},{f.y.name})"
-    if isinstance(f, Tap):
-        return f"Tap({f.w.name},{f.a.name},{f.c.name})"
-    if isinstance(f, Eq):
+    kind = type(f)
+    if kind is Eq:
         return f"{f.x.name} = {f.y.name}"
-    if isinstance(f, Defined):
-        return f"{f.name}<{','.join(a.name for a in f.args)}>"
-    if isinstance(f, Not):
+    if kind in ATOMS:
+        names = ",".join(a.name for a in _atom_args(f))
+        return f"{f.name}<{names}>" if kind is Defined else f"{kind.__name__}({names})"
+    if kind is Not:
         return f"~{_wrap(f.f)}"
-    if isinstance(f, And):
-        return f"{_wrap(f.lhs)} & {_wrap(f.rhs)}"
-    if isinstance(f, Or):
-        return f"{_wrap(f.lhs)} | {_wrap(f.rhs)}"
-    if isinstance(f, Implies):
-        return f"{_wrap(f.lhs)} -> {_wrap(f.rhs)}"
-    if isinstance(f, Iff):
-        return f"{_wrap(f.lhs)} <-> {_wrap(f.rhs)}"
-    if isinstance(f, Forall):
-        return f"forall {f.v.name}. {render(f.body)}"
-    if isinstance(f, Exists):
-        return f"exists {f.v.name}. {render(f.body)}"
+    if kind in _CONNECTIVES:
+        return f"{_wrap(f.lhs)} {_CONNECTIVES[kind]} {_wrap(f.rhs)}"
+    if kind is Forall or kind is Exists:
+        return f"{kind.__name__.lower()} {f.v.name}. {render(f.body)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -349,9 +339,9 @@ def parse_sentences(text: str) -> List[Tuple[str, object]]:
             continue
         name = f"line-{lineno}"
         head, _, rest = line.partition(":")
-        if rest and " " not in head.strip() and not head.strip().startswith(
-                ("Bland", "Wand", "In", "Tap", "forall", "exists")):
-            name, line = head.strip(), rest
+        label = head.strip()
+        if rest and " " not in label and label not in (*_HEADS, "forall", "exists"):
+            name, line = label, rest
         out.append((name, parse(line)))
     return out
 
@@ -531,14 +521,8 @@ def _rotate(g):
 
 def _relation(model: FiniteModel, g) -> Tuple[Callable, Tuple[Var, ...]]:
     """The oracle a relational atom reads and the variables it is applied to."""
-    if isinstance(g, Bland):
-        return model.bland, (g.t,)
-    if isinstance(g, Wand):
-        return model.wand, (g.t,)
-    if isinstance(g, In):
-        return model.member, (g.x, g.y)
-    if isinstance(g, Tap):
-        return model.tap, (g.w, g.a, g.c)
+    if type(g) is not Defined:
+        return getattr(model, _ORACLES[type(g)]), _atom_args(g)
     oracle = model.defined.get(g.name)
     if oracle is None:
         def oracle(*_):
@@ -640,38 +624,43 @@ def closed(f):
 
 # -- translations -----------------------------------------------------------------
 
+def _translate(f, atom: Callable, guard: Optional[Callable] = None):
+    """Rebuild ``f`` with every atom ``g`` replaced by ``atom(g)``, keeping the
+    connectives.  With ``guard``, each quantifier is relativized to it:
+    ``forall v. guard(v) -> B`` and ``exists v. guard(v) & B``.  A guard is
+    built before its body and a left operand before its right, so fresh
+    names are numbered in reading order."""
+    kind = type(f)
+    if kind in ATOMS:
+        return atom(f)
+    if kind is Not:
+        return Not(_translate(f.f, atom, guard))
+    if kind in _CONNECTIVES:
+        lhs = _translate(f.lhs, atom, guard)
+        return kind(lhs, _translate(f.rhs, atom, guard))
+    if kind is Forall or kind is Exists:
+        if guard is None:
+            return kind(f.v, _translate(f.body, atom, guard))
+        g = guard(f.v)
+        body = _translate(f.body, atom, guard)
+        return kind(f.v, Implies(g, body) if kind is Forall else And(g, body))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def translate_tau(f):
     """lt -> ws: relativize quantifiers to hereditary blandness and guard
     membership the same way; the wand predicate carries over."""
     check_signature(f, SIG_LT)
     fresh = _Fresh("_h")
 
-    def go(g):
-        if isinstance(g, In):
-            return And(In(g.x, g.y), hb_formula(g.y, fresh))
-        if isinstance(g, Wand):
-            return Wand(g.t)
-        if isinstance(g, Eq):
-            return g
-        if isinstance(g, Defined):
+    def atom(g):
+        if type(g) is In:
+            return And(g, hb_formula(g.y, fresh))
+        if type(g) is Defined:
             raise SignatureError(f"cannot translate defined atom {g.name!r}")
-        if isinstance(g, Not):
-            return Not(go(g.f))
-        if isinstance(g, And):
-            return And(go(g.lhs), go(g.rhs))
-        if isinstance(g, Or):
-            return Or(go(g.lhs), go(g.rhs))
-        if isinstance(g, Implies):
-            return Implies(go(g.lhs), go(g.rhs))
-        if isinstance(g, Iff):
-            return Iff(go(g.lhs), go(g.rhs))
-        if isinstance(g, Forall):
-            return Forall(g.v, Implies(hb_formula(g.v, fresh), go(g.body)))
-        if isinstance(g, Exists):
-            return Exists(g.v, And(hb_formula(g.v, fresh), go(g.body)))
-        raise TypeError(f"not a formula: {g!r}")
+        return g
 
-    return go(f)
+    return _translate(f, atom, lambda v: hb_formula(v, fresh))
 
 
 def translate_tolt(f):
@@ -679,40 +668,18 @@ def translate_tolt(f):
 
     The stage side defines blandness, membership, wandhood and tapping from
     its own encodings; those four come out as named atoms whose oracles a
-    stage model supplies, and quantifiers are guarded by the universe-code
+    stage model supplies (``bland*``, ``wand*``, ``in*``, ``tap*``; a defined
+    atom gains a ``*`` too), and quantifiers are guarded by the universe-code
     predicate."""
     check_signature(f, SIG_WS)
 
-    def go(g):
-        if isinstance(g, Bland):
-            return Defined("bland*", (g.t,))
-        if isinstance(g, Wand):
-            return Defined("wand*", (g.t,))
-        if isinstance(g, In):
-            return Defined("in*", (g.x, g.y))
-        if isinstance(g, Tap):
-            return Defined("tap*", (g.w, g.a, g.c))
-        if isinstance(g, Eq):
+    def atom(g):
+        if type(g) is Eq:
             return g
-        if isinstance(g, Defined):
-            return Defined(g.name + "*", g.args)
-        if isinstance(g, Not):
-            return Not(go(g.f))
-        if isinstance(g, And):
-            return And(go(g.lhs), go(g.rhs))
-        if isinstance(g, Or):
-            return Or(go(g.lhs), go(g.rhs))
-        if isinstance(g, Implies):
-            return Implies(go(g.lhs), go(g.rhs))
-        if isinstance(g, Iff):
-            return Iff(go(g.lhs), go(g.rhs))
-        if isinstance(g, Forall):
-            return Forall(g.v, Implies(Defined("conch", (g.v,)), go(g.body)))
-        if isinstance(g, Exists):
-            return Exists(g.v, And(Defined("conch", (g.v,)), go(g.body)))
-        raise TypeError(f"not a formula: {g!r}")
+        name = g.name if type(g) is Defined else type(g).__name__.lower()
+        return Defined(name + "*", _atom_args(g))
 
-    return go(f)
+    return _translate(f, atom, lambda v: Defined("conch", (v,)))
 
 
 def bland_bullet(a: Var, fresh: _Fresh):
@@ -738,14 +705,15 @@ def translate_bullet(f):
     check_signature(f, SIG_WS)
     fresh = _Fresh("_b")
 
-    def go(g):
-        if isinstance(g, Bland):
+    def atom(g):
+        kind = type(g)
+        if kind is Bland:
             return bland_bullet(g.t, fresh)
-        if isinstance(g, Wand):
+        if kind is Wand:
             return Defined("finord", (g.t,))
-        if isinstance(g, In):
-            return And(In(g.x, g.y), bland_bullet(g.y, fresh))
-        if isinstance(g, Tap):
+        if kind is In:
+            return And(g, bland_bullet(g.y, fresh))
+        if kind is Tap:
             n, a, c = g.w, g.a, g.c
             d, x, y = fresh(), fresh(), fresh()
             comp_case = And(
@@ -759,29 +727,13 @@ def translate_bullet(f):
                 And(Defined("nequiv@", (n, a, a)),
                     Forall(y, Iff(In(y, c), Defined("nequiv@", (n, y, a))))))
             return Or(comp_case, card_case)
-        if isinstance(g, Eq):
-            return g
-        if isinstance(g, Defined):
+        if kind is Defined:
             if g.name == "nequiv":
                 return Defined("nequiv@", g.args)
             raise SignatureError(f"cannot translate defined atom {g.name!r}")
-        if isinstance(g, Not):
-            return Not(go(g.f))
-        if isinstance(g, And):
-            return And(go(g.lhs), go(g.rhs))
-        if isinstance(g, Or):
-            return Or(go(g.lhs), go(g.rhs))
-        if isinstance(g, Implies):
-            return Implies(go(g.lhs), go(g.rhs))
-        if isinstance(g, Iff):
-            return Iff(go(g.lhs), go(g.rhs))
-        if isinstance(g, Forall):
-            return Forall(g.v, go(g.body))
-        if isinstance(g, Exists):
-            return Exists(g.v, go(g.body))
-        raise TypeError(f"not a formula: {g!r}")
+        return g
 
-    return go(f)
+    return _translate(f, atom)
 
 
 def varin_formula(x: Var, a: Var, fresh: _Fresh):
@@ -812,31 +764,7 @@ def translate_circle(f):
     """e -> ws: read the membership of the source expansively."""
     check_signature(f, SIG_E)
     fresh = _Fresh("_c")
-
-    def go(g):
-        if isinstance(g, In):
-            return varin_formula(g.x, g.y, fresh)
-        if isinstance(g, Eq):
-            return g
-        if isinstance(g, Defined):
-            return g
-        if isinstance(g, Not):
-            return Not(go(g.f))
-        if isinstance(g, And):
-            return And(go(g.lhs), go(g.rhs))
-        if isinstance(g, Or):
-            return Or(go(g.lhs), go(g.rhs))
-        if isinstance(g, Implies):
-            return Implies(go(g.lhs), go(g.rhs))
-        if isinstance(g, Iff):
-            return Iff(go(g.lhs), go(g.rhs))
-        if isinstance(g, Forall):
-            return Forall(g.v, go(g.body))
-        if isinstance(g, Exists):
-            return Exists(g.v, go(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f)
+    return _translate(f, lambda g: varin_formula(g.x, g.y, fresh) if type(g) is In else g)
 
 
 TRANSLATIONS = {
@@ -879,21 +807,13 @@ def fragment_model(frag) -> FiniteModel:
         return any(wandspec.equiv(frag.spec, widx, a, u, b, view)
                    for u, b in frag.obj(c).tclass)
 
-    def nequiv(n, x, y):
-        k = instances.vn_decode(view, n)
-        if k is None or k < 1:
-            return False
-        return instances.n_equiv_over(view, x, y, k) is not None
-
-    def finord(x):
-        return instances.vn_decode(view, x) is not None
-
+    finord = _finord_oracle(view)
     model = FiniteModel(
         name=f"{frag.spec.name}-d{frag.depth}", signature=SIG_WS, carrier=carrier,
         bland=lambda x: frag.obj(x).is_bland,
         wand=lambda x: x in wand_index,
         member=member, tap=tapr)
-    model.defined["nequiv"] = nequiv
+    model.defined["nequiv"] = _nequiv_oracle(view)
     model.defined["finord"] = finord
     # oracles for circle-composites: e-side defined atoms read back over ws
     model.defined["nequiv@"] = _nequiv_over_semantics(
@@ -923,6 +843,21 @@ def _predicate(model: FiniteModel, f, v: Var) -> Callable[[object], bool]:
         return holds(x)
 
     return pred
+
+
+def _nequiv_oracle(q) -> Callable[[object, object, object], bool]:
+    """``(n, x, y) -> x and y are n-equivalent over the set query q``, where
+    ``n`` must decode to a numeral of at least 1."""
+    def nequiv(n, x, y) -> bool:
+        k = instances.vn_decode(q, n)
+        return k is not None and k >= 1 and instances.n_equiv_over(q, x, y, k) is not None
+
+    return nequiv
+
+
+def _finord_oracle(q) -> Callable[[object], bool]:
+    """``x -> x is a finite ordinal (decodes to a numeral) over the set query q``."""
+    return lambda x: instances.vn_decode(q, x) is not None
 
 
 def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem):
@@ -968,15 +903,7 @@ def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem
         def sort_key(self, h):
             return index[h]
 
-    q = _Q()
-
-    def oracle(n, x, y):
-        k = instances.vn_decode(q, n)
-        if k is None or k < 1:
-            return False
-        return instances.n_equiv_over(q, x, y, k) is not None
-
-    return oracle
+    return _nequiv_oracle(_Q())
 
 
 def lt_model(frag) -> FiniteModel:
@@ -1033,15 +960,8 @@ def conch_model(stages) -> FiniteModel:
                                          and x in uncarrier(y))
     model.defined["wand*"] = lambda x: x in code_index
     model.defined["tap*"] = tap_star
-    model.defined["finord*"] = lambda x: instances.vn_decode(view, x) is not None
-
-    def nequiv_star(n, x, y):
-        k = instances.vn_decode(view, n)
-        if k is None or k < 1:
-            return False
-        return instances.n_equiv_over(view, x, y, k) is not None
-
-    model.defined["nequiv*"] = nequiv_star
+    model.defined["finord*"] = _finord_oracle(view)
+    model.defined["nequiv*"] = _nequiv_oracle(view)
     return model
 
 
@@ -1055,7 +975,7 @@ def varin_model(frag) -> FiniteModel:
         carrier=carrier,
         member=lambda x, y: instances.varin(frag, x, y))
     view = frag.view()
-    model.defined["finord"] = lambda x: instances.vn_decode(view, x) is not None
+    model.defined["finord"] = _finord_oracle(view)
     model.defined["nequiv@"] = _nequiv_over_semantics(
         model,
         bland_sem=_predicate(model, _BULLET_BLAND, _CB_VAR),
@@ -1143,19 +1063,11 @@ def random_sentences(sig: str, count: int, seed: int, max_depth: int = 3) -> Lis
     """Deterministic corpus of closed sentences of modest quantifier depth."""
     rng = random.Random(seed)
     pool = [Var(n) for n in ("x", "y", "z")]
+    kinds = [k for k in _ALLOWED[sig] if k in _ARGS]
 
     def atom(bound: List[Var]):
-        v = lambda: rng.choice(bound)
-        choices = []
-        if sig == SIG_WS:
-            choices = [lambda: Bland(v()), lambda: Wand(v()),
-                       lambda: In(v(), v()), lambda: Tap(v(), v(), v()),
-                       lambda: Eq(v(), v())]
-        elif sig == SIG_LT:
-            choices = [lambda: Wand(v()), lambda: In(v(), v()), lambda: Eq(v(), v())]
-        else:
-            choices = [lambda: In(v(), v()), lambda: Eq(v(), v())]
-        return rng.choice(choices)()
+        kind = rng.choice(kinds)
+        return kind(*(rng.choice(bound) for _ in _ARGS[kind]))
 
     def gen(depth: int, bound: List[Var]):
         if bound and (depth <= 0 or rng.random() < 0.3):

@@ -263,6 +263,19 @@ def test_translate_without_dst_prints(capsys, tmp_path, church_file):
     assert "line-1:" in capsys.readouterr().out
 
 
+# Golden translations on church:2 depth 3.  Each sentence file uses every atom
+# of its signature, both quantifiers, ~ and the four binary connectives; the
+# fresh names in the output pin the order in which a translation builds a
+# quantifier's guard and body and a connective's operands.
+@pytest.mark.parametrize("translation,source", [
+    ("tau", "lt"), ("tolt", "ws"), ("bullet", "ws"), ("circle", "e")])
+def test_translate_without_dst_matches_golden(capsys, church_file, translation, source):
+    data = pathlib.Path(__file__).parent / "data" / "translate"
+    assert cli.main(["translate", "--formula", str(data / f"{source}.sent"),
+                     "--translation", translation, "--src", church_file]) == 0
+    assert capsys.readouterr().out == (data / f"{translation}.out").read_text()
+
+
 def test_eval_parse_error(tmp_path, church_file):
     sent = tmp_path / "bad.sent"
     sent.write_text("forall x In(x\n")

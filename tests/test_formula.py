@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,9 @@ def var_names():
     return st.sampled_from(["x", "y", "z", "u"])
 
 
-def formulas(sig=F.SIG_WS):
+def formulas(sig=F.SIG_WS, defined=()):
+    """Formulas over ``sig``; ``defined`` names Defined atoms to mix in (the
+    parser cannot produce them, so they are built by hand)."""
     atoms = [st.builds(F.In, st.builds(F.Var, var_names()), st.builds(F.Var, var_names())),
              st.builds(F.Eq, st.builds(F.Var, var_names()), st.builds(F.Var, var_names()))]
     if sig == F.SIG_WS:
@@ -50,6 +53,10 @@ def formulas(sig=F.SIG_WS):
                   st.builds(F.Tap, *(st.builds(F.Var, var_names()),) * 3)]
     if sig in (F.SIG_WS, F.SIG_LT):
         atoms.append(st.builds(F.Wand, st.builds(F.Var, var_names())))
+    if defined:
+        atoms.append(st.builds(F.Defined, st.sampled_from(defined),
+                               st.lists(st.builds(F.Var, var_names()), min_size=1,
+                                        max_size=3).map(tuple)))
     base = st.one_of(atoms)
     return st.recursive(
         base,
@@ -81,6 +88,14 @@ def test_sentence_file_parsing():
     got = F.parse_sentences(text)
     assert [name for name, _ in got] == ["ext", "line-4"]
     assert F.free_vars(got[0][1]) == frozenset()
+
+
+def test_a_label_may_start_like_an_atom_head():
+    # only a bare atom head or quantifier keyword is refused as a label
+    got = F.parse_sentences("Index: forall x. x = x\nWanda: exists y. Wand(y)\n")
+    assert [name for name, _ in got] == ["Index", "Wanda"]
+    with pytest.raises(ParseError):
+        F.parse_sentences("Bland: forall x. x = x\n")
 
 
 _PUNCT = ("<->", "->", "|", "&", "~", "(", ")", ",", "=", ".")
@@ -306,6 +321,291 @@ def test_random_sentence_corpus_is_deterministic():
     a = F.random_sentences(F.SIG_WS, 10, seed=3)
     b = F.random_sentences(F.SIG_WS, 10, seed=3)
     assert [F.render(f) for _, f in a] == [F.render(f) for _, f in b]
+
+
+# sha256 of the "name: sentence" lines of random_sentences(sig, 50, seed=11)
+RANDOM_CORPUS_SHA256 = {
+    F.SIG_WS: "a703ff2a85b4f9f038010890559465df6afec0caf729f17a5cc7804f2fd98f05",
+    F.SIG_LT: "a46c4f231d061016cdcc9f8cc72c36fbc4a48b71c3dca02bcd385ffe7d15dc4c",
+    F.SIG_E: "e4478201ae66ad5edace77388d549af2f09d3ba1e59058cceb90dc0af903d64b",
+}
+
+
+@pytest.mark.parametrize("sig", sorted(RANDOM_CORPUS_SHA256))
+def test_random_sentence_corpus_is_pinned(sig):
+    # the corpus seeds the law suites and the benchmark's sentence batches, so
+    # the order in which it draws from its generator is part of its contract
+    text = "".join(f"{name}: {F.render(f)}\n"
+                   for name, f in F.random_sentences(sig, 50, seed=11))
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_CORPUS_SHA256[sig]
+
+
+# -- differential test against the per-node-kind recursions -----------------------------
+
+def reference_free_vars(f):
+    """``free_vars`` as it was before the node-shape tables, kept as the reference."""
+    if isinstance(f, (F.Bland, F.Wand)):
+        return frozenset((f.t,))
+    if isinstance(f, (F.In, F.Eq)):
+        return frozenset((f.x, f.y))
+    if isinstance(f, F.Tap):
+        return frozenset((f.w, f.a, f.c))
+    if isinstance(f, F.Defined):
+        return frozenset(f.args)
+    if isinstance(f, F.Not):
+        return reference_free_vars(f.f)
+    if isinstance(f, (F.And, F.Or, F.Implies, F.Iff)):
+        return reference_free_vars(f.lhs) | reference_free_vars(f.rhs)
+    if isinstance(f, (F.Forall, F.Exists)):
+        return reference_free_vars(f.body) - {f.v}
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_render(f):
+    """``render`` as it was before the node-shape tables, kept as the reference."""
+    if isinstance(f, F.Bland):
+        return f"Bland({f.t.name})"
+    if isinstance(f, F.Wand):
+        return f"Wand({f.t.name})"
+    if isinstance(f, F.In):
+        return f"In({f.x.name},{f.y.name})"
+    if isinstance(f, F.Tap):
+        return f"Tap({f.w.name},{f.a.name},{f.c.name})"
+    if isinstance(f, F.Eq):
+        return f"{f.x.name} = {f.y.name}"
+    if isinstance(f, F.Defined):
+        return f"{f.name}<{','.join(a.name for a in f.args)}>"
+    if isinstance(f, F.Not):
+        return f"~{_reference_wrap(f.f)}"
+    if isinstance(f, F.And):
+        return f"{_reference_wrap(f.lhs)} & {_reference_wrap(f.rhs)}"
+    if isinstance(f, F.Or):
+        return f"{_reference_wrap(f.lhs)} | {_reference_wrap(f.rhs)}"
+    if isinstance(f, F.Implies):
+        return f"{_reference_wrap(f.lhs)} -> {_reference_wrap(f.rhs)}"
+    if isinstance(f, F.Iff):
+        return f"{_reference_wrap(f.lhs)} <-> {_reference_wrap(f.rhs)}"
+    if isinstance(f, F.Forall):
+        return f"forall {f.v.name}. {reference_render(f.body)}"
+    if isinstance(f, F.Exists):
+        return f"exists {f.v.name}. {reference_render(f.body)}"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_wrap(f):
+    if isinstance(f, F.ATOMS) or isinstance(f, F.Not):
+        return reference_render(f)
+    return f"({reference_render(f)})"
+
+
+def reference_tau(f):
+    """``translate_tau`` as it was before ``formula._translate``."""
+    F.check_signature(f, F.SIG_LT)
+    fresh = F._Fresh("_h")
+
+    def go(g):
+        if isinstance(g, F.In):
+            return F.And(F.In(g.x, g.y), F.hb_formula(g.y, fresh))
+        if isinstance(g, F.Wand):
+            return F.Wand(g.t)
+        if isinstance(g, F.Eq):
+            return g
+        if isinstance(g, F.Defined):
+            raise SignatureError(f"cannot translate defined atom {g.name!r}")
+        if isinstance(g, F.Not):
+            return F.Not(go(g.f))
+        if isinstance(g, F.And):
+            return F.And(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Or):
+            return F.Or(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Implies):
+            return F.Implies(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Iff):
+            return F.Iff(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Forall):
+            return F.Forall(g.v, F.Implies(F.hb_formula(g.v, fresh), go(g.body)))
+        if isinstance(g, F.Exists):
+            return F.Exists(g.v, F.And(F.hb_formula(g.v, fresh), go(g.body)))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return go(f)
+
+
+def reference_tolt(f):
+    """``translate_tolt`` as it was before ``formula._translate``."""
+    F.check_signature(f, F.SIG_WS)
+
+    def go(g):
+        if isinstance(g, F.Bland):
+            return F.Defined("bland*", (g.t,))
+        if isinstance(g, F.Wand):
+            return F.Defined("wand*", (g.t,))
+        if isinstance(g, F.In):
+            return F.Defined("in*", (g.x, g.y))
+        if isinstance(g, F.Tap):
+            return F.Defined("tap*", (g.w, g.a, g.c))
+        if isinstance(g, F.Eq):
+            return g
+        if isinstance(g, F.Defined):
+            return F.Defined(g.name + "*", g.args)
+        if isinstance(g, F.Not):
+            return F.Not(go(g.f))
+        if isinstance(g, F.And):
+            return F.And(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Or):
+            return F.Or(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Implies):
+            return F.Implies(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Iff):
+            return F.Iff(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Forall):
+            return F.Forall(g.v, F.Implies(F.Defined("conch", (g.v,)), go(g.body)))
+        if isinstance(g, F.Exists):
+            return F.Exists(g.v, F.And(F.Defined("conch", (g.v,)), go(g.body)))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return go(f)
+
+
+def reference_bullet(f):
+    """``translate_bullet`` as it was before ``formula._translate``."""
+    F.check_signature(f, F.SIG_WS)
+    fresh = F._Fresh("_b")
+
+    def go(g):
+        if isinstance(g, F.Bland):
+            return F.bland_bullet(g.t, fresh)
+        if isinstance(g, F.Wand):
+            return F.Defined("finord", (g.t,))
+        if isinstance(g, F.In):
+            return F.And(F.In(g.x, g.y), F.bland_bullet(g.y, fresh))
+        if isinstance(g, F.Tap):
+            n, a, c = g.w, g.a, g.c
+            d, x, y = fresh(), fresh(), fresh()
+            comp_case = F.And(
+                F._is_zero(n, fresh),
+                F.And(F.Forall(d, F.Implies(F.bland_bullet(d, fresh),
+                                            F.Exists(x, F.Iff(F.In(x, d), F.In(x, a))))),
+                      F.Forall(y, F.Iff(F.In(y, c), F.Not(F.In(y, a))))))
+            z = fresh()
+            card_case = F.And(
+                F.And(F.Defined("finord", (n,)), F.Exists(z, F.In(z, n))),
+                F.And(F.Defined("nequiv@", (n, a, a)),
+                      F.Forall(y, F.Iff(F.In(y, c), F.Defined("nequiv@", (n, y, a))))))
+            return F.Or(comp_case, card_case)
+        if isinstance(g, F.Eq):
+            return g
+        if isinstance(g, F.Defined):
+            if g.name == "nequiv":
+                return F.Defined("nequiv@", g.args)
+            raise SignatureError(f"cannot translate defined atom {g.name!r}")
+        if isinstance(g, F.Not):
+            return F.Not(go(g.f))
+        if isinstance(g, F.And):
+            return F.And(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Or):
+            return F.Or(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Implies):
+            return F.Implies(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Iff):
+            return F.Iff(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Forall):
+            return F.Forall(g.v, go(g.body))
+        if isinstance(g, F.Exists):
+            return F.Exists(g.v, go(g.body))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return go(f)
+
+
+def reference_circle(f):
+    """``translate_circle`` as it was before ``formula._translate``."""
+    F.check_signature(f, F.SIG_E)
+    fresh = F._Fresh("_c")
+
+    def go(g):
+        if isinstance(g, F.In):
+            return F.varin_formula(g.x, g.y, fresh)
+        if isinstance(g, F.Eq):
+            return g
+        if isinstance(g, F.Defined):
+            return g
+        if isinstance(g, F.Not):
+            return F.Not(go(g.f))
+        if isinstance(g, F.And):
+            return F.And(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Or):
+            return F.Or(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Implies):
+            return F.Implies(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Iff):
+            return F.Iff(go(g.lhs), go(g.rhs))
+        if isinstance(g, F.Forall):
+            return F.Forall(g.v, go(g.body))
+        if isinstance(g, F.Exists):
+            return F.Exists(g.v, go(g.body))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return go(f)
+
+
+REFERENCE_TRANSLATIONS = {"tau": reference_tau, "tolt": reference_tolt,
+                          "bullet": reference_bullet, "circle": reference_circle}
+# the Defined atoms each source may carry: tolt stars any name, bullet maps
+# nequiv to nequiv@ and rejects the rest, tau rejects them all
+_DEFINED_NAMES = ("nequiv", "finord", "conch")
+# built once: a recursive strategy made afresh for every draw is slow
+_STRATEGIES = {(sig, defined): formulas(sig, defined)
+               for sig in (F.SIG_WS, F.SIG_LT, F.SIG_E) for defined in ((), _DEFINED_NAMES)}
+
+
+def _outcome(fn, f):
+    try:
+        return fn(f)
+    except SignatureError as exc:
+        return ("SignatureError", str(exc))
+
+
+@pytest.mark.parametrize("translation", sorted(REFERENCE_TRANSLATIONS))
+@pytest.mark.parametrize("defined", [(), _DEFINED_NAMES], ids=["plain", "defined"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_translation_matches_reference(translation, defined, data):
+    fn, src, _ = F.TRANSLATIONS[translation]
+    f = data.draw(_STRATEGIES[src, defined])
+    got, want = _outcome(fn, f), _outcome(REFERENCE_TRANSLATIONS[translation], f)
+    assert got == want
+    if isinstance(got, tuple):
+        return
+    assert F.render(got) == reference_render(want)
+    assert F.free_vars(got) == reference_free_vars(want)
+
+
+@pytest.mark.parametrize("sig", [F.SIG_WS, F.SIG_LT, F.SIG_E])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_render_and_free_vars_match_reference(sig, data):
+    f = data.draw(_STRATEGIES[sig, _DEFINED_NAMES])
+    assert F.render(f) == reference_render(f)
+    assert F.free_vars(f) == reference_free_vars(f)
+
+
+def test_translations_match_reference_on_the_corpora():
+    corpora = {F.SIG_WS: F.ws_axioms() + F.random_sentences(F.SIG_WS, 100, seed=41),
+               F.SIG_LT: F.lt_axioms() + F.random_sentences(F.SIG_LT, 100, seed=42),
+               F.SIG_E: F.random_sentences(F.SIG_E, 100, seed=43)}
+    for tname, (fn, src, _) in F.TRANSLATIONS.items():
+        for name, f in corpora[src]:
+            assert fn(f) == REFERENCE_TRANSLATIONS[tname](f), (tname, name)
+
+
+def test_translate_rejects_a_non_formula():
+    with pytest.raises(TypeError):
+        F._translate(F.Not("x"), lambda g: g)
+    with pytest.raises(TypeError):
+        F.free_vars(F.And(F.parse("x = y"), 3))
+    with pytest.raises(TypeError):
+        F.render(F.Forall(F.Var("x"), None))
 
 
 # -- differential test against the top-down evaluator ------------------------------------
