@@ -9,15 +9,14 @@ be read or written).
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import json
 import os
 import sys
-from collections import Counter
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from . import conch, formula, instances, universe, wandspec
+from . import conch, instances, universe, wandspec
 from .errors import (BeyondFragment, CapExceeded, ParseError, SignatureError,
                      SpecError, WandsetError)
 from .universe import Fragment, Obj
@@ -66,11 +65,10 @@ def export_fragment(frag: Fragment) -> str:
     for old in order:
         o = frag.obj(old)
         if o.is_bland:
-            rec = {"kind": "bland", "members": sorted(remap[m] for m in o.members),
+            rec = {"kind": "bland", "members": [remap[m] for m in o.members],
                    "ordrank": o.ordrank}
         else:
-            rec = {"kind": "tapped",
-                   "class": sorted([w, remap[b]] for w, b in o.tclass),
+            rec = {"kind": "tapped", "class": [[w, remap[b]] for w, b in o.tclass],
                    "ordrank": o.ordrank}
         objects.append(rec)
     doc = {
@@ -83,6 +81,9 @@ def export_fragment(frag: Fragment) -> str:
 
 
 def import_fragment(text: str) -> Fragment:
+    """Read a universe file with canonical ids, as export writes them: each
+    record's members or class pairs increase, and so does each object's
+    (ordrank, kind, members or class) from one object to the next."""
     try:
         doc = json.loads(text)
         header = doc["header"]
@@ -92,55 +93,50 @@ def import_fragment(text: str) -> Fragment:
         frag = Fragment(spec=spec, depth=int(header["depth"]),
                         exhaustive=bool(header["exhaustive"]))
         wands = spec.wand_indices()
+        last: tuple = ()
         for oid, rec in enumerate(doc["objects"]):
             if rec["kind"] == "bland":
-                members = frozenset(int(m) for m in rec["members"])
+                members = tuple(int(m) for m in rec["members"])
                 if any(not 0 <= m < oid for m in members):
                     raise DataError(f"object {oid}: members must be earlier objects")
-                if members in frag._bland_index:
-                    raise DataError(f"object {oid}: bland set repeats object "
-                                    f"{frag._bland_index[members]}")
                 rank = int(rec["ordrank"])
                 want = 0 if not members else 1 + max(
                     frag.obj(m).ordrank for m in members)
                 if rank != want:
                     raise DataError(f"object {oid}: rank {rank}, expected {want}")
                 o = Obj(oid, rank, members, None)
+                key = (rank, 0, members)
                 frag._bland_index[members] = oid
             elif rec["kind"] == "tapped":
-                cls = frozenset((int(w), int(b)) for w, b in rec["class"])
+                cls = tuple((int(w), int(b)) for w, b in rec["class"])
                 if any(not 0 <= b < oid or w not in wands for w, b in cls):
                     raise DataError(f"object {oid}: class pairs must name a wand "
                                     "and an earlier object")
-                if cls in frag._tap_index:
-                    raise DataError(f"object {oid}: tap class repeats object "
-                                    f"{frag._tap_index[cls]}")
                 rank = int(rec["ordrank"])
                 arg_ranks = {frag.obj(b).ordrank for _, b in cls}
                 if len(arg_ranks) != 1 or arg_ranks.pop() + 1 != rank:
                     raise DataError(f"object {oid}: tap rank law broken")
                 o = Obj(oid, rank, None, cls)
+                key = (rank, 1, cls)
                 frag._tap_index[cls] = oid
             else:
                 raise DataError(f"unknown kind {rec['kind']!r}")
+            if any(a >= b for a, b in zip(key[2], key[2][1:])) or key <= last:
+                raise DataError(f"object {oid}: out of canonical order")
+            last = key
             frag.objects.append(o)
         frag.wevel_contents = [tuple(int(i) for i in c) for c in doc["wevels"]]
         if len(frag.wevel_contents) != frag.depth + 1:
             raise DataError("wevel list does not match depth")
-        if any(not 0 <= i < len(frag.objects) for c in frag.wevel_contents for i in c):
-            raise DataError("wevel ids must name objects")
-        # wevel i < depth lists the ids of rank below i and the last one every
-        # id, each in increasing order: one pass over each list
-        per_rank = Counter(map(attrgetter("ordrank"), frag.objects))
-        below = 0
+        # canonical order sorts by rank, so wevel i < depth lists the ids 0, 1,
+        # ... of rank below i, and the last one every id
+        ranks = [o.ordrank for o in frag.objects]
         for i, c in enumerate(frag.wevel_contents):
             if i == frag.depth:
-                if c != tuple(range(len(frag.objects))):
+                if c != tuple(range(len(ranks))):
                     raise DataError(f"wevel {i} must list every id")
-            elif (len(c) != below or any(a >= b for a, b in zip(c, c[1:]))
-                    or any(frag.objects[j].ordrank >= i for j in c)):
+            elif c != tuple(range(bisect.bisect_left(ranks, i))):
                 raise DataError(f"wevel {i} must list the ids of rank below {i}")
-            below += per_rank[i]
         return frag
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(str(exc)) from exc
@@ -322,6 +318,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import formula  # imported here: only eval and translate need it
+
     frag = _load(args.src)
     sentences = formula.parse_sentences(_read(args.formula))
     model = formula.fragment_model(frag)
@@ -331,6 +329,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from . import formula
+
+    if args.translation not in formula.TRANSLATIONS:
+        raise UsageError(f"--translation: unknown {args.translation!r}; choose from "
+                         + ", ".join(sorted(formula.TRANSLATIONS)))
     frag = _load(args.src)
     sentences = formula.parse_sentences(_read(args.formula))
     fn, src_sig, dst_sig = formula.TRANSLATIONS[args.translation]
@@ -338,8 +341,14 @@ def cmd_translate(args) -> int:
         for name, f in sentences:
             print(f"{name}: {formula.render(fn(f))}")
         return EXIT_OK
-    dst_frag = _load(args.dst)
-    src_model, dst_model = _models_for(frag, dst_frag, args.translation)
+    dst = _load(args.dst)
+    src_model, dst_model = {
+        "tau": lambda: (formula.lt_model(frag), formula.fragment_model(dst)),
+        "tolt": lambda: (formula.fragment_model(frag), formula.conch_model(
+            conch.gen_stages(dst.spec, dst.depth))),
+        "bullet": lambda: (formula.fragment_model(frag), formula.varin_model(dst)),
+        "circle": lambda: (formula.varin_model(frag), formula.fragment_model(dst)),
+    }[args.translation]()
     rows = formula.check_interpretation(src_model, dst_model, args.translation,
                                         sentences)
     ok = True
@@ -348,19 +357,6 @@ def cmd_translate(args) -> int:
         ok = ok and row.ok
         print(f"{row.name}: src={row.src_value} dst={row.dst_value} {status}")
     return EXIT_OK if ok else 1
-
-
-def _models_for(src_frag: Fragment, dst_frag: Fragment, translation: str):
-    if translation == "tau":
-        return formula.lt_model(src_frag), formula.fragment_model(dst_frag)
-    if translation == "tolt":
-        stages = conch.gen_stages(dst_frag.spec, dst_frag.depth)
-        return formula.fragment_model(src_frag), formula.conch_model(stages)
-    if translation == "bullet":
-        return formula.fragment_model(src_frag), formula.varin_model(dst_frag)
-    if translation == "circle":
-        return formula.varin_model(src_frag), formula.fragment_model(dst_frag)
-    raise SignatureError(f"unknown translation {translation}")
 
 
 def cmd_export(args) -> int:
@@ -378,10 +374,10 @@ def cmd_export(args) -> int:
         for old in order:
             o = frag.obj(old)
             if o.is_bland:
-                for m in sorted(o.members, key=lambda i: remap[i]):
+                for m in o.members:
                     fh.write(f"  n{remap[old]} -> n{remap[m]};\n")
             else:
-                for w, b in sorted(o.tclass, key=lambda p: (p[0], remap[p[1]])):
+                for w, b in o.tclass:
                     fh.write(f'  n{remap[old]} -> n{remap[b]} [label="w{w}"];\n')
         fh.write("}\n")
     return EXIT_OK
@@ -426,7 +422,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("translate", help="translate sentences, optionally checking")
     t.add_argument("--formula", required=True)
-    t.add_argument("--translation", choices=sorted(formula.TRANSLATIONS), required=True)
+    t.add_argument("--translation", required=True)
     t.add_argument("--src", required=True)
     t.add_argument("--dst")
     t.set_defaults(fn=cmd_translate)

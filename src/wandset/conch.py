@@ -232,7 +232,8 @@ def check_stage_laws(stages: Stages) -> List[str]:
             bad.append(f"stage {st.sigma} not monotone")
         running |= st.conches
 
-    for c, r in sorted(stages.conchrank.items(), key=lambda p: p[0].sort_key()):
+    for c in stages.ranked(stages.depth - 1):
+        r = stages.conchrank[c]
         if is_carrier(c):
             inner = uncarrier(c)
             if any(x not in stages.conchrank for x in inner):
@@ -393,7 +394,7 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
     top = frag.depth - 1
 
     # -- pure sets vs hereditarily bland objects vs carrier-hierarchy codes
-    pures = sorted(lt_levels(frag.depth + 1)[-1].elements, key=PureSet.sort_key)
+    pures = lt_levels(frag.depth + 1)[-1].elements  # in canonical order
     hb_ids = [a for a in ids if universe.hereditarily_bland(frag, a)]
     encoded = {}
     for p in pures:
@@ -441,7 +442,7 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
                           f"{stages.conchrank.get(codes[a])}")
     for a in ids:
         for b in ids:
-            lhs = frag.obj(b).is_bland and a in frag.obj(b).members
+            lhs = bool(universe.member_mask(frag, b) >> a & 1)
             rhs = is_carrier(codes[b]) and codes[a] in uncarrier(codes[b])
             if lhs != rhs:
                 report.record("code_clauses", f"membership flips for ({a},{b})")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import instances, wandspec
+from . import instances, universe, wandspec
 from .errors import NotAPair, ParseError, SignatureError
 from .pureset import PureSet, is_carrier, kunpair, lt_levels, uncarrier, vn
 
@@ -795,8 +795,7 @@ def fragment_model(frag) -> FiniteModel:
     carrier = tuple(frag.canonical_order())
 
     def member(x, y):
-        o = frag.obj(y)
-        return o.is_bland and x in o.members
+        return bool(universe.member_mask(frag, y) >> x & 1)
 
     def tapr(w, a, c):
         widx = wand_index.get(w)
@@ -910,7 +909,7 @@ def lt_model(frag) -> FiniteModel:
     """The lt side at matching depth: pure sets of rank below the fragment's
     top stage, with the spec's wand designations marked."""
     top_level = lt_levels(frag.depth + 1)[-1]
-    carrier = tuple(sorted(top_level.elements, key=PureSet.sort_key))
+    carrier = top_level.elements  # already in canonical order
     wand_codes = {vn(w.index) for w in frag.spec.wands}
 
     return FiniteModel(

@@ -345,7 +345,7 @@ def union_n(frag: Fragment, a: int, n: int) -> Optional[int]:
         members = set()
         for x in q.members(cur):
             members.update(q.members(x))
-        oid = frag.bland_id(frozenset(members))
+        oid = frag.bland_id(members)
         if oid is None:
             raise BeyondFragment("union not registered")
         cur = oid
@@ -473,8 +473,7 @@ def _classify_kind(frag: Fragment, a: int) -> CusKind:
     if o.is_bland:
         return CusKind("bland")
     q = frag.view()
-    bland_pairs = sorted(((w, b) for w, b in o.tclass if q.is_bland(b)),
-                         key=lambda p: (p[0], q.sort_key(p[1])))
+    bland_pairs = [(w, b) for w, b in o.tclass if q.is_bland(b)]
     if bland_pairs:
         w, b = bland_pairs[0]
         others = {w2 for w2, b2 in bland_pairs}
@@ -482,7 +481,7 @@ def _classify_kind(frag: Fragment, a: int) -> CusKind:
             raise TaxonomyViolation(f"object {a} taps blands with wands {others}")
         return CusKind("tap_of_bland", w, b)
     # all class members are complements (wand 0) of non-bland arguments
-    for w, x in sorted(o.tclass, key=lambda p: (p[0], q.sort_key(p[1]))):
+    for w, x in o.tclass:
         if w != 0:
             raise TaxonomyViolation(f"object {a}: non-complement tap of non-bland")
         inner = classify_kind(frag, x)

@@ -170,23 +170,22 @@ def carrier(a: PureSet) -> PureSet:
 
 def uncarrier(c: PureSet) -> PureSet:
     """Invert :func:`carrier`; raises NotACarrier on anything else."""
-    if len(c) != 1:
+    if not is_carrier(c):
         raise NotACarrier(repr(c))
-    try:
-        tag, a = kunpair(c.elements[0])
-    except NotAPair:
-        raise NotACarrier(repr(c)) from None
-    if tag is not EMPTY:
-        raise NotACarrier(repr(c))
-    return a
+    pair = c.elements[0].elements
+    return EMPTY if len(pair) == 1 else pair[1].elements[1]
 
 
 def is_carrier(c: PureSet) -> bool:
-    try:
-        uncarrier(c)
-        return True
-    except NotACarrier:
+    """Whether ``c`` is {<empty, a>}, read off its shape: {{{empty}}}, or
+    {{{empty}, {empty, a}}} in canonical order (empty sorts first)."""
+    if len(c.elements) != 1:  # element tuples: len() of a PureSet runs Python code
         return False
+    pair = c.elements[0].elements
+    if len(pair) == 1:
+        return pair[0] is _SINGLETON_EMPTY
+    return (len(pair) == 2 and pair[0] is _SINGLETON_EMPTY
+            and len(pair[1].elements) == 2 and pair[1].elements[0] is EMPTY)
 
 
 # deep_carrier codes, keyed by the interned set; as long-lived as _TABLE.
@@ -209,11 +208,9 @@ def deep_carrier(a: PureSet) -> PureSet:
 
 def deep_uncarrier(c: PureSet) -> PureSet:
     """Invert :func:`deep_carrier`; raises NotInCodeImage off the image."""
-    try:
-        inner = uncarrier(c)
-    except NotACarrier:
-        raise NotInCodeImage(repr(c)) from None
-    return mk_set(deep_uncarrier(x) for x in inner)
+    if not is_carrier(c):
+        raise NotInCodeImage(repr(c))
+    return mk_set(deep_uncarrier(x) for x in uncarrier(c))
 
 
 # -- carrier hierarchy over a base ------------------------------------------
@@ -245,11 +242,7 @@ def in_carrier_levels(base: frozenset, x: PureSet) -> bool:
     """
     if x in base:
         return True
-    try:
-        inner = uncarrier(x)
-    except NotACarrier:
-        return False
-    return all(in_carrier_levels(base, y) for y in inner)
+    return is_carrier(x) and all(in_carrier_levels(base, y) for y in uncarrier(x))
 
 
 def _carrier_pot(base: frozenset, hs, max_width: int) -> frozenset:
@@ -271,10 +264,9 @@ def is_carrier_level_code(base: frozenset, c: PureSet, max_width: int = 16) -> b
     available from its own recognized level-code members.  This is the
     independent oracle against which :func:`carrier_level` is checked.
     """
-    try:
-        inner = uncarrier(c)
-    except NotACarrier:
+    if not is_carrier(c):
         return False
+    inner = uncarrier(c)
     sub = [r for r in inner if is_carrier_level_code(base, r, max_width)]
     return _carrier_pot(base, sub, max_width) == frozenset(inner.elements)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from . import conch, formula, universe, wandspec
+from . import conch, universe, wandspec
 from .universe import Fragment
 
 Row = Tuple[str, bool, str]
@@ -51,11 +51,11 @@ def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
             if (r in frag.obj(s).members) != (i < j):
                 bad.append((i, j))
     for alpha, s in enumerate(wevels):
-        if frag.obj(s).members != frozenset(frag.wevel_contents[alpha]):
+        if universe.member_mask(frag, s) != universe.ids_mask(frag.wevel_contents[alpha]):
             bad.append(alpha)
         if small:
             sub = [r for r in frag.obj(s).members if universe.is_wevel(frag, r)]
-            if universe.pot_ids(frag, sub) != frag.obj(s).members:
+            if universe.pot_ids(frag, sub) != frozenset(frag.obj(s).members):
                 bad.append(("pot", alpha))
     rows.append(_row("wevels-well-ordered", bad))
 
@@ -82,7 +82,7 @@ def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
         for a in ids:
             o = frag.obj(a)
             inner = universe.pot_ids(frag, o.members) if o.is_bland else frozenset()
-            if not inner <= frag.obj(universe.wevel_of(frag, a)).members:
+            if not inner.issubset(frag.obj(universe.wevel_of(frag, a)).members):
                 bad.append(a)
         rows.append(_row("pot-within-least-stage", bad))
     bad = [a for a in ids
@@ -91,7 +91,7 @@ def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
     bad = []
     for i, r in enumerate(wevels):
         for j, s in enumerate(wevels):
-            subset = frag.obj(r).members <= frag.obj(s).members
+            subset = not universe.member_mask(frag, r) & ~universe.member_mask(frag, s)
             if subset != (s not in frag.obj(r).members):
                 bad.append((i, j))
     rows.append(_row("stage-inclusion-vs-membership", bad))
@@ -102,10 +102,10 @@ def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
     # on rank, so the law is decided per pair of ranks; the witnesses are
     # listed only when a pair fails
     blands = [a for a in ids if frag.obj(a).is_bland]
-    stage = {r: frag.obj(frag.wevel_id(r)).members
+    stage = {r: universe.member_mask(frag, frag.wevel_id(r))
              for r in {frag.obj(a).ordrank for a in blands}}
     broken = {(rb, ra) for rb in stage for ra in stage
-              if rb <= ra and not stage[rb] <= stage[ra]}
+              if rb <= ra and stage[rb] & ~stage[ra]}
     bad = []
     if broken:
         for a in blands:
@@ -243,6 +243,12 @@ def conch_laws(frag: Fragment) -> List[Row]:
 
 
 def formula_laws(frag: Fragment, random_count: int = 100) -> List[Row]:
+    from . import formula  # imported here: only this suite needs it, and it costs set-up time
+
+    def _interp_row(name: str, src, dst, translation: str, sentences) -> Row:
+        rows = formula.check_interpretation(src, dst, translation, sentences)
+        return _row(name, [r.name for r in rows if not r.ok])
+
     rows: List[Row] = []
 
     corpus = formula.ws_axioms() + formula.lt_axioms()
@@ -291,9 +297,3 @@ def formula_laws(frag: Fragment, random_count: int = 100) -> List[Row]:
                if not formula.eval_formula(em, f)]
         rows.append(_row("circle-bullet-identity", bad))
     return rows
-
-
-def _interp_row(name: str, src, dst, translation: str, sentences) -> Row:
-    rows = formula.check_interpretation(src, dst, translation, sentences)
-    bad = [r.name for r in rows if not r.ok]
-    return _row(name, bad)

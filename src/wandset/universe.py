@@ -6,6 +6,9 @@ object inside that wand's domain of action, the quotiented tap of that
 object.  Tapped objects are stored as their canonical class: the set of all
 minimal-rank (wand, argument) pairs identified by the official equivalence,
 so two taps are the same object exactly when their arguments are equivalent.
+Members and classes are tuples in canonical order (:meth:`Fragment.sort_key`;
+a class by wand, then argument) from birth; set algebra on members goes
+through the member bitmasks.
 """
 
 from __future__ import annotations
@@ -21,15 +24,18 @@ from .wandspec import WandSpec
 
 DEFAULT_MAX_OBJECTS = 200_000
 
+Members = Tuple[int, ...]
+TapClass = Tuple[Tuple[int, int], ...]
+
 
 class Obj:
-    """A universe object: bland (with members) or tapped (with its class)."""
+    """A universe object: bland (with members) or tapped (with its class),
+    each a tuple in canonical order."""
 
     __slots__ = ("id", "ordrank", "members", "tclass")
 
     def __init__(self, oid: int, ordrank: int,
-                 members: Optional[FrozenSet[int]],
-                 tclass: Optional[FrozenSet[Tuple[int, int]]]):
+                 members: Optional[Members], tclass: Optional[TapClass]):
         self.id = oid
         self.ordrank = ordrank
         self.members = members
@@ -56,8 +62,8 @@ class Fragment:
     exhaustive: bool
     objects: List[Obj] = field(default_factory=list)
     wevel_contents: List[Tuple[int, ...]] = field(default_factory=list)
-    _bland_index: Dict[FrozenSet[int], int] = field(default_factory=dict)
-    _tap_index: Dict[FrozenSet[Tuple[int, int]], int] = field(default_factory=dict)
+    _bland_index: Dict[Members, int] = field(default_factory=dict)
+    _tap_index: Dict[TapClass, int] = field(default_factory=dict)
     _tap_of: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
     _keys: Dict[int, tuple] = field(default_factory=dict)
     _renders: Dict[int, str] = field(default_factory=dict)
@@ -80,7 +86,16 @@ class Fragment:
     def cache(self, name: str) -> dict:
         return self._caches.setdefault(name, {})
 
-    def register_bland(self, members: FrozenSet[int], stage: int) -> int:
+    def register_bland(self, members: Iterable[int], stage: int) -> int:
+        """Register the bland set of ``members``, given in any order."""
+        return self._add_bland(self._canonical(members), stage)
+
+    def register_tap(self, tclass: Iterable[Tuple[int, int]]) -> int:
+        """Register the tapped object of ``tclass``, given in any order."""
+        return self._add_tap(self._canonical_class(tclass))
+
+    def _add_bland(self, members: Members, stage: int) -> int:
+        # trusted: the caller guarantees canonical order, as for pureset._intern
         oid = self._bland_index.get(members)
         if oid is not None:
             return oid
@@ -91,7 +106,7 @@ class Fragment:
         self._bland_index[members] = o.id
         return o.id
 
-    def register_tap(self, tclass: FrozenSet[Tuple[int, int]]) -> int:
+    def _add_tap(self, tclass: TapClass) -> int:
         oid = self._tap_index.get(tclass)
         if oid is not None:
             return oid
@@ -102,19 +117,28 @@ class Fragment:
         self._tap_index[tclass] = o.id
         return o.id
 
+    def _canonical(self, members: Iterable[int]) -> Members:
+        return tuple(sorted(set(members), key=self.sort_key))
+
+    def _canonical_class(self, tclass: Iterable[Tuple[int, int]]) -> TapClass:
+        return tuple(sorted(set(tclass), key=lambda p: (p[0], self.sort_key(p[1]))))
+
     def bland_id(self, members: Iterable[int]) -> Optional[int]:
-        return self._bland_index.get(frozenset(members))
+        """Id of the bland set of ``members``, given in any order."""
+        return self._bland_index.get(self._canonical(members))
+
+    def tap_id(self, tclass: Iterable[Tuple[int, int]]) -> Optional[int]:
+        """Id of the tapped object of ``tclass``, given in any order."""
+        return self._tap_index.get(self._canonical_class(tclass))
 
     def sort_key(self, oid: int) -> tuple:
         key = self._keys.get(oid)
         if key is None:
             o = self.obj(oid)
             if o.is_bland:
-                key = (o.ordrank, 0,
-                       tuple(sorted(self.sort_key(m) for m in o.members)))
+                key = (o.ordrank, 0, tuple(self.sort_key(m) for m in o.members))
             else:
-                key = (o.ordrank, 1,
-                       tuple(sorted((w, self.sort_key(b)) for w, b in o.tclass)))
+                key = (o.ordrank, 1, tuple((w, self.sort_key(b)) for w, b in o.tclass))
             self._keys[oid] = key
         return key
 
@@ -136,10 +160,9 @@ class Fragment:
         if got is None:
             o = self.obj(oid)
             if o.is_bland:
-                inner = sorted((self.sort_key(m), m) for m in o.members)
-                got = "{" + ",".join(self.render(m) for _, m in inner) + "}"
+                got = "{" + ",".join(map(self.render, o.members)) + "}"
             else:
-                w, _, b = min((w, self.sort_key(b), b) for w, b in o.tclass)
+                w, b = o.tclass[0]
                 got = f"*{w}{self.render(b)}"
             self._renders[oid] = got
         return got
@@ -180,21 +203,12 @@ class FragmentView:
         self.frag = frag
         self.cache: dict = {}
         self._below: Dict[int, tuple] = {}
-        self._members: Dict[int, tuple] = {}
 
     def is_bland(self, h: int) -> bool:
         return self.frag.obj(h).is_bland
 
-    def members(self, h: int) -> Tuple[int, ...]:
-        got = self._members.get(h)
-        if got is None:
-            o = self.frag.obj(h)
-            if o.members is None:
-                got = ()
-            else:
-                got = tuple(sorted(o.members, key=self.frag.sort_key))
-            self._members[h] = got
-        return got
+    def members(self, h: int) -> Members:
+        return self.frag.obj(h).members or ()
 
     def is_wand(self, h: int) -> bool:
         return h in self.frag.wand_obj_ids().values()
@@ -211,7 +225,7 @@ class FragmentView:
         if cls is None:
             frag._tap_of[key] = None
             return None
-        cid = frag._tap_index.get(frozenset(cls))
+        cid = frag._tap_index.get(cls)
         if cid is None:
             raise BeyondFragment(f"tap of wand {w} on rank-{self.ordrank(h)} object")
         frag._tap_of[key] = cid
@@ -261,10 +275,10 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
                 raise CapExceeded(
                     f"stage {stage}: {len(prev_sorted)} objects found earlier; "
                     f"2**{len(prev_sorted)} subsets exceed budget {max_objects}")
-            for members in subsets(prev_sorted):
-                frag.register_bland(frozenset(members), stage)
+            for members in subsets(prev_sorted):  # each keeps prev_sorted's order
+                frag._add_bland(members, stage)
         else:
-            frag.register_bland(frozenset(prev_sorted), stage)  # the wevel itself
+            frag._add_bland(tuple(prev_sorted), stage)  # the wevel itself
 
         # taps of everything found strictly before this stage
         for a in prev_sorted:
@@ -273,7 +287,7 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
                 if cls is None:
                     frag._tap_of[(w, a)] = None
                     continue
-                cid = frag.register_tap(frozenset(cls))
+                cid = frag._add_tap(cls)
                 frag._tap_of[(w, a)] = cid
 
         if mode == "sampled":
@@ -281,7 +295,7 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
                 for combo in itertools.combinations(prev_sorted, size):
                     if len(frag.objects) >= max_objects:
                         break
-                    frag.register_bland(frozenset(combo), stage)
+                    frag._add_bland(combo, stage)
 
     frag.wevel_contents.append(tuple(o.id for o in frag.objects))
     return frag
@@ -435,10 +449,10 @@ def wistory_witness(frag: Fragment, x: int, max_width: int = 16) -> Optional[Fro
     for n in range(len(cands) + 1):
         for combo in itertools.combinations(cands, n):
             h = frozenset(combo)
-            if pot_ids(frag, h) != o.members:
+            if _pot_mask(frag, h) != member_mask(frag, x):
                 continue
-            if all(pot_ids(frag, frag.obj(a).members & h) == frag.obj(a).members
-                   for a in h):
+            if all(_pot_mask(frag, [r for r in frag.obj(a).members if r in h])
+                   == member_mask(frag, a) for a in h):
                 return h
     return None
 
@@ -490,8 +504,7 @@ def hb_part(frag: Fragment, a: int) -> int:
     o = frag.obj(a)
     if not o.is_bland:
         raise NotBland(repr(o))
-    kept = frozenset(x for x in o.members if hereditarily_bland(frag, x))
-    oid = frag.bland_id(kept)
+    oid = frag.bland_id(x for x in o.members if hereditarily_bland(frag, x))
     if oid is None:
         raise BeyondFragment("hereditarily bland part not registered")
     return oid
@@ -510,7 +523,7 @@ def encode_pure(frag: Fragment, p) -> Optional[int]:
             memo[p] = None
             return None
         ids.append(sub)
-    oid = frag.bland_id(frozenset(ids))
+    oid = frag.bland_id(ids)
     memo[p] = oid
     return oid
 
@@ -533,7 +546,7 @@ def ur_level(frag: Fragment, alpha: int, base: FrozenSet[int]) -> FrozenSet[int]
     for _ in range(alpha):
         nxt = set(base)
         for o in frag.objects:
-            if o.is_bland and o.members <= level:
+            if o.is_bland and level.issuperset(o.members):
                 nxt.add(o.id)
         level = frozenset(nxt)
     return level
@@ -603,7 +616,7 @@ def decompose(frag: Fragment, a: int) -> Tuple[int, List[int]]:
     o = frag.obj(a)
     if o.is_bland:
         return a, []
-    w, b = min(o.tclass, key=lambda p: (p[0], frag.sort_key(p[1])))
+    w, b = o.tclass[0]
     base, path = decompose(frag, b)
     return base, path + [w]
 
@@ -627,10 +640,9 @@ def correspond(small: Fragment, big: Fragment) -> Dict[int, int]:
     for oid in sorted(small.ids(), key=lambda i: small.obj(i).ordrank):
         o = small.obj(oid)
         if o.is_bland:
-            target = big.bland_id(frozenset(out[m] for m in o.members))
+            target = big.bland_id(out[m] for m in o.members)
         else:
-            cls = frozenset((w, out[b]) for w, b in o.tclass)
-            target = big._tap_index.get(cls)
+            target = big.tap_id((w, out[b]) for w, b in o.tclass)
         if target is None:
             raise StabilityViolation(f"object {oid} of {small.spec.name} "
                                      "has no counterpart in the deeper build")

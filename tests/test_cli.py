@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -126,16 +129,40 @@ _COMPLEMENT = {"kind": "tapped", "ordrank": 1}
     ([], {2: [0, 1]}),
     ([], {1: []}),
     ([], {2: [0, 2, 1]}),
+    # canonical order: within an object and from one object to the next
+    ([dict(_SINGLETON, members=[1, 0], ordrank=2)], {2: [0, 1, 2, 3]}),
+    ([dict(_SINGLETON, members=[1, 1], ordrank=2)], {2: [0, 1, 2, 3]}),
+    ([dict(_COMPLEMENT, **{"class": [[1, 0], [0, 0]]})], {2: [0, 1, 2, 3]}),
+    ([dict(_SINGLETON, members=[1], ordrank=2),
+      dict(_SINGLETON, members=[0, 1], ordrank=2)], {2: [0, 1, 2, 3, 4]}),
+    ([dict(_COMPLEMENT, ordrank=2, **{"class": [[0, 1]]}),
+      dict(_SINGLETON, members=[1], ordrank=2)], {2: [0, 1, 2, 3, 4]}),
 ], ids=["negative-member", "member-out-of-range", "negative-tap-argument",
         "tap-argument-out-of-range", "wand-out-of-range", "negative-wevel-id",
         "wevel-id-out-of-range", "duplicate-bland-set", "duplicate-tap-class",
-        "last-wevel-cut-short", "wevel-without-a-low-rank-id", "wevel-out-of-order"])
+        "last-wevel-cut-short", "wevel-without-a-low-rank-id", "wevel-out-of-order",
+        "members-out-of-order", "repeated-member", "class-pairs-out-of-order",
+        "same-rank-blands-swapped", "tapped-before-bland-of-its-rank"])
 def test_import_rejects_bad_ids(capsys, tmp_path, objs, wevels):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_corrupt(objs, wevels)))
     assert cli.main(["query", "rank", "--obj", "0", "--in", str(bad)]) == 65
     err = capsys.readouterr().err
-    assert err.startswith("bad data:") and "Traceback" not in err
+    assert err.startswith("bad data:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_import_accepts_the_canonical_orders_of_the_rejected_cases(capsys, tmp_path):
+    # the same objects as the out-of-order cases above, in canonical order
+    for objs in ([dict(_SINGLETON, members=[0, 1], ordrank=2)],
+                 [dict(_COMPLEMENT, **{"class": [[0, 0], [1, 0]]})],
+                 [dict(_SINGLETON, members=[0, 1], ordrank=2),
+                  dict(_SINGLETON, members=[1], ordrank=2)],
+                 [dict(_SINGLETON, members=[1], ordrank=2),
+                  dict(_COMPLEMENT, ordrank=2, **{"class": [[0, 1]]})]):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_corrupt(objs, {2: list(range(3 + len(objs)))})))
+        assert cli.main(["query", "rank", "--obj", "3", "--in", str(good)]) == 0
+        assert capsys.readouterr().out == f"{objs[0]['ordrank']}\n"
 
 
 @pytest.mark.parametrize("stage2", [[0, 1], [0, 2, 1], [0, 0, 2], [0, 1, 3]],
@@ -450,3 +477,23 @@ PASS stage-2-rank-bound :: measured 12 bound 23 slack 11
 def test_verify_conch_on_church_depth3(capsys, church_file):
     assert cli.main(["verify", "--suite", "conch", "--in", church_file]) == 0
     assert capsys.readouterr().out == CONCH_OUT_CHURCH3
+
+
+def test_unknown_translation_is_a_usage_error(capsys, church_file, tmp_path):
+    sent = tmp_path / "one.sent"
+    sent.write_text("forall x. ~In(x,x)\n")
+    assert cli.main(["translate", "--formula", str(sent), "--translation", "nope",
+                     "--src", church_file]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --translation: unknown 'nope'")
+    assert err.count("\n") == 1 and "bullet, circle, tau, tolt" in err
+
+
+def test_cli_and_suites_load_without_formula():
+    import wandset
+
+    src = str(pathlib.Path(wandset.__file__).parent.parent)
+    code = "import sys, wandset.cli, wandset.suites; print('wandset.formula' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from wandset import conch, instances, pureset as ps, universe, wandspec
-from wandset.errors import CapExceeded, NotAConch
+from wandset.errors import CapExceeded, NotACarrier, NotAConch, NotAPair
 
 from conftest import built
 
@@ -230,3 +230,60 @@ def test_rank_correspondence(church3, church_stages):
 
 def test_omega_is_top_wand_code_rank(church_stages):
     assert church_stages.omega() == ps.rank(ps.deep_carrier(ps.vn(2))) == 11
+
+
+# -- the structural carrier test against the decoding one it replaced -----------------------
+
+def ref_uncarrier(c):
+    if len(c) != 1:
+        raise NotACarrier(repr(c))
+    try:
+        tag, a = ps.kunpair(c.elements[0])
+    except NotAPair:
+        raise NotACarrier(repr(c)) from None
+    if tag is not ps.EMPTY:
+        raise NotACarrier(repr(c))
+    return a
+
+
+def ref_is_carrier(c):
+    try:
+        ref_uncarrier(c)
+        return True
+    except NotACarrier:
+        return False
+
+
+@pytest.mark.parametrize("name,depth", [("church:2", 3), ("conway", 4)])
+def test_is_carrier_matches_the_decoding_reference(name, depth):
+    stages = conch.gen_stages(wandspec.get_spec(name), depth)
+    conches = list(stages.conchrank)
+    # the conches, their elements (the pairs of tap-class codes among them) and
+    # the elements of those, pairs of conches, and the empty set
+    probes = set(conches)
+    for c in conches:
+        probes.update(c.elements)
+        for e in c.elements:
+            probes.update(e.elements)
+    probes.update(ps.kpair(a, b) for a in conches[:40] for b in conches[:40])
+    probes.update(ps.kpair(ps.EMPTY, a) for a in conches)
+    probes.add(ps.EMPTY)
+    # near misses: {{{empty}, X}}, {{{x}}} and {<a, b>} of every small shape
+    one = ps.mk_set([ps.EMPTY])
+    for a in conches[:20] + [ps.EMPTY]:
+        probes.add(ps.mk_set([ps.mk_set([ps.mk_set([a])])]))
+        for b in conches[:20] + [ps.EMPTY]:
+            probes.add(ps.mk_set([ps.kpair(a, b)]))
+            for x in (ps.mk_set([a, b]), ps.mk_set([ps.EMPTY, a, b])):
+                probes.add(ps.mk_set([ps.mk_set([one, x])]))
+    seen = {True: 0, False: 0}
+    for c in probes:
+        want = ref_is_carrier(c)
+        assert ps.is_carrier(c) == want, c
+        seen[want] += 1
+        if want:
+            assert ps.uncarrier(c) is ref_uncarrier(c)
+        else:
+            with pytest.raises(NotACarrier):
+                ps.uncarrier(c)
+    assert seen[True] and seen[False]

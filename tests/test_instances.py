@@ -129,7 +129,8 @@ def test_cardinal_tap_identifies_equinumerous(church3):
 def test_tap_class_is_minimal_rank_singleton(church3):
     names = ids_by_render(church3)
     card1 = church3.obj(names["*1{{}}"])
-    assert card1.tclass == frozenset([(1, names["{{}}"])])
+    (pair,) = card1.tclass
+    assert pair == (1, names["{{}}"])
 
 
 # -- kinds, expansive membership, widened taps ----------------------------------------------

@@ -291,7 +291,7 @@ def test_multiset_two_copies_exists():
             if (pairs := instances.graph_decode(view, a))
             and len(pairs) == 1
             and instances.vn_decode(view, pairs[0][1]) == 2
-            and view.members(pairs[0][0]) == ()]
+            and not view.members(pairs[0][0])]
     assert hits, "graph {<0, 2>} not found in the sampled build"
     assert any(universe.tap(frag, 0, g) is not None for g in hits)
 
@@ -300,8 +300,8 @@ def test_multiset_two_copies_exists():
 
 def ref_found_at(frag, x, r):
     ox, orr = frag.obj(x), frag.obj(r)
-    r_members = orr.members if orr.is_bland else frozenset()
-    if ox.is_bland and ox.members <= r_members:
+    r_members = frozenset(orr.members or ())
+    if ox.is_bland and frozenset(ox.members) <= r_members:
         return True
     if ox.is_bland:
         return False
@@ -324,7 +324,7 @@ def ref_ur_pot_ids(frag, base, member_ids):
     out = set(base)
 
     def below(x, c):
-        return x.members <= c.members if c.is_bland else not x.members
+        return frozenset(x.members) <= frozenset(c.members) if c.is_bland else not x.members
 
     for o in frag.objects:
         if o.is_bland and any(below(o, frag.obj(c)) for c in mem):
@@ -338,9 +338,9 @@ def ref_hb_witness(frag, a):
         return None
     for c in frag.ids():
         oc = frag.obj(c)
-        if not oc.is_bland or not o.members <= oc.members:
+        if not oc.is_bland or not frozenset(o.members) <= frozenset(oc.members):
             continue
-        if all(frag.obj(x).is_bland and frag.obj(x).members <= oc.members
+        if all(frag.obj(x).is_bland and frozenset(frag.obj(x).members) <= frozenset(oc.members)
                for x in oc.members):
             return c
     return None
@@ -367,7 +367,7 @@ class RefRecognizers:
         if x not in self.wevel:
             o = self.frag.obj(x)
             self.wevel[x] = o.is_bland and self.pot(
-                r for r in o.members if self.is_wevel(r)) == o.members
+                r for r in o.members if self.is_wevel(r)) == frozenset(o.members)
         return self.wevel[x]
 
     def is_ur_level(self, t):
@@ -380,7 +380,7 @@ class RefRecognizers:
             key = frozenset(r for r in o.members if self.is_ur_level(r))
             if key not in self.ur_pots:
                 self.ur_pots[key] = ref_ur_pot_ids(self.frag, self.base, key)
-            self.level[t] = self.ur_pots[key] == o.members
+            self.level[t] = self.ur_pots[key] == frozenset(o.members)
         return self.level[t]
 
 
@@ -532,9 +532,9 @@ def ref_stage_monotone(frag):
             continue
         for b in frag.ids():
             ob = frag.obj(b)
-            if ob.is_bland and ob.members <= oa.members:
-                if not (frag.obj(universe.wevel_of(frag, b)).members
-                        <= frag.obj(universe.wevel_of(frag, a)).members):
+            if ob.is_bland and frozenset(ob.members) <= frozenset(oa.members):
+                if not (frozenset(frag.obj(universe.wevel_of(frag, b)).members)
+                        <= frozenset(frag.obj(universe.wevel_of(frag, a)).members)):
                     bad.append((b, a))
     return bad
 
