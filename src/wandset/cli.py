@@ -57,33 +57,42 @@ def _positive_int(text: str) -> int:
 
 # -- universe files ------------------------------------------------------------
 
+def _check_canonical(objects: List[Obj]) -> None:
+    """Raise DataError unless ids follow canonical order: each object's
+    members or class pairs increase, and so does its (ordrank, kind, members
+    or class) from one object to the next."""
+    last: tuple = ()
+    for o in objects:
+        body = o.members if o.is_bland else o.tclass
+        key = (o.ordrank, 0 if o.is_bland else 1, body)
+        if any(a >= b for a, b in zip(body, body[1:])) or key <= last:
+            raise DataError(f"object {o.id}: out of canonical order")
+        last = key
+
+
 def export_fragment(frag: Fragment) -> str:
-    """Serialize with dense canonical ids; byte-stable across runs."""
-    order = frag.canonical_order()
-    remap = {old: new for new, old in enumerate(order)}
+    """Serialize with the fragment's ids, which a build makes canonical;
+    byte-stable across runs.  Ids out of canonical order are bad data."""
+    _check_canonical(frag.objects)
     objects = []
-    for old in order:
-        o = frag.obj(old)
+    for o in frag.objects:
         if o.is_bland:
-            rec = {"kind": "bland", "members": [remap[m] for m in o.members],
-                   "ordrank": o.ordrank}
+            rec = {"kind": "bland", "members": list(o.members), "ordrank": o.ordrank}
         else:
-            rec = {"kind": "tapped", "class": [[w, remap[b]] for w, b in o.tclass],
+            rec = {"kind": "tapped", "class": [list(p) for p in o.tclass],
                    "ordrank": o.ordrank}
         objects.append(rec)
     doc = {
         "header": {"format_version": FORMAT_VERSION, "spec_name": frag.spec.name,
                    "depth": frag.depth, "exhaustive": frag.exhaustive},
         "objects": objects,
-        "wevels": [sorted(remap[i] for i in c) for c in frag.wevel_contents],
+        "wevels": [list(c) for c in frag.wevel_contents],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def import_fragment(text: str) -> Fragment:
-    """Read a universe file with canonical ids, as export writes them: each
-    record's members or class pairs increase, and so does each object's
-    (ordrank, kind, members or class) from one object to the next."""
+    """Read a universe file with canonical ids, as export writes them."""
     try:
         doc = json.loads(text)
         header = doc["header"]
@@ -93,7 +102,6 @@ def import_fragment(text: str) -> Fragment:
         frag = Fragment(spec=spec, depth=int(header["depth"]),
                         exhaustive=bool(header["exhaustive"]))
         wands = spec.wand_indices()
-        last: tuple = ()
         for oid, rec in enumerate(doc["objects"]):
             if rec["kind"] == "bland":
                 members = tuple(int(m) for m in rec["members"])
@@ -105,7 +113,6 @@ def import_fragment(text: str) -> Fragment:
                 if rank != want:
                     raise DataError(f"object {oid}: rank {rank}, expected {want}")
                 o = Obj(oid, rank, members, None)
-                key = (rank, 0, members)
                 frag._bland_index[members] = oid
             elif rec["kind"] == "tapped":
                 cls = tuple((int(w), int(b)) for w, b in rec["class"])
@@ -117,14 +124,11 @@ def import_fragment(text: str) -> Fragment:
                 if len(arg_ranks) != 1 or arg_ranks.pop() + 1 != rank:
                     raise DataError(f"object {oid}: tap rank law broken")
                 o = Obj(oid, rank, None, cls)
-                key = (rank, 1, cls)
                 frag._tap_index[cls] = oid
             else:
                 raise DataError(f"unknown kind {rec['kind']!r}")
-            if any(a >= b for a, b in zip(key[2], key[2][1:])) or key <= last:
-                raise DataError(f"object {oid}: out of canonical order")
-            last = key
             frag.objects.append(o)
+        _check_canonical(frag.objects)
         frag.wevel_contents = [tuple(int(i) for i in c) for c in doc["wevels"]]
         if len(frag.wevel_contents) != frag.depth + 1:
             raise DataError("wevel list does not match depth")
@@ -239,8 +243,9 @@ def cmd_build(args) -> int:
         by_rank[o.ordrank] = by_rank.get(o.ordrank, 0) + 1
     print(f"total {len(frag.objects)} objects; by rank "
           + " ".join(f"{r}:{n}" for r, n in sorted(by_rank.items())))
+    text = export_fragment(frag)
     with _output(args.out) as fh:
-        fh.write(export_fragment(frag))
+        fh.write(text)
     return EXIT_OK
 
 
@@ -361,24 +366,20 @@ def cmd_translate(args) -> int:
 
 def cmd_export(args) -> int:
     frag = _load(args.infile)
-    order = frag.canonical_order()
-    remap = {old: new for new, old in enumerate(order)}
     with _output(args.dot) as fh:
         fh.write("digraph universe {\n")
-        for old in order:
-            o = frag.obj(old)
+        for o in frag.objects:
             shape = "box" if o.is_bland else "ellipse"
-            label = frag.render(old).replace("{", "\\{").replace("}", "\\}") \
-                if args.labels else str(remap[old])
-            fh.write(f'  n{remap[old]} [shape={shape} label="{label}"];\n')
-        for old in order:
-            o = frag.obj(old)
+            label = frag.render(o.id).replace("{", "\\{").replace("}", "\\}") \
+                if args.labels else str(o.id)
+            fh.write(f'  n{o.id} [shape={shape} label="{label}"];\n')
+        for o in frag.objects:
             if o.is_bland:
                 for m in o.members:
-                    fh.write(f"  n{remap[old]} -> n{remap[m]};\n")
+                    fh.write(f"  n{o.id} -> n{m};\n")
             else:
                 for w, b in o.tclass:
-                    fh.write(f'  n{remap[old]} -> n{remap[b]} [label="w{w}"];\n')
+                    fh.write(f'  n{o.id} -> n{b} [label="w{w}"];\n')
         fh.write("}\n")
     return EXIT_OK
 

@@ -99,9 +99,6 @@ class _ConchView:
     def objects_below(self, r: int) -> Tuple[PureSet, ...]:
         return self.stages.ranked(r - 1)
 
-    def sort_key(self, h: PureSet):
-        return h.sort_key()
-
 
 @dataclass
 class Stages:
@@ -164,19 +161,18 @@ def gen_stages(spec: WandSpec, depth: int, max_width: int = 20) -> Stages:
     st.view = _ConchView(st)
 
     pending_taps: List[PureSet] = []   # classes formed at the previous stage
-    below: set = set()
     for sigma in range(depth):
-        if len(below) > max_width:
+        spread = st.ranked(sigma - 1)  # memoised by the previous stage's tap sweep
+        if len(spread) > max_width:
             raise CapExceeded(
-                f"stage {sigma}: 2**{len(below)} carriers exceed width {max_width}")
-        spread = sorted(below, key=PureSet.sort_key)
+                f"stage {sigma}: 2**{len(spread)} carriers exceed width {max_width}")
+        below = frozenset(spread)
         fresh = {carrier(_intern(t)) for t in subsets(spread)}
         fresh.update(pending_taps)
         for c in fresh:
             st.conchrank.setdefault(c, sigma)
-        conches = frozenset(below | fresh)
-        st.stages.append(ConchStage(sigma=sigma, conches=conches,
-                                    below=frozenset(below), _stages=st))
+        st.stages.append(ConchStage(sigma=sigma, conches=below | fresh,
+                                    below=below, _stages=st))
         st._ranked_cache.clear()
 
         # tap classes whose minimal argument rank is sigma become the
@@ -197,7 +193,6 @@ def gen_stages(spec: WandSpec, depth: int, max_width: int = 20) -> Stages:
                     if code not in seen:
                         seen.add(code)
                         pending_taps.append(code)
-        below = set(conches)
     return st
 
 

@@ -792,7 +792,7 @@ def fragment_model(frag) -> FiniteModel:
     """The ws reading of a fragment: primitive blandness, membership, taps."""
     view = frag.view()
     wand_index = {oid: idx for idx, oid in frag.wand_obj_ids().items()}
-    carrier = tuple(frag.canonical_order())
+    carrier = tuple(frag.ids())
 
     def member(x, y):
         return bool(universe.member_mask(frag, y) >> x & 1)
@@ -862,8 +862,6 @@ def _finord_oracle(q) -> Callable[[object], bool]:
 def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem):
     """Generic n-equivalence computed against supplied semantic predicates."""
 
-    index = {h: i for i, h in enumerate(model.carrier)}
-
     class _Q:
         def __init__(self):
             self.cache = {}
@@ -898,9 +896,6 @@ def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem
 
         def objects_below(self, r):
             return model.carrier
-
-        def sort_key(self, h):
-            return index[h]
 
     return _nequiv_oracle(_Q())
 
@@ -968,7 +963,7 @@ def varin_model(frag) -> FiniteModel:
     """The e reading of a church fragment: one, expansive, membership."""
     if not frag.spec.name.startswith("church:"):
         raise SignatureError("expansive reading requires a church fragment")
-    carrier = tuple(frag.canonical_order())
+    carrier = tuple(frag.ids())
     model = FiniteModel(
         name=f"{frag.spec.name}-d{frag.depth}-expansive", signature=SIG_E,
         carrier=carrier,

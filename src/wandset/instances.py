@@ -284,8 +284,7 @@ def _n_equiv_search(q: SetQuery, a, b, n: int) -> Optional[NEquivWitness]:
         return None
 
     def pack(maps: List[Dict]) -> NEquivWitness:
-        chain = tuple(tuple(sorted(m.items(), key=lambda p: q.sort_key(p[0])))
-                      for m in maps)
+        chain = tuple(tuple(sorted(m.items())) for m in maps)
         return NEquivWitness(n, chain)
 
     if a == b:

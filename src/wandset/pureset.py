@@ -7,14 +7,14 @@ of the process.  The trusted entry ``_intern`` skips dedup and sort; its
 caller guarantees a canonical, duplicate-free tuple, such as any subset that
 :func:`subsets` cuts from a canonically sorted spread.  All operations are
 pure.  The only mutation points are the interning table, keyed by the sorted
-element tuple (the interned set's own ``elements``) and guarded by a lock,
-and the :func:`deep_carrier` memo, keyed by the interned set; both live as
-long as the process.
+element tuple (the interned set's own ``elements``) and filled with
+``dict.setdefault``, so racing threads agree on one value, and the
+:func:`deep_carrier` memo, keyed by the interned set; both live as long as
+the process.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DepthCapExceeded, NotACarrier, NotAPair, NotInCodeImage
@@ -88,7 +88,6 @@ class PureSet:
 # Elements hash and compare by identity, which interning makes structural
 # equality, so equal element tuples name the same set.
 _TABLE: Dict[Tuple[PureSet, ...], PureSet] = {}
-_LOCK = threading.Lock()
 
 
 def mk_set(elems: Iterable[PureSet]) -> PureSet:
@@ -104,14 +103,9 @@ def _intern(ordered: Tuple[PureSet, ...]) -> PureSet:
     """Intern ``ordered`` as is; the caller guarantees it is in canonical order
     and duplicate-free, else the table would hold two values for one set."""
     hit = _TABLE.get(ordered)
-    if hit is not None:
-        return hit
-    with _LOCK:
-        hit = _TABLE.get(ordered)
-        if hit is None:
-            hit = PureSet(ordered)
-            _TABLE[ordered] = hit
-        return hit
+    if hit is None:
+        hit = _TABLE.setdefault(ordered, PureSet(ordered))
+    return hit
 
 
 def subsets(spread: Sequence) -> List[tuple]:

@@ -6,9 +6,11 @@ object inside that wand's domain of action, the quotiented tap of that
 object.  Tapped objects are stored as their canonical class: the set of all
 minimal-rank (wand, argument) pairs identified by the official equivalence,
 so two taps are the same object exactly when their arguments are equivalent.
-Members and classes are tuples in canonical order (:meth:`Fragment.sort_key`;
-a class by wand, then argument) from birth; set algebra on members goes
-through the member bitmasks.
+An object's id is its position in canonical order (rank, bland before
+tapped, then members or class read lexicographically), and members and
+classes are ascending id tuples, from birth; set algebra on members goes
+through the member bitmasks.  A look-ahead spec may register a tap a stage
+late, out of that order.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ class Fragment:
     _bland_index: Dict[Members, int] = field(default_factory=dict)
     _tap_index: Dict[TapClass, int] = field(default_factory=dict)
     _tap_of: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
-    _keys: Dict[int, tuple] = field(default_factory=dict)
     _renders: Dict[int, str] = field(default_factory=dict)
     _view: Optional["FragmentView"] = None
     _caches: Dict[str, dict] = field(default_factory=dict)
@@ -118,10 +119,10 @@ class Fragment:
         return o.id
 
     def _canonical(self, members: Iterable[int]) -> Members:
-        return tuple(sorted(set(members), key=self.sort_key))
+        return tuple(sorted(set(members)))
 
     def _canonical_class(self, tclass: Iterable[Tuple[int, int]]) -> TapClass:
-        return tuple(sorted(set(tclass), key=lambda p: (p[0], self.sort_key(p[1]))))
+        return tuple(sorted(set(tclass)))
 
     def bland_id(self, members: Iterable[int]) -> Optional[int]:
         """Id of the bland set of ``members``, given in any order."""
@@ -131,19 +132,10 @@ class Fragment:
         """Id of the tapped object of ``tclass``, given in any order."""
         return self._tap_index.get(self._canonical_class(tclass))
 
-    def sort_key(self, oid: int) -> tuple:
-        key = self._keys.get(oid)
-        if key is None:
-            o = self.obj(oid)
-            if o.is_bland:
-                key = (o.ordrank, 0, tuple(self.sort_key(m) for m in o.members))
-            else:
-                key = (o.ordrank, 1, tuple((w, self.sort_key(b)) for w, b in o.tclass))
-            self._keys[oid] = key
-        return key
-
-    def canonical_order(self) -> List[int]:
-        return sorted(self.ids(), key=self.sort_key)
+    def sort_key(self, oid: int) -> int:
+        """Ids are canonical: an object sorts by its id.  Nothing in the
+        package calls this; ``perfbench/tracer.py`` wraps it by name."""
+        return oid
 
     def view(self) -> "FragmentView":
         if self._view is None:
@@ -240,9 +232,6 @@ class FragmentView:
             self._below[key] = got
         return got
 
-    def sort_key(self, h: int) -> tuple:
-        return self.frag.sort_key(h)
-
 
 # -- construction -------------------------------------------------------------
 
@@ -264,40 +253,41 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
     frag = Fragment(spec=spec, depth=depth, exhaustive=(mode == "exhaustive"))
     view = frag.view()
 
+    # each stage registers its new bland sets, then its new tap classes, each
+    # group sorted, so ids follow canonical order
     for stage in range(depth):
-        prev = tuple(o.id for o in frag.objects if o.ordrank < stage)
+        prev = tuple(frag.ids())  # everything so far ranks below the stage
         frag.wevel_contents.append(prev)
-        prev_sorted = sorted(prev, key=frag.sort_key)
-
         if mode == "exhaustive":
-            projected = 1 << len(prev_sorted)
-            if len(prev_sorted) > 24 or len(frag.objects) + projected > max_objects:
+            if len(prev) > 24 or len(frag.objects) + (1 << len(prev)) > max_objects:
                 raise CapExceeded(
-                    f"stage {stage}: {len(prev_sorted)} objects found earlier; "
-                    f"2**{len(prev_sorted)} subsets exceed budget {max_objects}")
-            for members in subsets(prev_sorted):  # each keeps prev_sorted's order
+                    f"stage {stage}: {len(prev)} objects found earlier; "
+                    f"2**{len(prev)} subsets exceed budget {max_objects}")
+            for members in sorted(subsets(prev)):
                 frag._add_bland(members, stage)
-        else:
-            frag._add_bland(tuple(prev_sorted), stage)  # the wevel itself
 
-        # taps of everything found strictly before this stage
-        for a in prev_sorted:
-            for w in spec.wand_indices():
-                cls = wandspec.tap_class(spec, w, a, view)
-                if cls is None:
-                    frag._tap_of[(w, a)] = None
-                    continue
-                cid = frag._add_tap(cls)
-                frag._tap_of[(w, a)] = cid
+        taps = {(w, a): wandspec.tap_class(spec, w, a, view)
+                for a in prev for w in spec.wand_indices()}
+        new_classes = sorted({c for c in taps.values() if c is not None}
+                             - frag._tap_index.keys())
 
         if mode == "sampled":
-            for size in range(min(subset_bound, len(prev_sorted)) + 1):
-                for combo in itertools.combinations(prev_sorted, size):
-                    if len(frag.objects) >= max_objects:
-                        break
-                    frag._add_bland(combo, stage)
+            # a loosely bound spec's taps cannot see this stage's blands; the
+            # budget counts the wevel and the new classes first
+            known = frag._bland_index
+            room = max_objects - len(frag.objects) - (prev not in known) - len(new_classes)
+            combos = (c for size in range(min(subset_bound, len(prev)) + 1)
+                      for c in itertools.combinations(prev, size)
+                      if c not in known and c != prev)
+            for members in sorted([prev, *itertools.islice(combos, max(room, 0))]):
+                frag._add_bland(members, stage)
 
-    frag.wevel_contents.append(tuple(o.id for o in frag.objects))
+        for cls in new_classes:
+            frag._add_tap(cls)
+        frag._tap_of.update((key, None if cls is None else frag._tap_index[cls])
+                            for key, cls in taps.items())
+
+    frag.wevel_contents.append(tuple(frag.ids()))
     return frag
 
 
@@ -637,7 +627,7 @@ def bigtap(frag: Fragment, base: int, path: Sequence[int]) -> int:
 def correspond(small: Fragment, big: Fragment) -> Dict[int, int]:
     """Structural correspondence small-id -> big-id (same spec, deeper run)."""
     out: Dict[int, int] = {}
-    for oid in sorted(small.ids(), key=lambda i: small.obj(i).ordrank):
+    for oid in small.ids():  # members and class arguments are registered first
         o = small.obj(oid)
         if o.is_bland:
             target = big.bland_id(out[m] for m in o.members)

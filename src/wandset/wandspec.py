@@ -45,8 +45,6 @@ class SetQuery(Protocol):
 
     def objects_below(self, r: int) -> Sequence: ...
 
-    def sort_key(self, h): ...
-
 
 @dataclass(frozen=True)
 class WandId:
@@ -252,7 +250,7 @@ def tap_class(spec: WandSpec, w: int, a, q: SetQuery) -> Optional[Tuple]:
     cls = classes(spec, q, q.ordrank(a)).of(w, a)
     low = min(q.ordrank(b) for _, b in cls)
     kept = [(u, b) for u, b in cls if q.ordrank(b) == low]
-    kept.sort(key=lambda p: (p[0], q.sort_key(p[1])))
+    kept.sort()
     return tuple(kept)
 
 

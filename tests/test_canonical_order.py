@@ -1,18 +1,24 @@
-"""Members and tap classes are stored in canonical order from birth.
+"""Objects get canonical ids, and store members and tap classes in canonical
+order, from birth.
 
-Each reference below is the code that sorted ``.members`` or ``.tclass``
-again on every use, when they were frozensets.  On every build the stored
-order must make those sorts no-ops, so the readers that dropped them give
-the same answers and write the same bytes.
+Each reference below sorts by :func:`ref_sort_key`, a nested key computed
+from scratch, never by ids: it is the code that sorted ``.members`` or
+``.tclass`` again on every use, when they were frozensets, and remapped ids
+on export.  On every build the ids must make those sorts no-ops, so the
+readers that dropped them give the same answers and write the same bytes.
 """
 
+import itertools
 import json
 
 import pytest
 
-from conftest import built
-from wandset import cli, instances, universe
+from conftest import built, ref_sort_key
+from test_wandspec import (dom_splitting_spec, late_breaking_spec, lopsided_spec,
+                           peeking_spec)
+from wandset import cli, instances, universe, wandspec
 from wandset.errors import TaxonomyViolation
+from wandset.pureset import subsets
 
 BUILDS = [(name, 3, {}) for name in ("pure", "conway", "partial-fun", "multiset",
                                      "church:1", "church:2")]
@@ -30,32 +36,25 @@ def frag(request):
     return built(name, depth, **kw)
 
 
-def ref_sort_key(frag, oid):
-    o = frag.obj(oid)
-    if o.is_bland:
-        return (o.ordrank, 0, tuple(sorted(ref_sort_key(frag, m) for m in o.members)))
-    return (o.ordrank, 1, tuple(sorted((w, ref_sort_key(frag, b)) for w, b in o.tclass)))
-
-
 def ref_render(frag, oid):
     o = frag.obj(oid)
     if o.is_bland:
-        inner = sorted((frag.sort_key(m), m) for m in o.members)
+        inner = sorted((ref_sort_key(frag, m), m) for m in o.members)
         return "{" + ",".join(ref_render(frag, m) for _, m in inner) + "}"
-    w, _, b = min((w, frag.sort_key(b), b) for w, b in o.tclass)
+    w, _, b = min((w, ref_sort_key(frag, b), b) for w, b in o.tclass)
     return f"*{w}{ref_render(frag, b)}"
 
 
 def ref_view_members(frag, h):
     o = frag.obj(h)
-    return [] if o.members is None else sorted(o.members, key=frag.sort_key)
+    return [] if o.members is None else sorted(o.members, key=lambda m: ref_sort_key(frag, m))
 
 
 def ref_decompose(frag, a):
     o = frag.obj(a)
     if o.is_bland:
         return a, []
-    w, b = min(o.tclass, key=lambda p: (p[0], frag.sort_key(p[1])))
+    w, b = min(o.tclass, key=lambda p: (p[0], ref_sort_key(frag, p[1])))
     base, path = ref_decompose(frag, b)
     return base, path + [w]
 
@@ -66,13 +65,13 @@ def ref_classify_kind(frag, a):
         return instances.CusKind("bland")
     q = frag.view()
     bland_pairs = sorted(((w, b) for w, b in o.tclass if q.is_bland(b)),
-                         key=lambda p: (p[0], q.sort_key(p[1])))
+                         key=lambda p: (p[0], ref_sort_key(frag, p[1])))
     if bland_pairs:
         w, b = bland_pairs[0]
         if len({w2 for w2, _ in bland_pairs}) > 1:
             raise TaxonomyViolation(a)
         return instances.CusKind("tap_of_bland", w, b)
-    for w, x in sorted(o.tclass, key=lambda p: (p[0], q.sort_key(p[1]))):
+    for w, x in sorted(o.tclass, key=lambda p: (p[0], ref_sort_key(frag, p[1]))):
         if w != 0:
             raise TaxonomyViolation(a)
         inner = ref_classify_kind(frag, x)
@@ -81,8 +80,12 @@ def ref_classify_kind(frag, a):
     raise TaxonomyViolation(a)
 
 
+def ref_order(frag):
+    return sorted(frag.ids(), key=lambda i: ref_sort_key(frag, i))
+
+
 def ref_export_fragment(frag):
-    order = sorted(frag.ids(), key=lambda i: ref_sort_key(frag, i))
+    order = ref_order(frag)
     remap = {old: new for new, old in enumerate(order)}
     objects = []
     for old in order:
@@ -104,7 +107,7 @@ def ref_export_fragment(frag):
 
 
 def ref_export_dot(frag):
-    order = frag.canonical_order()
+    order = ref_order(frag)
     remap = {old: new for new, old in enumerate(order)}
     lines = ["digraph universe {"]
     for old in order:
@@ -126,15 +129,17 @@ def test_stored_order_is_canonical(frag):
     for a in frag.ids():
         o = frag.obj(a)
         if o.is_bland:
-            keys = [frag.sort_key(m) for m in o.members]
+            keys = [ref_sort_key(frag, m) for m in o.members]
         else:
-            keys = [(w, frag.sort_key(b)) for w, b in o.tclass]
+            keys = [(w, ref_sort_key(frag, b)) for w, b in o.tclass]
         assert all(x < y for x, y in zip(keys, keys[1:])), a
 
 
 def test_sort_key_and_render_match_the_sorting_references(frag):
+    # ids ascend in canonical order, so the id is the sort key
+    keys = [ref_sort_key(frag, a) for a in frag.ids()]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
     for a in frag.ids():
-        assert frag.sort_key(a) == ref_sort_key(frag, a), a
         assert frag.render(a) == ref_render(frag, a), a
 
 
@@ -176,3 +181,91 @@ def test_hand_made_sets_are_put_in_canonical_order():
             assert frag.tap_id(reversed(o.tclass)) == a
             assert frag.register_tap(frozenset(o.tclass)) == a
     assert len(frag) == 11
+
+
+# -- the build that registered objects as it met them ------------------------------
+
+def reference_build(spec, depth, max_objects=universe.DEFAULT_MAX_OBJECTS,
+                    mode="exhaustive", subset_bound=2):
+    """Each stage sorts the objects found earlier by ``ref_sort_key`` and
+    registers every bland subset (or the wevel), then each tap as it meets
+    it, then (sampled) the small combinations up to the budget.  Ids follow
+    registration order, which need not be canonical."""
+    frag = universe.Fragment(spec=spec, depth=depth, exhaustive=(mode == "exhaustive"))
+    view = frag.view()
+    for stage in range(depth):
+        prev = tuple(o.id for o in frag.objects if o.ordrank < stage)
+        frag.wevel_contents.append(prev)
+        prev_sorted = sorted(prev, key=lambda i: ref_sort_key(frag, i))
+        if mode == "exhaustive":
+            for members in subsets(prev_sorted):
+                frag.register_bland(members, stage)
+        else:
+            frag.register_bland(prev_sorted, stage)
+        for a in prev_sorted:
+            for w in spec.wand_indices():
+                cls = wandspec.tap_class(spec, w, a, view)
+                frag._tap_of[(w, a)] = None if cls is None else frag.register_tap(cls)
+        if mode == "sampled":
+            for size in range(min(subset_bound, len(prev_sorted)) + 1):
+                for combo in itertools.combinations(prev_sorted, size):
+                    if len(frag.objects) >= max_objects:
+                        break
+                    frag.register_bland(combo, stage)
+    frag.wevel_contents.append(tuple(frag.ids()))
+    return frag
+
+
+FIXTURE_SPECS = {"lopsided": lopsided_spec, "late-breaking": late_breaking_spec,
+                 "dom-splitting": dom_splitting_spec, "peeking": peeking_spec}
+SAMPLED = {"mode": "sampled"}
+REFERENCE_BUILDS = (
+    [(name, 4, {}) for name in ("pure", "conway", "partial-fun", "multiset",
+                                "church:1", "church:2")]
+    + [("church:2", 4, SAMPLED), ("partial-fun", 6, SAMPLED),
+       ("multiset", 7, dict(SAMPLED, max_objects=4000)),
+       ("multiset", 6, dict(SAMPLED, subset_bound=3, max_objects=700)),
+       ("church:2", 5, dict(SAMPLED, max_objects=3000)),
+       ("lopsided", 3, {}), ("late-breaking", 4, SAMPLED), ("dom-splitting", 3, {})])
+
+
+def _spec(name):
+    return FIXTURE_SPECS[name]() if name in FIXTURE_SPECS else wandspec.get_spec(name)
+
+
+def _reference_build_id(build):
+    return _build_id(build) + "".join(f"-{k}={v}" for k, v in build[2].items()
+                                      if k != "mode")
+
+
+@pytest.mark.parametrize("build", REFERENCE_BUILDS, ids=_reference_build_id)
+def test_build_exports_what_the_registration_order_build_exported(build):
+    name, depth, kw = build
+    frag = universe.build(_spec(name), depth, **kw)
+    keys = [ref_sort_key(frag, a) for a in frag.ids()]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    assert cli.export_fragment(frag) == ref_export_fragment(
+        reference_build(_spec(name), depth, **kw))
+
+
+def test_look_ahead_build_finds_the_same_objects_out_of_canonical_order():
+    # peeking's raw D counts the whole fragment, so at depth 4 it first acts
+    # at stage 3, on rank-1 objects too: a rank-1 tap comes after rank-3 sets
+    frag = universe.build(peeking_spec(), 4)
+    ref = reference_build(peeking_spec(), 4)
+    assert ({ref_sort_key(frag, a) for a in frag.ids()}
+            == {ref_sort_key(ref, a) for a in ref.ids()})
+    assert [frag.obj(a).ordrank for a in frag.ids()] != sorted(
+        frag.obj(a).ordrank for a in frag.ids())
+    with pytest.raises(cli.DataError, match="out of canonical order"):
+        cli.export_fragment(frag)
+
+
+def test_export_refuses_a_hand_made_registration_out_of_order():
+    frag = universe.build(wandspec.get_spec("pure"), 2)
+    empty, single = frag.bland_id(()), frag.bland_id((frag.bland_id(()),))
+    frag.register_bland([single], 2)
+    cli.export_fragment(frag)  # still canonical
+    frag.register_bland([empty, single], 2)  # {0, 1} sorts before {1}
+    with pytest.raises(cli.DataError, match="object 3: out of canonical order"):
+        cli.export_fragment(frag)

@@ -8,6 +8,8 @@ import pytest
 
 from wandset import cli, wandspec
 
+from conftest import ref_sort_key
+
 
 @pytest.fixture(scope="module")
 def church_file(tmp_path_factory):
@@ -332,7 +334,7 @@ def test_export_dot_pure_is_layered(tmp_path, capsys):
 def reference_export(frag, labels):
     """The DOT text as the list-and-join export built it."""
     lines = ["digraph universe {"]
-    order = frag.canonical_order()
+    order = sorted(frag.ids(), key=lambda i: ref_sort_key(frag, i))
     remap = {old: new for new, old in enumerate(order)}
     for old in order:
         o = frag.obj(old)

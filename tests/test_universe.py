@@ -3,7 +3,7 @@ import pytest
 from wandset import instances, suites, universe, wandspec
 from wandset.errors import BeyondFragment, CapExceeded, NotBland
 
-from conftest import built
+from conftest import built, ref_sort_key
 
 
 def ids_by_render(frag):
@@ -470,9 +470,9 @@ def reference_render(frag, oid):
     """Brace notation, recomputed from scratch on every call."""
     o = frag.obj(oid)
     if o.is_bland:
-        inner = sorted((frag.sort_key(m), m) for m in o.members)
+        inner = sorted((ref_sort_key(frag, m), m) for m in o.members)
         return "{" + ",".join(reference_render(frag, m) for _, m in inner) + "}"
-    pairs = sorted((w, frag.sort_key(b), b) for w, b in o.tclass)
+    pairs = sorted((w, ref_sort_key(frag, b), b) for w, b in o.tclass)
     w, _, b = pairs[0]
     return f"*{w}{reference_render(frag, b)}"
 

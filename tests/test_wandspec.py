@@ -6,7 +6,7 @@ from wandset import conch, instances, universe, wandspec
 from wandset.errors import SpecError, StabilityViolation
 from wandset.wandspec import WandSpec
 
-from conftest import built
+from conftest import built, ref_sort_key
 
 
 # -- adversarial fixtures (never shipped as public instances) ----------------------
@@ -325,7 +325,7 @@ def reference_tap_class(spec, w, a, q):
            for u in spec.wand_indices() if reference_equiv(spec, w, a, u, b, q)]
     low = min(q.ordrank(b) for _, b in eqs)
     kept = [(u, b) for u, b in eqs if q.ordrank(b) == low]
-    kept.sort(key=lambda p: (p[0], q.sort_key(p[1])))
+    kept.sort(key=lambda p: (p[0], ref_sort_key(q.frag, p[1])))
     return tuple(kept)
 
 
