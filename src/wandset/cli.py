@@ -91,23 +91,38 @@ def export_fragment(frag: Fragment) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` when its JSON type is exactly ``kind`` (a bool is no int)."""
+    if type(value) is not kind:
+        raise DataError(f"{what}: expected {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _ids(value, what: str) -> Tuple[int, ...]:
+    return tuple(_typed(i, int, what) for i in _typed(value, list, what))
+
+
 def import_fragment(text: str) -> Fragment:
-    """Read a universe file with canonical ids, as export writes them."""
+    """Read a universe file with canonical ids, as export writes them; a
+    value of any other JSON type than export writes is bad data."""
     try:
         doc = json.loads(text)
         header = doc["header"]
-        if header["format_version"] != FORMAT_VERSION:
+        if _typed(header["format_version"], int, "format_version") != FORMAT_VERSION:
             raise DataError(f"unsupported format {header['format_version']}")
-        spec = wandspec.get_spec(header["spec_name"])
-        frag = Fragment(spec=spec, depth=int(header["depth"]),
-                        exhaustive=bool(header["exhaustive"]))
+        spec = wandspec.get_spec(_typed(header["spec_name"], str, "spec_name"))
+        frag = Fragment(spec=spec, depth=_typed(header["depth"], int, "depth"),
+                        exhaustive=_typed(header["exhaustive"], bool, "exhaustive"))
+        if frag.depth < 1:  # as build requires
+            raise DataError(f"depth must be >= 1, not {frag.depth}")
         wands = spec.wand_indices()
-        for oid, rec in enumerate(doc["objects"]):
+        for oid, rec in enumerate(_typed(doc["objects"], list, "objects")):
+            what = f"object {oid}"
             if rec["kind"] == "bland":
-                members = tuple(int(m) for m in rec["members"])
+                members = _ids(rec["members"], what)
                 if any(not 0 <= m < oid for m in members):
                     raise DataError(f"object {oid}: members must be earlier objects")
-                rank = int(rec["ordrank"])
+                rank = _typed(rec["ordrank"], int, what)
                 want = 0 if not members else 1 + max(
                     frag.obj(m).ordrank for m in members)
                 if rank != want:
@@ -115,11 +130,11 @@ def import_fragment(text: str) -> Fragment:
                 o = Obj(oid, rank, members, None)
                 frag._bland_index[members] = oid
             elif rec["kind"] == "tapped":
-                cls = tuple((int(w), int(b)) for w, b in rec["class"])
+                cls = tuple(_ids(p, what) for p in _typed(rec["class"], list, what))
                 if any(not 0 <= b < oid or w not in wands for w, b in cls):
                     raise DataError(f"object {oid}: class pairs must name a wand "
                                     "and an earlier object")
-                rank = int(rec["ordrank"])
+                rank = _typed(rec["ordrank"], int, what)
                 arg_ranks = {frag.obj(b).ordrank for _, b in cls}
                 if len(arg_ranks) != 1 or arg_ranks.pop() + 1 != rank:
                     raise DataError(f"object {oid}: tap rank law broken")
@@ -129,7 +144,7 @@ def import_fragment(text: str) -> Fragment:
                 raise DataError(f"unknown kind {rec['kind']!r}")
             frag.objects.append(o)
         _check_canonical(frag.objects)
-        frag.wevel_contents = [tuple(int(i) for i in c) for c in doc["wevels"]]
+        frag.wevel_contents = [_ids(c, "wevel") for c in _typed(doc["wevels"], list, "wevels")]
         if len(frag.wevel_contents) != frag.depth + 1:
             raise DataError("wevel list does not match depth")
         # canonical order sorts by rank, so wevel i < depth lists the ids 0, 1,
@@ -172,7 +187,7 @@ def _parse_object(frag: Fragment, text: str) -> int:
     """An object argument: a decimal id, or brace notation for a
     hereditarily bland object ('{}', '{{}}', ...)."""
     text = text.strip()
-    if text.isdigit():
+    if text.isdecimal():
         oid = int(text)
         if not 0 <= oid < len(frag.objects):
             raise BeyondFragment(f"no object {oid}")

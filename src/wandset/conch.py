@@ -66,7 +66,6 @@ class _ConchView:
 
     def __init__(self, stages: "Stages"):
         self.stages = stages
-        self.cache: dict = {}
         self._taps: Dict[Tuple[int, PureSet], Optional[PureSet]] = {}
 
     def is_bland(self, h: PureSet) -> bool:
@@ -319,9 +318,10 @@ def conch_code(frag: Fragment, a: int) -> PureSet:
 
     Bland objects become carriers of their members' codes; tapped objects
     become the set of <wand code, argument code> pairs of their class.
-    Codes are memoised per id in the fragment.
+    Codes are memoised per id in ``Fragment.conch_codes``: a registered
+    object never changes.
     """
-    return _conch_code(frag, frag.cache("conch_code"), a)
+    return _conch_code(frag, frag.conch_codes, a)
 
 
 def _conch_code(frag: Fragment, memo: dict, a: int) -> PureSet:

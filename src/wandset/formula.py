@@ -350,7 +350,12 @@ def parse_sentences(text: str) -> List[Tuple[str, object]]:
 
 @dataclass
 class FiniteModel:
-    """A finite structure: a carrier plus total relation oracles."""
+    """A finite structure: a carrier plus total relation oracles.
+
+    ``answers`` holds the oracles' answers, one table per relation, for every
+    formula compiled over the model; it is not an init field, so a copy made
+    with ``dataclasses.replace`` starts empty.
+    """
 
     name: str
     signature: str
@@ -360,6 +365,7 @@ class FiniteModel:
     member: Callable = None
     tap: Callable = None
     defined: Dict[str, Callable] = field(default_factory=dict)
+    answers: Dict[object, dict] = field(default_factory=dict, init=False, repr=False)
 
 
 def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..., bool]:
@@ -377,11 +383,12 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
 
     Memos: all quantifiers of one alpha class share one memo, keyed by the
     values of their free slots in that order, so the alpha-equivalent copies
-    of a subformula that a translation emits are evaluated once per binding.
-    All atoms of one relation share one memo keyed by their argument values,
-    so no oracle is called twice with the same arguments.  Connectives,
-    ``Not`` and ``Eq`` keep none.  The memos live as long as the returned
-    function.
+    of a subformula that a translation emits are evaluated once per binding;
+    these live as long as the returned function.  All atoms of one relation
+    share one memo keyed by their argument values, kept in the model's
+    ``answers`` for as long as the model lives, so no oracle of a model is
+    called twice with the same arguments, across formulas too.  Connectives,
+    ``Not`` and ``Eq`` keep none.
 
     Quantifiers move inward: ``(P op Q) op R`` chains of ``&`` or ``|`` are
     reassociated to ``P op (Q op R)``; then, on a non-empty carrier, ``Qv.
@@ -390,10 +397,10 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
     not occur in its body is dropped.  On an empty carrier both would change
     the truth value, so quantifiers stay where they are.
 
-    Invariant: oracles are first called on the same tuples, in the same
-    order, as a top-down reading of ``f``.  Connectives short-circuit left to
-    right, and a guard left inside a quantifier only repeats calls it made
-    for the first binding.  A model without an oracle for a defined atom
+    Invariant: on a model with no answers yet, oracles are first called on
+    the same tuples, in the same order, as a top-down reading of ``f``.
+    Connectives short-circuit left to right, and a guard left inside a
+    quantifier only repeats calls it made for the first binding.  A model without an oracle for a defined atom
     raises SignatureError when that atom is first evaluated.
     """
     slots: Dict[Var, int] = {}
@@ -404,7 +411,7 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
     compiled: Dict[int, Tuple[Callable, Tuple[int, ...], int]] = {}
     keep: List[object] = []  # the nodes ``compiled`` keys by id; rewriting makes temporary ones
     classes: Dict[tuple, int] = {}
-    memos: Dict[object, dict] = {}
+    memos: Dict[int, dict] = {}  # per quantifier alpha class
     bad: List[object] = []
 
     def slot(v: Var) -> int:
@@ -420,9 +427,7 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
             keep.append(g)
         return got
 
-    def memoized(run: Callable, key: Callable, name) -> Callable:
-        memo = memos.setdefault(name, {})
-
+    def memoized(run: Callable, key: Callable, memo: dict) -> Callable:
         def cached(env) -> bool:
             k = key(env)
             hit = memo.get(k)
@@ -450,7 +455,8 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
                 lambda env: bool(rel(*get(env))))
             cls = classes.setdefault(tag if len(idx) == 1 else (tag, *map(free.index, idx)),
                                      len(classes))
-            return memoized(run, get, (tag, len(idx))), free, cls
+            memo = model.answers.setdefault((tag, len(idx)), {})
+            return memoized(run, get, memo), free, cls
         if kind is Not:
             body, free, bc = node(g.f)
             cls = classes.setdefault((Not, bc), len(classes))
@@ -491,7 +497,7 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
 
             free = bf[:at] + bf[at + 1:] if at >= 0 else bf
             cls = classes.setdefault((kind, bc, at), len(classes))
-            return memoized(run, _getter(free), cls), free, cls
+            return memoized(run, _getter(free), memos.setdefault(cls, {})), free, cls
         raise TypeError(f"not a formula: {g!r}")
 
     run, free, _ = node(f)
@@ -864,7 +870,6 @@ def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem
 
     class _Q:
         def __init__(self):
-            self.cache = {}
             self._bland = {}
             self._members = {}
 

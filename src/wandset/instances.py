@@ -10,6 +10,7 @@ tapping, and the axiom cross-check suite.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -227,22 +228,26 @@ def _union_chain(q: SetQuery, a, n: int) -> Optional[List[Tuple]]:
     return levels
 
 
+# The n-equivalence answers of each query by (n, a, b): they read only the
+# handles' members, which never change, so a query's table goes with it.
+_NEQ: weakref.WeakKeyDictionary[SetQuery, Dict[tuple, Optional[NEquivWitness]]]
+_NEQ = weakref.WeakKeyDictionary()
+
+
 def n_equiv_over(q: SetQuery, a, b, n: int) -> Optional[NEquivWitness]:
     """Search for an n-equivalence witness between ``a`` and ``b``.
 
     The search is exhaustive over bijections of the deepest unions, induced
-    upward, pruned by cardinality profiles; results are memoized on the
-    query's cache.
+    upward, pruned by cardinality profiles; results are memoized per query
+    in ``_NEQ``.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cache = wandspec._query_cache(q)
-    key = ("neq", n, a, b)
-    if key in cache:
-        return cache[key]
-    res = _n_equiv_search(q, a, b, n)
-    cache[key] = res
-    return res
+    table = _NEQ.setdefault(q, {})
+    key = (n, a, b)
+    if key not in table:
+        table[key] = _n_equiv_search(q, a, b, n)
+    return table[key]
 
 
 def n_equiv_holds(q: SetQuery, a, b, n: int) -> bool:
@@ -458,12 +463,10 @@ def _require_church(frag: Fragment) -> int:
 def classify_kind(frag: Fragment, a: int) -> CusKind:
     """Each object is bland, the n-tap of a bland set, or the complement of a
     cardinal; the classifying n is unique."""
-    memo = frag.cache("kind")
-    hit = memo.get(a)
+    hit = frag.kinds.get(a)
     if hit is None:
         _require_church(frag)
-        hit = _classify_kind(frag, a)
-        memo[a] = hit
+        hit = frag.kinds[a] = _classify_kind(frag, a)
     return hit
 
 
@@ -497,11 +500,12 @@ def varin(frag: Fragment, x: int, a: int) -> bool:
 
 def varin_mask(frag: Fragment, a: int) -> int:
     """The expansive extension of ``a`` as a bitmask over ids: its member
-    mask when it is bland, else one sweep over the fragment, memoised."""
+    mask when it is bland, else one sweep over the fragment, memoised with
+    the fragment's masks (it covers every object registered so far)."""
     kind = classify_kind(frag, a)
     if kind.tag == "bland":
         return universe.member_mask(frag, a)
-    memo = frag.cache("varin_mask")
+    memo = universe._masks(frag).varin
     hit = memo.get(a)
     if hit is None:
         everything = (1 << len(frag)) - 1

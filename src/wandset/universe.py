@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import wandspec
 from .errors import BeyondFragment, CapExceeded, NotBland, StabilityViolation, TapUndefinedAt
-from .pureset import mk_set, subsets, vn
+from .pureset import PureSet, mk_set, subsets, vn
 from .wandspec import WandSpec
 
 DEFAULT_MAX_OBJECTS = 200_000
@@ -67,11 +67,18 @@ class Fragment:
     _bland_index: Dict[Members, int] = field(default_factory=dict)
     _tap_index: Dict[TapClass, int] = field(default_factory=dict)
     _tap_of: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
-    _renders: Dict[int, str] = field(default_factory=dict)
     _view: Optional["FragmentView"] = None
-    _caches: Dict[str, dict] = field(default_factory=dict)
     _wevel_ids: Dict[int, int] = field(default_factory=dict)
     _masks: Optional["_Masks"] = None
+    # facts fixed when an object is registered, kept for the fragment's life:
+    # renders, conch codes, kinds (filled by conch and instances), hereditary
+    # blandness, membership in the levels over a base, and encode_pure's hits
+    _renders: Dict[int, str] = field(default_factory=dict)
+    conch_codes: Dict[int, PureSet] = field(default_factory=dict)
+    kinds: Dict[int, "instances.CusKind"] = field(default_factory=dict)
+    _hb: Dict[int, bool] = field(default_factory=dict)
+    _in_ur_levels: Dict[FrozenSet[int], Dict[int, bool]] = field(default_factory=dict)
+    _encoded: Dict[PureSet, int] = field(default_factory=dict)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -83,9 +90,6 @@ class Fragment:
 
     def ids(self) -> range:
         return range(len(self.objects))
-
-    def cache(self, name: str) -> dict:
-        return self._caches.setdefault(name, {})
 
     def register_bland(self, members: Iterable[int], stage: int) -> int:
         """Register the bland set of ``members``, given in any order."""
@@ -143,11 +147,7 @@ class Fragment:
         return self._view
 
     def render(self, oid: int) -> str:
-        """Brace notation; a tapped object shows its least (wand, argument).
-
-        Memoised per id: a registered object never changes, so a render stays
-        valid when the fragment grows.
-        """
+        """Brace notation; a tapped object shows its least (wand, argument)."""
         got = self._renders.get(oid)
         if got is None:
             o = self.obj(oid)
@@ -177,15 +177,11 @@ class Fragment:
     def wand_obj_ids(self) -> Dict[int, int]:
         """Map wand index -> id of its designated hereditarily bland object,
         for wands whose designation is registered in this fragment."""
-        cache = self.cache("wand_objs")
-        if "map" not in cache:
-            out = {}
-            for wid in self.spec.wands:
-                oid = encode_pure(self, vn(wid.index))
-                if oid is not None:
-                    out[wid.index] = oid
-            cache["map"] = out
-        return cache["map"]
+        m = _masks(self)
+        if m.wands is None:
+            m.wands = {w.index: oid for w in self.spec.wands
+                       if (oid := encode_pure(self, vn(w.index))) is not None}
+        return m.wands
 
 
 class FragmentView:
@@ -193,7 +189,6 @@ class FragmentView:
 
     def __init__(self, frag: Fragment):
         self.frag = frag
-        self.cache: dict = {}
         self._below: Dict[int, tuple] = {}
 
     def is_bland(self, h: int) -> bool:
@@ -298,9 +293,12 @@ class _Masks:
 
     Bit ``i`` stands for object ``i``.  They are built on the first query,
     never during construction, and rebuilt when the fragment has grown since.
+    Its memos hold answers that depend on what is registered, so they are
+    dropped with it when the fragment grows.
     """
 
-    __slots__ = ("size", "members", "bland", "subsets", "found", "transitive")
+    __slots__ = ("size", "members", "bland", "subsets", "found", "transitive",
+                 "wevel", "ur_level", "wands", "varin")
 
     def __init__(self, frag: Fragment):
         self.size = len(frag.objects)
@@ -310,6 +308,10 @@ class _Masks:
         self.subsets: Dict[int, int] = {}
         self.found: Dict[int, int] = {}
         self.transitive: Optional[List[Tuple[int, int]]] = None
+        self.wevel: Dict[int, bool] = {}
+        self.ur_level: Dict[FrozenSet[int], Dict[int, bool]] = {}
+        self.wands: Optional[Dict[int, int]] = None
+        self.varin: Dict[int, int] = {}  # filled by instances.varin_mask
 
 
 def _masks(frag: Fragment) -> _Masks:
@@ -410,17 +412,12 @@ def pot(frag: Fragment, a: int) -> int:
 def is_wevel(frag: Fragment, x: int) -> bool:
     """Recognize wevels: s is a wevel iff s equals the pot of its wevel
     members (recursing along that characterization)."""
-    memo = frag.cache("is_wevel")
+    memo = _masks(frag).wevel
     hit = memo.get(x)
-    if hit is not None:
-        return hit
-    o = frag.obj(x)
-    if not o.is_bland:
-        memo[x] = False
-        return False
-    sub = [r for r in o.members if is_wevel(frag, r)]
-    hit = _pot_mask(frag, sub) == member_mask(frag, x)
-    memo[x] = hit
+    if hit is None:
+        o = frag.obj(x)
+        sub = [r for r in o.members or () if is_wevel(frag, r)]
+        hit = memo[x] = o.is_bland and _pot_mask(frag, sub) == member_mask(frag, x)
     return hit
 
 
@@ -452,10 +449,6 @@ def wevel_of(frag: Fragment, a: int) -> int:
     return frag.wevel_id(frag.obj(a).ordrank)
 
 
-def ordrank(frag: Fragment, a: int) -> int:
-    return frag.obj(a).ordrank
-
-
 def tap(frag: Fragment, w: int, a: int) -> Optional[int]:
     """The tap of ``a`` with wand ``w``: None outside the domain of action,
     BeyondFragment when the result was never registered."""
@@ -465,7 +458,7 @@ def tap(frag: Fragment, w: int, a: int) -> Optional[int]:
 # -- hereditary blandness -----------------------------------------------------
 
 def hereditarily_bland(frag: Fragment, a: int) -> bool:
-    memo = frag.cache("hb")
+    memo = frag._hb
     hit = memo.get(a)
     if hit is None:
         o = frag.obj(a)
@@ -502,19 +495,18 @@ def hb_part(frag: Fragment, a: int) -> int:
 
 def encode_pure(frag: Fragment, p) -> Optional[int]:
     """Id of the hereditarily bland object with the same shape as the pure
-    set ``p``, or None when the fragment is too shallow."""
-    memo = frag.cache("encode_pure")
-    if p in memo:
-        return memo[p]
-    ids = []
-    for x in p:
-        sub = encode_pure(frag, x)
-        if sub is None:
-            memo[p] = None
-            return None
-        ids.append(sub)
-    oid = frag.bland_id(ids)
-    memo[p] = oid
+    set ``p``, or None when the fragment is too shallow.  Only hits are
+    memoised: a later registration can fill a miss."""
+    oid = frag._encoded.get(p)
+    if oid is None:
+        ids = []
+        for x in p:
+            if (sub := encode_pure(frag, x)) is None:
+                return None
+            ids.append(sub)
+        oid = frag.bland_id(ids)
+        if oid is not None:
+            frag._encoded[p] = oid
     return oid
 
 
@@ -544,20 +536,16 @@ def ur_level(frag: Fragment, alpha: int, base: FrozenSet[int]) -> FrozenSet[int]
 
 def in_ur_levels(frag: Fragment, base: FrozenSet[int], x: int) -> bool:
     """Whether ``x`` appears at some level over ``base`` (recursive form)."""
-    return _in_ur_levels(frag, base, frag.cache(("vfrom", tuple(sorted(base)))), x)
+    return _in_ur_levels(frag, base, frag._in_ur_levels.setdefault(base, {}), x)
 
 
 def _in_ur_levels(frag: Fragment, base: FrozenSet[int], memo: dict, x: int) -> bool:
     hit = memo.get(x)
     if hit is None:
-        if x in base:
-            hit = True
-        else:
-            o = frag.obj(x)
-            memo[x] = False  # guard against self-membership in odd bases
-            hit = o.is_bland and all(_in_ur_levels(frag, base, memo, m)
-                                     for m in o.members)
-        memo[x] = hit
+        memo[x] = False  # guard against self-membership in odd bases
+        o = frag.obj(x)
+        hit = memo[x] = x in base or (o.is_bland and all(
+            _in_ur_levels(frag, base, memo, m) for m in o.members))
     return hit
 
 
@@ -577,21 +565,16 @@ def ur_pot_ids(frag: Fragment, base: FrozenSet[int], member_ids: Iterable[int]) 
 def is_ur_level(frag: Fragment, base: FrozenSet[int], t: int) -> bool:
     """Recognizer for levels over ``base``, via the characterization that a
     level is the ur-pot of its level members."""
-    return _is_ur_level(frag, base, frag.cache(("is_ur_level", tuple(sorted(base)))), t)
+    return _is_ur_level(frag, base, _masks(frag).ur_level.setdefault(base, {}), t)
 
 
 def _is_ur_level(frag: Fragment, base: FrozenSet[int], memo: dict, t: int) -> bool:
     hit = memo.get(t)
-    if hit is not None:
-        return hit
-    o = frag.obj(t)
-    if not o.is_bland:
-        memo[t] = False
-        return False
-    memo[t] = False  # recursion guard; members may include base elements
-    sub = [r for r in o.members if _is_ur_level(frag, base, memo, r)]
-    hit = _ur_pot_mask(frag, base, sub) == member_mask(frag, t)
-    memo[t] = hit
+    if hit is None:
+        memo[t] = False  # recursion guard; members may include base elements
+        o = frag.obj(t)
+        sub = [r for r in o.members or () if _is_ur_level(frag, base, memo, r)]
+        hit = memo[t] = o.is_bland and _ur_pot_mask(frag, base, sub) == member_mask(frag, t)
     return hit
 
 

@@ -12,14 +12,15 @@ identity of taps collapses to strict identity there.
 The official equivalence is built as a partition.  One sweep per rank m
 (:func:`classes`) unions the raw-E edges among the (wand, handle) pairs of
 rank <= m and checks the good-behaviour conditions on the classes it forms;
-``wellbehaved_at``, ``tap_class``, ``minirank`` and ``check_wellbehaved``
-read those classes, and the conch stages read them too.
+``equiv``, ``wellbehaved_at``, ``tap_class``, ``minirank`` and
+``check_wellbehaved`` read those classes, and the conch stages read them too.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Protocol, Sequence, Tuple
 
 from .errors import SpecError
 from .pureset import PureSet
@@ -81,40 +82,25 @@ class WandSpec:
 
 # -- the defaulting wrapper ---------------------------------------------------
 
-def _raw_equiv_memo(spec: WandSpec, q: SetQuery, w: int, a, u: int, b) -> bool:
-    cache = _query_cache(q)
-    key = ("rawE", w, a, u, b)
-    hit = cache.get(key)
-    if hit is None:
-        hit = bool(spec.raw_equiv(w, a, u, b, q))
-        cache[key] = hit
-    return hit
-
-
-def _query_cache(q: SetQuery) -> dict:
-    cache = getattr(q, "cache", None)
-    if cache is None:
-        cache = {}
-        q.cache = cache
-    return cache
-
-
 def dom(spec: WandSpec, w: int, a, q: SetQuery) -> bool:
     """Official domain-of-action: w is a wand and raw D holds."""
     return 0 <= w < len(spec.wands) and bool(spec.raw_dom(w, a, q))
 
 
 def equiv(spec: WandSpec, w: int, a, u: int, b, q: SetQuery) -> bool:
-    """Official identity-of-taps predicate (the defaulting wrapper)."""
+    """Official identity-of-taps predicate (the defaulting wrapper): the
+    identity clause, or else both pairs share a class of the larger rank's
+    partition, which must not be broken.  Raw E holds exactly within those
+    classes, since each is a raw-E clique holding every raw-E partner of its
+    pairs."""
     nwands = len(spec.wands)
     if not (0 <= w < nwands and 0 <= u < nwands):
         return False
     if w == u and a == b:
         return True
-    if not _raw_equiv_memo(spec, q, w, a, u, b):
-        return False
-    m = max(q.ordrank(a), q.ordrank(b))
-    return wellbehaved_at(spec, q, m)
+    found = classes(spec, q, max(q.ordrank(a), q.ordrank(b)))
+    cls = found.label.get((w, a))
+    return found.broken is None and cls is not None and found.label.get((u, b)) is cls
 
 
 def wellbehaved_at(spec: WandSpec, q: SetQuery, m: int) -> bool:
@@ -129,13 +115,13 @@ def wellbehaved_at(spec: WandSpec, q: SetQuery, m: int) -> bool:
 class Classes:
     """The official classes of the (wand, handle) pairs of rank <= some m.
 
-    ``label`` maps each pair in a class of two or more to that class, a tuple
-    of pairs; every other pair is a class of its own.  ``broken`` is the
-    least rank at which raw E/D misbehave, when that is at or below m, and
-    ``violations`` says how: from that rank up the official equivalence is
-    strict identity, so ``label`` is the last well-behaved rank's.  ``degree``
-    counts each labelled pair's raw-E partners, for the clique check of the
-    next rank.
+    ``label`` maps each pair in a class of two or more to that class, one
+    tuple of pairs shared by all of them; every other pair is a class of its
+    own.  ``broken`` is the least rank at which raw E/D misbehave, when that
+    is at or below m, and ``violations`` says how: from that rank up the
+    official equivalence is strict identity, so ``label`` is the last
+    well-behaved rank's.  ``degree`` counts each labelled pair's raw-E
+    partners, for the clique check of the next rank.
     """
 
     label: dict
@@ -152,23 +138,29 @@ class Classes:
         return list({id(cls): cls for cls in self.label.values()}.values())
 
 
+# The classes of each query by (rank, population below rank + 1): a query's
+# table is dropped with the query, and growth below a rank makes a new key.
+_CLASSES: weakref.WeakKeyDictionary[SetQuery, Dict[Tuple[int, int], Classes]]
+_CLASSES = weakref.WeakKeyDictionary()
+
+
 def classes(spec: WandSpec, q: SetQuery, m: int) -> Classes:
     """The official classes up to rank m, one sweep per rank.
 
     Rank m starts from rank m - 1's classes and probes raw E only on pairs
     whose larger rank is m (through ``equiv_candidates`` when the spec has
-    one).  Each rank is kept on the query under its population, so growth
+    one).  Each rank is kept in ``_CLASSES`` under its population, so growth
     below m rebuilds it.  A violation persists as ranks are added, so every
     rank above a broken one is broken too.
     """
     objs = q.objects_below(m + 1)
-    cache = _query_cache(q)
-    key = ("classes", m, len(objs))
-    got = cache.get(key)
+    table = _CLASSES.setdefault(q, {})
+    key = (m, len(objs))
+    got = table.get(key)
     if got is None:
         base = classes(spec, q, m - 1) if m > 0 else Classes({}, {})
         got = base if base.broken is not None else _sweep(spec, q, m, objs, base)
-        cache[key] = got
+        table[key] = got
     return got
 
 

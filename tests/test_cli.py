@@ -153,6 +153,57 @@ def test_import_rejects_bad_ids(capsys, tmp_path, objs, wevels):
     assert err.startswith("bad data:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("header", "exhaustive"), "false"),
+    (("header", "exhaustive"), 0),
+    (("header", "depth"), "2"),
+    (("header", "depth"), 2.7),
+    (("header", "depth"), True),
+    (("header", "format_version"), True),
+    (("header", "spec_name"), 2),
+    (("objects",), {"0": {}}),
+    (("objects", 1, "ordrank"), True),
+    (("objects", 1, "members"), "0"),
+    (("objects", 1, "members"), [0.0]),
+    (("objects", 1, "members"), {"0": 1}),
+    (("objects", 2, "class"), ["00"]),
+    (("objects", 2, "class"), [[False, 0]]),
+    (("objects", 2, "class"), [[0, "0"]]),
+    (("wevels",), "012"),
+    (("wevels", 1), [False]),
+    (("wevels", 1), "0"),
+], ids=["exhaustive-string", "exhaustive-int", "depth-string", "depth-float", "depth-bool",
+        "format-bool", "spec-name-int", "objects-dict", "ordrank-bool", "members-string",
+        "member-float", "members-dict", "class-pair-string", "wand-bool",
+        "tap-argument-string", "wevels-string", "wevel-id-bool", "wevel-string"])
+def test_import_rejects_inexact_json_types(capsys, tmp_path, path, value):
+    # export writes ints, bools and lists; a file that would re-export to
+    # other bytes is bad data
+    doc = json.loads(_GOLDEN_D2.read_text())
+    *owners, last = path
+    target = doc
+    for key in owners:
+        target = target[key]
+    target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["query", "rank", "--obj", "0", "--in", str(bad)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("bad data:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_import_rejects_a_depth_no_build_makes(capsys, tmp_path, depth):
+    # an empty fragment with the one wevel list such a depth asks for
+    doc = {"header": {"depth": depth, "exhaustive": True, "format_version": 1,
+                      "spec_name": "pure"}, "objects": [], "wevels": [[]][:depth + 1]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for suite in ("core", "conch", "formula"):
+        assert cli.main(["verify", "--suite", suite, "--in", str(bad)]) == 65
+        assert capsys.readouterr().err == f"bad data: depth must be >= 1, not {depth}\n"
+
+
 def test_import_accepts_the_canonical_orders_of_the_rejected_cases(capsys, tmp_path):
     # the same objects as the out-of-order cases above, in canonical order
     for objs in ([dict(_SINGLETON, members=[0, 1], ordrank=2)],
@@ -189,6 +240,12 @@ def test_query_tap(capsys, church_file):
     tap_id = int(capsys.readouterr().out.strip())
     frag = cli.import_fragment(open(church_file).read())
     assert frag.render(tap_id) == "*0{}"
+
+
+def test_query_object_with_a_superscript_digit_is_bad_data(capsys, church_file):
+    # "²".isdigit() holds but int() refuses it: it is read as brace notation
+    assert cli.main(["query", "rank", "--obj", "²", "--in", church_file]) == 65
+    assert capsys.readouterr().err == "bad data: expected '{' at 0\n"
 
 
 def test_query_member_expansive(capsys, church_file):

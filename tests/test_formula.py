@@ -692,6 +692,19 @@ def _recording(model):
     return copy, calls
 
 
+@pytest.mark.parametrize("translation, src, dst", [
+    ("tau", F.lt_model, F.fragment_model), ("bullet", F.fragment_model, F.varin_model)])
+def test_a_batch_calls_each_oracle_once_per_argument_tuple(translation, src, dst):
+    frag = built("church:2", 3)
+    model, calls = _recording(dst(frag))
+    sentences = F.random_sentences(F.TRANSLATIONS[translation][1], 60, seed=7)
+    rows = F.check_interpretation(src(frag), model, translation, sentences)
+    assert all(row.ok for row in rows)
+    assert calls and len(calls) == len(set(calls))
+    # the answers stay with the model: a copy starts without them
+    assert model.answers and not dataclasses.replace(model).answers
+
+
 def _assert_same(model, sentences, env=None):
     """Both evaluators give the same value, and reach the same oracle calls."""
     for name, f in sentences:

@@ -1,7 +1,8 @@
 import pytest
 
-from wandset import instances, suites, universe, wandspec
+from wandset import conch, instances, suites, universe, wandspec
 from wandset.errors import BeyondFragment, CapExceeded, NotBland
+from wandset.pureset import lt_levels, mk_set, vn
 
 from conftest import built, ref_sort_key
 
@@ -451,6 +452,53 @@ def test_masks_follow_a_growing_fragment():
     assert universe.member_mask(frag, grown) == 1 << top
     assert universe.found_at(frag, top, grown) is False
     assert universe.mask_ids(universe.subset_mask(frag, grown)) == [empty, grown]
+
+
+# -- memo lifetimes: answers asked before a registration match a fresh build ------
+
+def _memoised_answers(frag):
+    """Every memoised query, asked of every object (and of the 16 pure sets
+    of rank below 3)."""
+    view, ids = frag.view(), list(frag.ids())
+    out = {
+        "encode_pure": [universe.encode_pure(frag, p) for p in lt_levels(4)[-1]],
+        "wand_obj_ids": dict(frag.wand_obj_ids()),
+        "is_wand": [view.is_wand(a) for a in ids],
+        "is_wevel": [universe.is_wevel(frag, a) for a in ids],
+        "hereditarily_bland": [universe.hereditarily_bland(frag, a) for a in ids],
+        "conch_code": [conch.conch_code(frag, a) for a in ids],
+    }
+    for base in (frozenset(), frozenset(frag.wevel_contents[1])):
+        out["is_ur_level", base] = [universe.is_ur_level(frag, base, a) for a in ids]
+        out["in_ur_levels", base] = [universe.in_ur_levels(frag, base, a) for a in ids]
+    if frag.spec.name.startswith("church:"):
+        out["classify_kind"] = [instances.classify_kind(frag, a) for a in ids]
+        out["varin"] = [[instances.varin(frag, x, a) for x in ids] for a in ids]
+    return out
+
+
+@pytest.mark.parametrize("name, depth, members, grown", [
+    # encode_pure's miss on {{{}}} is filled by the registration
+    ("pure", 2, ["{{}}"], lambda frag, new: universe.encode_pure(frag, mk_set([vn(1)])) == new),
+    # wand 2's designation vn(2) is registered late
+    ("church:2", 2, ["{}", "{{}}"],
+     lambda frag, new: frag.wand_obj_ids().get(2) == new and frag.view().is_wand(new)),
+    # the complement of {} holds the new set
+    ("church:1", 3, ["{{{}}}"],
+     lambda frag, new: instances.varin(frag, new, ids_by_render(frag)["*0{}"])),
+], ids=["pure-encode", "church2-wand", "church1-varin"])
+def test_memos_follow_a_registration(name, depth, members, grown):
+    def register(frag):
+        names = ids_by_render(frag)
+        return frag.register_bland([names[m] for m in members], depth)
+
+    asked = universe.build(wandspec.get_spec(name), depth)
+    _memoised_answers(asked)
+    new = register(asked)
+    assert grown(asked, new)
+    fresh = universe.build(wandspec.get_spec(name), depth)
+    register(fresh)
+    assert _memoised_answers(asked) == _memoised_answers(fresh)
 
 
 def test_wevel_id_lookups_mid_build_still_raise():
