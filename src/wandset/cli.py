@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import sys
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from . import conch, instances, universe, wandspec
@@ -156,6 +157,16 @@ def import_fragment(text: str) -> Fragment:
                     raise DataError(f"wevel {i} must list every id")
             elif c != tuple(range(bisect.bisect_left(ranks, i))):
                 raise DataError(f"wevel {i} must list the ids of rank below {i}")
+        if frag.exhaustive:
+            # an exhaustive build registers every subset of wevel i at stage
+            # i; checking the bit length first keeps the shift small
+            per_rank = Counter(o.ordrank for o in frag.objects if o.is_bland)
+            blands = 0
+            for i, c in enumerate(frag.wevel_contents[:-1]):
+                blands += per_rank[i]
+                if len(c) >= blands.bit_length() or blands != 1 << len(c):
+                    raise DataError(f"exhaustive fragment has {blands} bland sets "
+                                    f"of rank <= {i}, not 2**{len(c)}")
         return frag
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(str(exc)) from exc
@@ -362,6 +373,13 @@ def cmd_translate(args) -> int:
             print(f"{name}: {formula.render(fn(f))}")
         return EXIT_OK
     dst = _load(args.dst)
+    # the expansive reading, on the e side, needs a church fragment
+    e_side = {"bullet": ("--dst", dst), "circle": ("--src", frag)}
+    if args.translation in e_side:
+        flag, side = e_side[args.translation]
+        if not side.spec.name.startswith("church:"):
+            raise UsageError(f"--translation {args.translation} needs a church "
+                             f"fragment as {flag}, not {side.spec.name}")
     src_model, dst_model = {
         "tau": lambda: (formula.lt_model(frag), formula.fragment_model(dst)),
         "tolt": lambda: (formula.fragment_model(frag), formula.conch_model(
@@ -403,13 +421,14 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wandset")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_cap = int(os.environ.get("WANDSET_MAX_OBJECTS",
-                                     universe.DEFAULT_MAX_OBJECTS))
-
     b = sub.add_parser("build", help="grow a fragment and save it")
     b.add_argument("--spec", required=True)
     b.add_argument("--depth", type=_positive_int, required=True)
-    b.add_argument("--max-objects", type=int, default=default_cap)
+    # argparse reads a string default through the type, so a bad
+    # WANDSET_MAX_OBJECTS is a usage error of build alone
+    b.add_argument("--max-objects", type=_positive_int,
+                   default=os.environ.get("WANDSET_MAX_OBJECTS",
+                                          str(universe.DEFAULT_MAX_OBJECTS)))
     b.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_build)

@@ -3,16 +3,15 @@
 A stage-sigma universe code ("conch") is either the carrier of a set of
 earlier conches (a bland code) or a tap class: the set of pairs
 <wand code, argument conch> for all minimal-rank equivalent taps.  Stages are
-generated with the same raw D/E predicates as fragment builds, evaluated over
-the conch-side query interface, so a fragment and its stage encoding can be
-compared bit for bit: the structural recoding of the fragment's rank-<=sigma
-objects must equal stage sigma exactly.
+generated with the same raw D/E predicates as fragment builds, which the
+stages answer the set queries of themselves, so a fragment and its stage
+encoding can be compared bit for bit: the structural recoding of the
+fragment's rank-<=sigma objects must equal stage sigma exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import universe, wandspec
@@ -43,7 +42,7 @@ class ConchStage:
             out = set()
             for a in st.ranked(self.sigma):
                 for w in st.spec.wand_indices():
-                    if wandspec.dom(st.spec, w, a, st.view):
+                    if wandspec.dom(st.spec, w, a, st):
                         out.add((st.wandcodes[w], a))
             self._dom = frozenset(out)
         return self._dom
@@ -57,63 +56,23 @@ class ConchStage:
             codes = st.wandcodes
             self._classes = frozenset(
                 frozenset((codes[w], a) for w, a in cls)
-                for cls in wandspec.partition(st.spec, st.view, self.sigma))
+                for cls in wandspec.partition(st.spec, st, self.sigma))
         return self._classes
 
 
-class _ConchView:
-    """SetQuery interface over generated conches; handles are pure sets."""
-
-    def __init__(self, stages: "Stages"):
-        self.stages = stages
-        self._taps: Dict[Tuple[int, PureSet], Optional[PureSet]] = {}
-
-    def is_bland(self, h: PureSet) -> bool:
-        return is_carrier(h)
-
-    def members(self, h: PureSet) -> Tuple[PureSet, ...]:
-        return uncarrier(h).elements if is_carrier(h) else ()
-
-    def is_wand(self, h: PureSet) -> bool:
-        return h in self.stages.wandcode_set
-
-    def ordrank(self, h: PureSet) -> int:
-        got = self.stages.conchrank.get(h)
-        if got is None:
-            raise NotAConch(repr(h))
-        return got
-
-    def resolve_tap(self, w: int, h: PureSet) -> Optional[PureSet]:
-        key = (w, h)
-        if key in self._taps:
-            return self._taps[key]
-        cls = wandspec.tap_class(self.stages.spec, w, h, self)
-        if cls is None:
-            self._taps[key] = None
-            return None
-        got = self.stages.class_code(cls)
-        self._taps[key] = got
-        return got
-
-    def objects_below(self, r: int) -> Tuple[PureSet, ...]:
-        return self.stages.ranked(r - 1)
-
-
-@dataclass
+@dataclass(eq=False)
 class Stages:
-    """A run of stage generation: conches by rank plus the shared view."""
+    """A run of stage generation: conches by rank.  It answers the set
+    queries of :class:`wandspec.SetQuery` with conches as handles, and
+    compares by identity, so the query tables weakly keyed by it go with it."""
 
     spec: WandSpec
     depth: int
     wandcodes: Tuple[PureSet, ...]
     stages: List[ConchStage] = field(default_factory=list)
     conchrank: Dict[PureSet, int] = field(default_factory=dict)
-    view: _ConchView = None
     _ranked_cache: Dict[int, Tuple[PureSet, ...]] = field(default_factory=dict)
-
-    @cached_property
-    def wandcode_set(self) -> frozenset:
-        return frozenset(self.wandcodes)
+    _taps: Dict[Tuple[int, PureSet], Optional[PureSet]] = field(default_factory=dict)
 
     def ranked(self, top: int) -> Tuple[PureSet, ...]:
         """All conches of stage rank <= top, canonically ordered."""
@@ -128,11 +87,29 @@ class Stages:
         """The pure set coding a tap class: {<wand code, argument>...}."""
         return mk_set(kpair(self.wandcodes[w], b) for w, b in cls)
 
-    def stage_rank(self, c: PureSet) -> int:
-        got = self.conchrank.get(c)
+    def is_bland(self, h: PureSet) -> bool:
+        return is_carrier(h)
+
+    def members(self, h: PureSet) -> Tuple[PureSet, ...]:
+        return uncarrier(h).elements if is_carrier(h) else ()
+
+    def ordrank(self, h: PureSet) -> int:
+        """Least stage at which the conch ``h`` occurs."""
+        got = self.conchrank.get(h)
         if got is None:
-            raise NotAConch(repr(c))
+            raise NotAConch(repr(h))
         return got
+
+    def resolve_tap(self, w: int, h: PureSet) -> Optional[PureSet]:
+        key = (w, h)
+        if key in self._taps:
+            return self._taps[key]
+        cls = wandspec.tap_class(self.spec, w, h, self)
+        got = self._taps[key] = None if cls is None else self.class_code(cls)
+        return got
+
+    def objects_below(self, r: int) -> Tuple[PureSet, ...]:
+        return self.ranked(r - 1)
 
     def omega(self) -> int:
         """Largest wand code rank (0 when there are no wands)."""
@@ -157,7 +134,6 @@ def gen_stages(spec: WandSpec, depth: int, max_width: int = 20) -> Stages:
     """
     codes = tuple(w.code for w in spec.wands)
     st = Stages(spec=spec, depth=depth, wandcodes=codes)
-    st.view = _ConchView(st)
 
     pending_taps: List[PureSet] = []   # classes formed at the previous stage
     for sigma in range(depth):
@@ -180,24 +156,19 @@ def gen_stages(spec: WandSpec, depth: int, max_width: int = 20) -> Stages:
         if sigma + 1 < depth:
             seen = set()
             for a in st.ranked(sigma):
-                if st.stage_rank(a) != sigma:
+                if st.ordrank(a) != sigma:
                     continue
                 for w in spec.wand_indices():
-                    cls = wandspec.tap_class(spec, w, a, st.view)
+                    cls = wandspec.tap_class(spec, w, a, st)
                     if cls is None:
                         continue
-                    if any(st.stage_rank(b) != sigma for _, b in cls):
+                    if any(st.ordrank(b) != sigma for _, b in cls):
                         continue  # equivalent to an earlier tap; not new here
                     code = st.class_code(cls)
                     if code not in seen:
                         seen.add(code)
                         pending_taps.append(code)
     return st
-
-
-def conchrank(stages: Stages, c: PureSet) -> int:
-    """Least stage at which ``c`` occurs."""
-    return stages.stage_rank(c)
 
 
 def check_stage_laws(stages: Stages) -> List[str]:
@@ -211,7 +182,6 @@ def check_stage_laws(stages: Stages) -> List[str]:
     """
     bad: List[str] = []
     spec = stages.spec
-    view = stages.view
     wand_index: Dict[PureSet, int] = {}
     for i, c in enumerate(stages.wandcodes):
         wand_index.setdefault(c, i)
@@ -233,7 +203,7 @@ def check_stage_laws(stages: Stages) -> List[str]:
             if any(x not in stages.conchrank for x in inner):
                 bad.append(f"carrier at rank {r} holds a non-conch")
                 continue
-            sup = max((stages.stage_rank(x) + 1 for x in inner), default=0)
+            sup = max((stages.ordrank(x) + 1 for x in inner), default=0)
             if sup != r:
                 bad.append(f"carrier rank {r} != member sup {sup}")
             continue
@@ -252,13 +222,13 @@ def check_stage_laws(stages: Stages) -> List[str]:
                 bad.append(f"tap class member at rank {r} malformed")
                 continue
             args.append((wand_index[wcode], b))
-        ranks = {stages.stage_rank(b) for _, b in args}
+        ranks = {stages.ordrank(b) for _, b in args}
         if len(ranks) != 1 or ranks.pop() + 1 != r:
             bad.append(f"tap class rank law broken at rank {r}")
         for w, b in args:
-            if not wandspec.dom(spec, w, b, view):
+            if not wandspec.dom(spec, w, b, stages):
                 bad.append(f"tap class member outside domain at rank {r}")
-            cls = wandspec.tap_class(spec, w, b, view)
+            cls = wandspec.tap_class(spec, w, b, stages)
             if cls is None or stages.class_code(cls) != c:
                 bad.append(f"tap class does not regenerate from a member at rank {r}")
 
@@ -270,9 +240,9 @@ def check_stage_laws(stages: Stages) -> List[str]:
             if (w, a) not in hi.dom_pairs:
                 bad.append(f"dom pair lost from stage {sigma} to {sigma + 1}")
         for (w, a) in hi.dom_pairs:
-            if stages.stage_rank(a) <= sigma and (w, a) not in lo_dom:
+            if stages.ordrank(a) <= sigma and (w, a) not in lo_dom:
                 bad.append(f"dom pair appeared late at stage {sigma + 1}")
-        kept = {frozenset(p for p in cls if stages.stage_rank(p[1]) <= sigma)
+        kept = {frozenset(p for p in cls if stages.ordrank(p[1]) <= sigma)
                 for cls in hi.classes} - {frozenset()}
         for _ in _not_within(lo.classes, kept):
             bad.append(f"equiv class lost from stage {sigma} to {sigma + 1}")
@@ -285,7 +255,7 @@ def check_stage_laws(stages: Stages) -> List[str]:
         stage = stages.stages[alpha]
         wev = carrier(mk_set(stage.below))
         for c in stages.ranked(stages.depth - 1):
-            lhs = stages.stage_rank(c) <= alpha
+            lhs = stages.ordrank(c) <= alpha
             rhs = _found_at_code(stages, c, wev)
             if lhs != rhs:
                 bad.append(f"found-at mismatch at stage {alpha}")
@@ -300,13 +270,12 @@ def _not_within(finer, coarser) -> list:
 
 
 def _found_at_code(stages: Stages, c: PureSet, wev: PureSet) -> bool:
-    view = stages.view
     contents = uncarrier(wev).elements
     if is_carrier(c):
         return all(x in contents for x in uncarrier(c))
     for b in contents:
         for w in stages.spec.wand_indices():
-            if view.resolve_tap(w, b) == c:
+            if stages.resolve_tap(w, b) == c:
                 return True
     return False
 
@@ -444,13 +413,12 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
 
     # tap preservation below the safe bound (the guard in the structure-
     # preservation induction: tapping just below the top leaves the fragment)
-    view = frag.view()
     for a in ids:
         if frag.obj(a).ordrank + 1 >= top:
             continue
         for w in frag.spec.wand_indices():
-            got = view.resolve_tap(w, a)
-            stage_tap = stages.view.resolve_tap(w, codes[a])
+            got = frag.resolve_tap(w, a)
+            stage_tap = stages.resolve_tap(w, codes[a])
             lhs = None if got is None else codes[got]
             if lhs != stage_tap:
                 report.record("code_clauses", f"tap flips for wand {w} on object {a}")
@@ -483,13 +451,13 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
             if frag.obj(a).ordrank > sigma:
                 continue
             for w in frag.spec.wand_indices():
-                lhs = wandspec.dom(frag.spec, w, a, view)
+                lhs = wandspec.dom(frag.spec, w, a, frag)
                 rhs = (stages.wandcodes[w], codes[a]) in stage.dom_pairs
                 if lhs != rhs:
                     report.record("relation_stability",
                                   f"dom disagrees at stage {sigma} (wand {w})")
         recoded = frozenset(frozenset((stages.wandcodes[w], codes[a]) for w, a in cls)
-                            for cls in wandspec.partition(frag.spec, view, sigma))
+                            for cls in wandspec.partition(frag.spec, frag, sigma))
         if recoded != stage.classes:
             report.record("relation_stability", f"equiv classes disagree at stage {sigma}")
     return report

@@ -796,7 +796,6 @@ def _eq_atoms(f) -> Iterable[Eq]:
 
 def fragment_model(frag) -> FiniteModel:
     """The ws reading of a fragment: primitive blandness, membership, taps."""
-    view = frag.view()
     wand_index = {oid: idx for idx, oid in frag.wand_obj_ids().items()}
     carrier = tuple(frag.ids())
 
@@ -807,25 +806,23 @@ def fragment_model(frag) -> FiniteModel:
         widx = wand_index.get(w)
         if widx is None or frag.obj(c).is_bland:
             return False
-        if not wandspec.dom(frag.spec, widx, a, view):
+        if not wandspec.dom(frag.spec, widx, a, frag):
             return False
-        return any(wandspec.equiv(frag.spec, widx, a, u, b, view)
+        return any(wandspec.equiv(frag.spec, widx, a, u, b, frag)
                    for u, b in frag.obj(c).tclass)
 
-    finord = _finord_oracle(view)
     model = FiniteModel(
         name=f"{frag.spec.name}-d{frag.depth}", signature=SIG_WS, carrier=carrier,
         bland=lambda x: frag.obj(x).is_bland,
         wand=lambda x: x in wand_index,
         member=member, tap=tapr)
-    model.defined["nequiv"] = _nequiv_oracle(view)
-    model.defined["finord"] = finord
+    model.defined["nequiv"] = _nequiv_oracle(frag)
+    model.defined["finord"] = _finord_oracle(frag)
     # oracles for circle-composites: e-side defined atoms read back over ws
     model.defined["nequiv@"] = _nequiv_over_semantics(
         model, bland_sem=_predicate(model, _CIRCLE_BLAND, _CB_VAR),
         member_sem=lambda x, y: instances.varin(frag, x, y)
-        if frag.spec.name.startswith("church:") else member(x, y),
-        finord_sem=finord)
+        if frag.spec.name.startswith("church:") else member(x, y))
     return model
 
 
@@ -865,7 +862,7 @@ def _finord_oracle(q) -> Callable[[object], bool]:
     return lambda x: instances.vn_decode(q, x) is not None
 
 
-def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem):
+def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem):
     """Generic n-equivalence computed against supplied semantic predicates."""
 
     class _Q:
@@ -890,18 +887,6 @@ def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem, finord_sem
                 self._members[h] = got
             return got
 
-        def is_wand(self, h):
-            return finord_sem(h)
-
-        def ordrank(self, h):
-            return 0
-
-        def resolve_tap(self, w, h):
-            return None
-
-        def objects_below(self, r):
-            return model.carrier
-
     return _nequiv_oracle(_Q())
 
 
@@ -922,7 +907,6 @@ def conch_model(stages) -> FiniteModel:
     """The stage side: carrier is every generated code, with the defined
     predicates of the stage reading."""
     carrier = tuple(stages.ranked(stages.depth - 1))
-    view = stages.view
     code_index: Dict[PureSet, int] = {}
     for i, code in enumerate(stages.wandcodes):
         code_index.setdefault(code, i)
@@ -933,7 +917,7 @@ def conch_model(stages) -> FiniteModel:
             return False
         if a not in stages.conchrank or c not in stages.conchrank:
             return False
-        if not wandspec.dom(stages.spec, widx, a, view):
+        if not wandspec.dom(stages.spec, widx, a, stages):
             return False
         # tap results are pair classes; a carrier's members unpack with an
         # empty tag, which is never a wand code, so carriers fall out here
@@ -944,7 +928,7 @@ def conch_model(stages) -> FiniteModel:
                 return False
             u = code_index.get(wc)
             if u is not None and b in stages.conchrank:
-                if wandspec.equiv(stages.spec, widx, a, u, b, view):
+                if wandspec.equiv(stages.spec, widx, a, u, b, stages):
                     return True
         return False
 
@@ -959,8 +943,8 @@ def conch_model(stages) -> FiniteModel:
                                          and x in uncarrier(y))
     model.defined["wand*"] = lambda x: x in code_index
     model.defined["tap*"] = tap_star
-    model.defined["finord*"] = _finord_oracle(view)
-    model.defined["nequiv*"] = _nequiv_oracle(view)
+    model.defined["finord*"] = _finord_oracle(stages)
+    model.defined["nequiv*"] = _nequiv_oracle(stages)
     return model
 
 
@@ -973,13 +957,11 @@ def varin_model(frag) -> FiniteModel:
         name=f"{frag.spec.name}-d{frag.depth}-expansive", signature=SIG_E,
         carrier=carrier,
         member=lambda x, y: instances.varin(frag, x, y))
-    view = frag.view()
-    model.defined["finord"] = _finord_oracle(view)
+    model.defined["finord"] = _finord_oracle(frag)
     model.defined["nequiv@"] = _nequiv_over_semantics(
         model,
         bland_sem=_predicate(model, _BULLET_BLAND, _CB_VAR),
-        member_sem=lambda x, y: instances.varin(frag, x, y),
-        finord_sem=model.defined["finord"])
+        member_sem=lambda x, y: instances.varin(frag, x, y))
     return model
 
 

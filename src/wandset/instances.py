@@ -140,13 +140,12 @@ def _options(frag: Fragment, y: int) -> Tuple[frozenset, frozenset]:
     if not 0 <= y < len(frag.objects):
         raise BeyondFragment(f"no object {y}")
     o = frag.obj(y)
-    q = frag.view()
     if o.is_bland:
         return frozenset(o.members), frozenset()
     for w, arg in o.tclass:
-        p = pair_decode(q, arg)
+        p = pair_decode(frag, arg)
         if p is not None:
-            return frozenset(q.members(p[0])), frozenset(q.members(p[1]))
+            return frozenset(frag.members(p[0])), frozenset(frag.members(p[1]))
     raise BeyondFragment(f"object {y} is not a game")
 
 
@@ -343,21 +342,16 @@ def _n_equiv_search(q: SetQuery, a, b, n: int) -> Optional[NEquivWitness]:
 
 def union_n(frag: Fragment, a: int, n: int) -> Optional[int]:
     """n-fold union of ``a`` under primitive membership."""
-    q = frag.view()
     cur = a
     for _ in range(n):
         members = set()
-        for x in q.members(cur):
-            members.update(q.members(x))
+        for x in frag.members(cur):
+            members.update(frag.members(x))
         oid = frag.bland_id(members)
         if oid is None:
             raise BeyondFragment("union not registered")
         cur = oid
     return cur
-
-
-def n_equiv(frag: Fragment, a: int, b: int, n: int) -> Optional[NEquivWitness]:
-    return n_equiv_over(frag.view(), a, b, n)
 
 
 # -- the Church family ------------------------------------------------------------
@@ -474,8 +468,7 @@ def _classify_kind(frag: Fragment, a: int) -> CusKind:
     o = frag.obj(a)
     if o.is_bland:
         return CusKind("bland")
-    q = frag.view()
-    bland_pairs = [(w, b) for w, b in o.tclass if q.is_bland(b)]
+    bland_pairs = [(w, b) for w, b in o.tclass if frag.is_bland(b)]
     if bland_pairs:
         w, b = bland_pairs[0]
         others = {w2 for w2, b2 in bland_pairs}
@@ -512,9 +505,8 @@ def varin_mask(frag: Fragment, a: int) -> int:
         if kind.n == 0:
             hit = everything & ~universe.member_mask(frag, kind.base)
         else:
-            q = frag.view()
             hit = universe.ids_mask(x for x in frag.ids()
-                                    if n_equiv_holds(q, x, kind.base, kind.n))
+                                    if n_equiv_holds(frag, x, kind.base, kind.n))
             if kind.tag == "comp_of_card":
                 hit = everything & ~hit
         memo[a] = hit
@@ -559,7 +551,6 @@ def check_cus_axioms(frag: Fragment) -> CusReport:
     extensionality.
     """
     k = _require_church(frag)
-    q = frag.view()
     checks: List[Tuple[str, bool, str]] = []
     ids = list(frag.ids())
     safe = [a for a in ids if frag.obj(a).ordrank + 1 < frag.depth]
@@ -597,7 +588,7 @@ def check_cus_axioms(frag: Fragment) -> CusReport:
                     if ta is None or tb is None:
                         continue
                     same = ta == tb
-                    law = (n == m) and n_equiv_over(q, a, b, n) is not None
+                    law = (n == m) and n_equiv_over(frag, a, b, n) is not None
                     if same != law:
                         bad.append((n, a, m, b))
     add("cardinal-identity-law", not bad, f"{bad[:1]}")
@@ -620,10 +611,10 @@ def check_cus_axioms(frag: Fragment) -> CusReport:
         for n in range(k + 1):
             if n == 0:
                 expected = not any(
-                    q.is_bland(x) and q.resolve_tap(0, x) == a
-                    for x in q.objects_below(q.ordrank(a)))
+                    frag.is_bland(x) and frag.resolve_tap(0, x) == a
+                    for x in frag.objects_below(frag.ordrank(a)))
             else:
-                expected = n_equiv_over(q, a, a, n) is not None
+                expected = n_equiv_over(frag, a, a, n) is not None
             if (taps[(n, a)] is not None) != expected:
                 bad.append((n, a))
     add("making-biconditional", not bad, f"{bad[:1]}")

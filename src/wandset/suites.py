@@ -30,7 +30,6 @@ def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
     """
     rows: List[Row] = []
     ids = list(frag.ids())
-    view = frag.view()
     spec = frag.spec
     depth = frag.depth
     small = len(ids) <= oracle_cap
@@ -146,14 +145,14 @@ def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
         for w, b in frag.obj(c).tclass:
             if universe.tap(frag, w, b) != c:
                 bad.append((c, w, b))
-            if not wandspec.minirank(spec, w, b, view):
+            if not wandspec.minirank(spec, w, b, frag):
                 bad.append(("minrank", c, w, b))
     rows.append(_row("tap-class-members-regenerate", bad))
     safe = [a for a in ids if frag.obj(a).ordrank + 1 < depth]
     bad = []
     for a in safe:
         for w in spec.wand_indices():
-            if (universe.tap(frag, w, a) is not None) != wandspec.dom(spec, w, a, view):
+            if (universe.tap(frag, w, a) is not None) != wandspec.dom(spec, w, a, frag):
                 bad.append((w, a))
     rows.append(_row("tap-defined-iff-in-domain", bad))
     bad = []
@@ -164,7 +163,7 @@ def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
                     ta, tb = universe.tap(frag, w, a), universe.tap(frag, u, b)
                     if ta is None or tb is None:
                         continue
-                    if (ta == tb) != wandspec.equiv(spec, w, a, u, b, view):
+                    if (ta == tb) != wandspec.equiv(spec, w, a, u, b, frag):
                         bad.append((w, a, u, b))
     rows.append(_row("taps-equal-iff-equivalent", bad))
 
@@ -178,13 +177,13 @@ def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
 
     # official predicates behave well over the whole fragment
     if small:
-        report = wandspec.check_wellbehaved(spec, view, depth - 1, wrapped=True)
+        report = wandspec.check_wellbehaved(spec, frag, depth - 1)
         rows.append(("official-predicates-wellbehaved", report.ok,
                      "" if report.ok else f"{report.violations[:3]}"))
     bad = []
     for a in ids:
         for w in spec.wand_indices():
-            if not wandspec.equiv(spec, w, a, w, a, view):
+            if not wandspec.equiv(spec, w, a, w, a, frag):
                 bad.append((w, a))
     rows.append(_row("equiv-identity-clause", bad))
 

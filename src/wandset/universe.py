@@ -55,9 +55,11 @@ class Obj:
         return f"<obj {self.id} {self.kind} rank {self.ordrank}>"
 
 
-@dataclass
+@dataclass(eq=False)
 class Fragment:
-    """A finite prefix of a wand/set universe."""
+    """A finite prefix of a wand/set universe.  It answers the set queries
+    of :class:`wandspec.SetQuery` with object ids as handles, and compares
+    by identity, so the query tables weakly keyed by it go with it."""
 
     spec: WandSpec
     depth: int
@@ -67,7 +69,7 @@ class Fragment:
     _bland_index: Dict[Members, int] = field(default_factory=dict)
     _tap_index: Dict[TapClass, int] = field(default_factory=dict)
     _tap_of: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
-    _view: Optional["FragmentView"] = None
+    _below: Dict[Tuple[int, int], Tuple[int, ...]] = field(default_factory=dict)
     _wevel_ids: Dict[int, int] = field(default_factory=dict)
     _masks: Optional["_Masks"] = None
     # facts fixed when an object is registered, kept for the fragment's life:
@@ -141,11 +143,6 @@ class Fragment:
         package calls this; ``perfbench/tracer.py`` wraps it by name."""
         return oid
 
-    def view(self) -> "FragmentView":
-        if self._view is None:
-            self._view = FragmentView(self)
-        return self._view
-
     def render(self, oid: int) -> str:
         """Brace notation; a tapped object shows its least (wand, argument)."""
         got = self._renders.get(oid)
@@ -183,48 +180,34 @@ class Fragment:
                        if (oid := encode_pure(self, vn(w.index))) is not None}
         return m.wands
 
-
-class FragmentView:
-    """SetQuery interface over a fragment; handles are object ids."""
-
-    def __init__(self, frag: Fragment):
-        self.frag = frag
-        self._below: Dict[int, tuple] = {}
+    # -- set queries ------------------------------------------------------------
 
     def is_bland(self, h: int) -> bool:
-        return self.frag.obj(h).is_bland
+        return self.objects[h].members is not None
 
     def members(self, h: int) -> Members:
-        return self.frag.obj(h).members or ()
-
-    def is_wand(self, h: int) -> bool:
-        return h in self.frag.wand_obj_ids().values()
+        return self.objects[h].members or ()
 
     def ordrank(self, h: int) -> int:
-        return self.frag.obj(h).ordrank
+        return self.objects[h].ordrank
 
     def resolve_tap(self, w: int, h: int) -> Optional[int]:
-        frag = self.frag
         key = (w, h)
-        if key in frag._tap_of:
-            return frag._tap_of[key]
-        cls = wandspec.tap_class(frag.spec, w, h, self)
-        if cls is None:
-            frag._tap_of[key] = None
-            return None
-        cid = frag._tap_index.get(cls)
-        if cid is None:
+        if key in self._tap_of:
+            return self._tap_of[key]
+        cls = wandspec.tap_class(self.spec, w, h, self)
+        cid = None if cls is None else self._tap_index.get(cls)
+        if cls is not None and cid is None:
             raise BeyondFragment(f"tap of wand {w} on rank-{self.ordrank(h)} object")
-        frag._tap_of[key] = cid
+        self._tap_of[key] = cid
         return cid
 
     def objects_below(self, r: int) -> Tuple[int, ...]:
         # keyed by population so mid-build growth invalidates stale answers
-        key = (r, len(self.frag.objects))
+        key = (r, len(self.objects))
         got = self._below.get(key)
         if got is None:
-            got = tuple(o.id for o in self.frag.objects if o.ordrank < r)
-            self._below[key] = got
+            got = self._below[key] = tuple(o.id for o in self.objects if o.ordrank < r)
         return got
 
 
@@ -246,7 +229,6 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     frag = Fragment(spec=spec, depth=depth, exhaustive=(mode == "exhaustive"))
-    view = frag.view()
 
     # each stage registers its new bland sets, then its new tap classes, each
     # group sorted, so ids follow canonical order
@@ -261,7 +243,7 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
             for members in sorted(subsets(prev)):
                 frag._add_bland(members, stage)
 
-        taps = {(w, a): wandspec.tap_class(spec, w, a, view)
+        taps = {(w, a): wandspec.tap_class(spec, w, a, frag)
                 for a in prev for w in spec.wand_indices()}
         new_classes = sorted({c for c in taps.values() if c is not None}
                              - frag._tap_index.keys())
@@ -361,11 +343,10 @@ def found_mask(frag: Fragment, r: int) -> int:
     got = m.found.get(r)
     if got is None:
         got = subset_mask(frag, r)
-        view = frag.view()
         wands = frag.spec.wand_indices()
         for b in frag.obj(r).members or ():
             for w in wands:
-                t = view.resolve_tap(w, b)
+                t = frag.resolve_tap(w, b)
                 if t is not None:
                     got |= 1 << t
         m.found[r] = got
@@ -452,7 +433,7 @@ def wevel_of(frag: Fragment, a: int) -> int:
 def tap(frag: Fragment, w: int, a: int) -> Optional[int]:
     """The tap of ``a`` with wand ``w``: None outside the domain of action,
     BeyondFragment when the result was never registered."""
-    return frag.view().resolve_tap(w, a)
+    return frag.resolve_tap(w, a)
 
 
 # -- hereditary blandness -----------------------------------------------------
@@ -633,14 +614,13 @@ def check_stage_stability(spec: WandSpec, small: Fragment, big: Fragment) -> dic
     if small.depth > big.depth:
         raise ValueError("small fragment must be the shallower one")
     mapping = correspond(small, big)
-    vs, vb = small.view(), big.view()
     checked = 0
     for a in small.ids():
         if small.obj(a).ordrank + 1 >= small.depth:
             continue
         for w in spec.wand_indices():
             checked += 1
-            if wandspec.dom(spec, w, a, vs) != wandspec.dom(spec, w, mapping[a], vb):
+            if wandspec.dom(spec, w, a, small) != wandspec.dom(spec, w, mapping[a], big):
                 raise StabilityViolation(
                     f"dom({w}, rank-{small.obj(a).ordrank} object) flipped "
                     f"between depth {small.depth} and depth {big.depth}")
@@ -650,8 +630,8 @@ def check_stage_stability(spec: WandSpec, small: Fragment, big: Fragment) -> dic
             for w in spec.wand_indices():
                 for u in spec.wand_indices():
                     checked += 1
-                    if (wandspec.equiv(spec, w, a, u, b, vs)
-                            != wandspec.equiv(spec, w, mapping[a], u, mapping[b], vb)):
+                    if (wandspec.equiv(spec, w, a, u, b, small)
+                            != wandspec.equiv(spec, w, mapping[a], u, mapping[b], big)):
                         raise StabilityViolation(
                             f"equiv(({w},{u}), ranks "
                             f"({small.obj(a).ordrank},{small.obj(b).ordrank})) flipped")

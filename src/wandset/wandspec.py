@@ -2,7 +2,9 @@
 
 A spec supplies raw predicates D (domain of action) and E (identity of taps)
 written against the :class:`SetQuery` interface, so the same code runs both
-over built universe fragments and over pure-set stage encodings.  The official
+over built universe fragments and over pure-set stage encodings: a
+``universe.Fragment`` and a ``conch.Stages`` each answer the queries
+themselves.  The official
 ``dom``/``equiv`` predicates wrap the raw ones: ``equiv`` holds outright on
 identical arguments, and otherwise only where, restricted to everything found
 at or below the arguments' stages, E is an equivalence relation and D is
@@ -29,16 +31,17 @@ from .pureset import PureSet
 class SetQuery(Protocol):
     """What raw D/E predicates may ask about the surrounding universe.
 
-    Answers must depend only on the part of the universe at or below the
-    queried handle's rank; this loose-bound contract is enforced by the
-    stage-stability suite, not by construction.
+    Handles are object ids on a fragment and conches on stages.  Answers
+    must depend only on the part of the universe at or below the queried
+    handle's rank; this loose-bound contract is enforced by the
+    stage-stability suite, not by construction.  Query tables such as the
+    class partitions are weakly keyed by the query, so an implementation
+    must hash by identity.
     """
 
     def is_bland(self, h) -> bool: ...
 
     def members(self, h) -> Sequence: ...
-
-    def is_wand(self, h) -> bool: ...
 
     def ordrank(self, h) -> int: ...
 
@@ -260,22 +263,14 @@ class BehaviorReport:
         return not self.violations
 
 
-def check_wellbehaved(spec: WandSpec, q: SetQuery, top_rank: int,
-                      wrapped: bool = True) -> BehaviorReport:
-    """Assert the domain/equivalence laws over everything below top_rank.
-
-    With ``wrapped`` the official classes are checked: official ``dom`` is
-    constant on each and official ``equiv`` links each member to the first
-    (the report must come back empty).  Without it the report holds the raw
-    violations the class sweep met, which is how adversarial fixtures are
-    exposed.
-    """
+def check_wellbehaved(spec: WandSpec, q: SetQuery, top_rank: int) -> BehaviorReport:
+    """Assert the domain/equivalence laws over everything below top_rank:
+    official ``dom`` is constant on each official class and official
+    ``equiv`` links each member to the first (the report must come back
+    empty).  The raw violations the class sweep met are
+    ``classes(spec, q, top_rank).violations``."""
     report = BehaviorReport(spec.name)
-    found = classes(spec, q, top_rank)
-    if not wrapped:
-        report.violations.extend(found.violations)
-        return report
-    for cls in found.groups():
+    for cls in classes(spec, q, top_rank).groups():
         (w, a), rest = cls[0], cls[1:]
         for u, b in rest:
             if not equiv(spec, w, a, u, b, q):

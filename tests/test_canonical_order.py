@@ -63,8 +63,7 @@ def ref_classify_kind(frag, a):
     o = frag.obj(a)
     if o.is_bland:
         return instances.CusKind("bland")
-    q = frag.view()
-    bland_pairs = sorted(((w, b) for w, b in o.tclass if q.is_bland(b)),
+    bland_pairs = sorted(((w, b) for w, b in o.tclass if frag.is_bland(b)),
                          key=lambda p: (p[0], ref_sort_key(frag, p[1])))
     if bland_pairs:
         w, b = bland_pairs[0]
@@ -144,9 +143,8 @@ def test_sort_key_and_render_match_the_sorting_references(frag):
 
 
 def test_view_members_and_decompose_match_the_sorting_references(frag):
-    view = frag.view()
     for a in frag.ids():
-        assert list(view.members(a)) == ref_view_members(frag, a), a
+        assert list(frag.members(a)) == ref_view_members(frag, a), a
         assert universe.decompose(frag, a) == ref_decompose(frag, a), a
 
 
@@ -192,7 +190,6 @@ def reference_build(spec, depth, max_objects=universe.DEFAULT_MAX_OBJECTS,
     it, then (sampled) the small combinations up to the budget.  Ids follow
     registration order, which need not be canonical."""
     frag = universe.Fragment(spec=spec, depth=depth, exhaustive=(mode == "exhaustive"))
-    view = frag.view()
     for stage in range(depth):
         prev = tuple(o.id for o in frag.objects if o.ordrank < stage)
         frag.wevel_contents.append(prev)
@@ -204,7 +201,7 @@ def reference_build(spec, depth, max_objects=universe.DEFAULT_MAX_OBJECTS,
             frag.register_bland(prev_sorted, stage)
         for a in prev_sorted:
             for w in spec.wand_indices():
-                cls = wandspec.tap_class(spec, w, a, view)
+                cls = wandspec.tap_class(spec, w, a, frag)
                 frag._tap_of[(w, a)] = None if cls is None else frag.register_tap(cls)
         if mode == "sampled":
             for size in range(min(subset_bound, len(prev_sorted)) + 1):

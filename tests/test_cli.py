@@ -60,6 +60,29 @@ def test_env_var_sets_default_cap(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("env, flag, says", [
+    ("abc", [], "not an integer: 'abc'"),
+    ("0", [], "must be >= 1, not 0"),
+    (None, ["--max-objects", "-3"], "must be >= 1, not -3"),
+    ("100", ["--max-objects", "abc"], "not an integer: 'abc'"),
+], ids=["env-not-a-number", "env-zero", "flag-negative", "flag-not-a-number"])
+def test_bad_object_budget_is_a_usage_error(capsys, tmp_path, monkeypatch, env, flag, says):
+    if env is not None:
+        monkeypatch.setenv("WANDSET_MAX_OBJECTS", env)
+    out = tmp_path / "x.json"
+    assert cli.main(["build", "--spec", "pure", "--depth", "2", "--out", str(out)] + flag) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert f"--max-objects: {says}" in err
+    assert not out.exists()
+
+
+def test_bad_object_budget_variable_leaves_other_commands_alone(capsys, monkeypatch, pure_file):
+    monkeypatch.setenv("WANDSET_MAX_OBJECTS", "abc")
+    assert cli.main(["query", "rank", "--obj", "{}", "--in", pure_file]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_export_import_roundtrip_bytes(church_file, pure_file):
     for path in (church_file, pure_file):
         text = open(path).read()
@@ -202,6 +225,42 @@ def test_import_rejects_a_depth_no_build_makes(capsys, tmp_path, depth):
     for suite in ("core", "conch", "formula"):
         assert cli.main(["verify", "--suite", suite, "--in", str(bad)]) == 65
         assert capsys.readouterr().err == f"bad data: depth must be >= 1, not {depth}\n"
+
+
+def _sampled_marked_exhaustive(tmp_path):
+    # 9 objects: the budget leaves out {{},*0{}} and {{{}},*0{}} at stage 2
+    path = tmp_path / "sampled.json"
+    assert cli.main(["build", "--spec", "church:2", "--depth", "3", "--mode", "sampled",
+                     "--max-objects", "9", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["header"]["exhaustive"] = True
+    return doc, "bad data: exhaustive fragment has 6 bland sets of rank <= 2, not 2**3\n"
+
+
+def _golden_without_a_singleton(tmp_path):
+    # {{}} dropped from church:2 depth 2, and *0{} renumbered
+    doc = json.loads(_GOLDEN_D2.read_text())
+    assert doc["objects"][1] == {"kind": "bland", "members": [0], "ordrank": 1}
+    del doc["objects"][1]
+    doc["wevels"][2] = [0, 1]
+    return doc, "bad data: exhaustive fragment has 1 bland sets of rank <= 1, not 2**1\n"
+
+
+@pytest.mark.parametrize("make", [_sampled_marked_exhaustive, _golden_without_a_singleton],
+                         ids=["sampled-marked-exhaustive", "golden-without-a-singleton"])
+def test_import_rejects_an_exhaustive_file_without_the_bland_census(capsys, tmp_path, make):
+    doc, says = make(tmp_path)
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    doc["header"]["exhaustive"] = False
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    assert cli.main(["query", "rank", "--obj", "0", "--in", str(good)]) == 0
+    capsys.readouterr()
+    for suite in ("core", "church"):
+        assert cli.main(["verify", "--suite", suite, "--in", str(bad)]) == 65
+        assert capsys.readouterr().err == says
 
 
 def test_import_accepts_the_canonical_orders_of_the_rejected_cases(capsys, tmp_path):
@@ -536,6 +595,18 @@ PASS stage-2-rank-bound :: measured 12 bound 23 slack 11
 def test_verify_conch_on_church_depth3(capsys, church_file):
     assert cli.main(["verify", "--suite", "conch", "--in", church_file]) == 0
     assert capsys.readouterr().out == CONCH_OUT_CHURCH3
+
+
+@pytest.mark.parametrize("translation, flag", [("bullet", "--dst"), ("circle", "--src")])
+def test_expansive_translation_on_a_non_church_side_is_a_usage_error(
+        capsys, church_file, pure_file, tmp_path, translation, flag):
+    sent = tmp_path / "one.sent"
+    sent.write_text("forall x. ~In(x,x)\n")
+    src, dst = (church_file, pure_file) if flag == "--dst" else (pure_file, church_file)
+    assert cli.main(["translate", "--formula", str(sent), "--translation", translation,
+                     "--src", src, "--dst", dst]) == 64
+    assert capsys.readouterr().err == (f"usage error: --translation {translation} needs a "
+                                       f"church fragment as {flag}, not pure\n")
 
 
 def test_unknown_translation_is_a_usage_error(capsys, church_file, tmp_path):

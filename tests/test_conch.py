@@ -45,7 +45,7 @@ def test_cardinal_tap_class_is_singleton(church_stages):
     single = ps.carrier(ps.mk_set([empty]))
     expected = ps.mk_set([ps.kpair(one_code, single)])
     assert church_stages.conchrank.get(expected) == 2
-    assert church_stages.view.resolve_tap(1, single) == expected
+    assert church_stages.resolve_tap(1, single) == expected
 
 
 def test_stage_rank_bound_holds(church_stages):
@@ -117,8 +117,8 @@ def split_one(stages, sigma):
     """Stage sigma's classes with one member of rank <= 2 split off a class
     that holds two such members."""
     classes = stages.stages[sigma].classes
-    cls = next(c for c in classes if sum(stages.stage_rank(a) <= 2 for _, a in c) >= 2)
-    alone = next(p for p in cls if stages.stage_rank(p[1]) <= 2)
+    cls = next(c for c in classes if sum(stages.ordrank(a) <= 2 for _, a in c) >= 2)
+    alone = next(p for p in cls if stages.ordrank(p[1]) <= 2)
     return classes - {cls} | {frozenset([alone]), cls - {alone}}
 
 
@@ -129,7 +129,7 @@ def test_sized_stages_stable_with_classes_below_the_top(sized_stages):
 
 def test_stage_laws_report_a_dropped_dom_pair(sized_stages):
     pair = next(p for p in sized_stages.stages[2].dom_pairs
-                if sized_stages.stage_rank(p[1]) == 2)
+                if sized_stages.ordrank(p[1]) == 2)
     hi = with_stage(sized_stages, 3, _dom=sized_stages.stages[3].dom_pairs - {pair})
     assert conch.check_stage_laws(hi) == ["dom pair lost from stage 2 to 3"]
     lo = with_stage(sized_stages, 2, _dom=sized_stages.stages[2].dom_pairs - {pair})
@@ -146,20 +146,20 @@ def test_stage_laws_report_a_split_class(sized_stages):
 # -- stage ranks -----------------------------------------------------------------------
 
 def test_conchrank_of_empty_carrier(pure_stages):
-    assert conch.conchrank(pure_stages, ps.carrier(ps.EMPTY)) == 0
+    assert pure_stages.ordrank(ps.carrier(ps.EMPTY)) == 0
     with pytest.raises(NotAConch):
-        conch.conchrank(pure_stages, ps.EMPTY)
+        pure_stages.ordrank(ps.EMPTY)
 
 
 def test_deep_carrier_ranks_as_pure_rank(pure_stages):
     for p in ps.lt_levels(3)[-1].elements:
-        assert conch.conchrank(pure_stages, ps.deep_carrier(p)) == ps.rank(p)
+        assert pure_stages.ordrank(ps.deep_carrier(p)) == ps.rank(p)
 
 
 def test_deep_carrier_ranks_up_to_rank_four():
     stages = conch.gen_stages(wandspec.get_spec("pure"), 5)
     for p in ps.lt_levels(6)[-1].elements:
-        assert conch.conchrank(stages, ps.deep_carrier(p)) == ps.rank(p)
+        assert stages.ordrank(ps.deep_carrier(p)) == ps.rank(p)
 
 
 def test_tap_codes_rank_one_above_argument(church_stages):
@@ -225,7 +225,7 @@ def test_cross_construction_bit_exact(church3, church_stages):
 def test_rank_correspondence(church3, church_stages):
     for a in church3.ids():
         assert church3.obj(a).ordrank == \
-            conch.conchrank(church_stages, conch.conch_code(church3, a))
+            church_stages.ordrank(conch.conch_code(church3, a))
 
 
 def test_omega_is_top_wand_code_rank(church_stages):

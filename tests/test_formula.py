@@ -956,6 +956,6 @@ def test_vn_decode_matches_the_conch_numeral_decoder(name, depth):
     stages = conch.gen_stages(wandspec.get_spec(name), depth)
     got = {}
     for c in stages.ranked(depth - 1):
-        got[c] = instances.vn_decode(stages.view, c)
+        got[c] = instances.vn_decode(stages, c)
         assert got[c] == reference_decode_conch_num(c), c
     assert set(got.values()) >= {None, 0, 1, 2}

@@ -265,12 +265,11 @@ def test_conway_star_game_has_expected_options():
 
 def test_partial_fun_first_nontrivial_function():
     frag = built("partial-fun", 6, mode="sampled", subset_bound=2)
-    view = frag.view()
     # the graph {<{0}, 0>} is found at stage 4 and tapped at stage 5
     g = next(a for a in frag.ids()
-             if instances.graph_decode(view, a)
+             if instances.graph_decode(frag, a)
              and len(frag.obj(a).members) == 1
-             and any(x != y for x, y in instances.graph_decode(view, a))
+             and any(x != y for x, y in instances.graph_decode(frag, a))
              and frag.obj(a).ordrank == 4)
     f = universe.tap(frag, 0, g)
     assert f is not None and not frag.obj(f).is_bland
@@ -281,18 +280,17 @@ def test_partial_fun_identity_graph_excluded():
     frag = built("partial-fun", 4)
     names = ids_by_render(frag)
     ident = names["{{{{}}}}"]  # {<0,0>}
-    assert instances.graph_decode(frag.view(), ident) is not None
+    assert instances.graph_decode(frag, ident) is not None
     assert universe.tap(frag, 0, ident) is None
 
 
 def test_multiset_two_copies_exists():
     frag = built("multiset", 7, mode="sampled", subset_bound=2, max_objects=4000)
-    view = frag.view()
     hits = [a for a in frag.ids()
-            if (pairs := instances.graph_decode(view, a))
+            if (pairs := instances.graph_decode(frag, a))
             and len(pairs) == 1
-            and instances.vn_decode(view, pairs[0][1]) == 2
-            and not view.members(pairs[0][0])]
+            and instances.vn_decode(frag, pairs[0][1]) == 2
+            and not frag.members(pairs[0][0])]
     assert hits, "graph {<0, 2>} not found in the sampled build"
     assert any(universe.tap(frag, 0, g) is not None for g in hits)
 
@@ -306,10 +304,9 @@ def ref_found_at(frag, x, r):
         return True
     if ox.is_bland:
         return False
-    view = frag.view()
     for b in r_members:
         for w in frag.spec.wand_indices():
-            if view.resolve_tap(w, b) == x:
+            if frag.resolve_tap(w, b) == x:
                 return True
     return False
 
@@ -459,11 +456,10 @@ def test_masks_follow_a_growing_fragment():
 def _memoised_answers(frag):
     """Every memoised query, asked of every object (and of the 16 pure sets
     of rank below 3)."""
-    view, ids = frag.view(), list(frag.ids())
+    ids = list(frag.ids())
     out = {
         "encode_pure": [universe.encode_pure(frag, p) for p in lt_levels(4)[-1]],
         "wand_obj_ids": dict(frag.wand_obj_ids()),
-        "is_wand": [view.is_wand(a) for a in ids],
         "is_wevel": [universe.is_wevel(frag, a) for a in ids],
         "hereditarily_bland": [universe.hereditarily_bland(frag, a) for a in ids],
         "conch_code": [conch.conch_code(frag, a) for a in ids],
@@ -482,7 +478,7 @@ def _memoised_answers(frag):
     ("pure", 2, ["{{}}"], lambda frag, new: universe.encode_pure(frag, mk_set([vn(1)])) == new),
     # wand 2's designation vn(2) is registered late
     ("church:2", 2, ["{}", "{{}}"],
-     lambda frag, new: frag.wand_obj_ids().get(2) == new and frag.view().is_wand(new)),
+     lambda frag, new: frag.wand_obj_ids().get(2) == new),
     # the complement of {} holds the new set
     ("church:1", 3, ["{{{}}}"],
      lambda frag, new: instances.varin(frag, new, ids_by_render(frag)["*0{}"])),

@@ -1,3 +1,4 @@
+import gc
 import random
 import weakref
 
@@ -84,82 +85,75 @@ SHIPPED = ("pure", "conway", "partial-fun", "multiset", "church:2")
 # -- the official wrapper ------------------------------------------------------------
 
 def test_dom_requires_a_wand(church3):
-    view = church3.view()
     empty = church3.bland_id(frozenset())
-    assert wandspec.dom(church3.spec, 0, empty, view)
-    assert not wandspec.dom(church3.spec, 7, empty, view)
+    assert wandspec.dom(church3.spec, 0, empty, church3)
+    assert not wandspec.dom(church3.spec, 7, empty, church3)
 
 
 def test_dom_examples_church(church3):
-    view = church3.view()
     empty = church3.bland_id(frozenset())
     single = church3.bland_id(frozenset([empty]))
-    comp = view.resolve_tap(0, empty)
-    assert wandspec.dom(church3.spec, 0, empty, view)
-    assert not wandspec.dom(church3.spec, 0, comp, view)
-    assert wandspec.dom(church3.spec, 1, single, view)
-    assert not wandspec.dom(church3.spec, 1, empty, view)
+    comp = church3.resolve_tap(0, empty)
+    assert wandspec.dom(church3.spec, 0, empty, church3)
+    assert not wandspec.dom(church3.spec, 0, comp, church3)
+    assert wandspec.dom(church3.spec, 1, single, church3)
+    assert not wandspec.dom(church3.spec, 1, empty, church3)
 
 
 def test_dom_examples_conway(conway4):
-    view = conway4.view()
     empty = conway4.bland_id(frozenset())
     single = conway4.bland_id(frozenset([empty]))
     pair_self = conway4.bland_id(frozenset([conway4.bland_id(frozenset([single]))]))
     # pair_self codes <{0},{0}>: a doubleton pair of bland sets
-    assert wandspec.dom(conway4.spec, 0, pair_self, view)
+    assert wandspec.dom(conway4.spec, 0, pair_self, conway4)
     # <{0}, 0> has an empty right side: the courtesy case is out of the domain
     double = conway4.bland_id(frozenset([empty, single]))
     pair_right_empty = conway4.bland_id(
         frozenset([conway4.bland_id(frozenset([single])), double]))
-    assert instances.pair_decode(view, pair_right_empty) is not None
-    assert not wandspec.dom(conway4.spec, 0, pair_right_empty, view)
+    assert instances.pair_decode(conway4, pair_right_empty) is not None
+    assert not wandspec.dom(conway4.spec, 0, pair_right_empty, conway4)
 
 
 def test_equiv_identity_clause_everywhere(church3):
-    view = church3.view()
     for a in church3.ids():
         for w in church3.spec.wand_indices():
-            assert wandspec.equiv(church3.spec, w, a, w, a, view)
+            assert wandspec.equiv(church3.spec, w, a, w, a, church3)
 
 
 def test_equiv_links_equinumerous_singletons(church3):
-    view = church3.view()
     empty = church3.bland_id(frozenset())
     single = church3.bland_id(frozenset([empty]))
     double_single = church3.bland_id(frozenset([single]))
-    assert wandspec.equiv(church3.spec, 1, single, 1, double_single, view)
-    assert not wandspec.equiv(church3.spec, 1, single, 2, double_single, view)
+    assert wandspec.equiv(church3.spec, 1, single, 1, double_single, church3)
+    assert not wandspec.equiv(church3.spec, 1, single, 2, double_single, church3)
 
 
 def test_lopsided_equiv_collapses_to_identity():
     spec = lopsided_spec()
     frag = universe.build(spec, 3)
-    view = frag.view()
     empty = frag.bland_id(frozenset())
     single = frag.bland_id(frozenset([empty]))
     # raw E holds upward but the wrapper refuses everything but identity
-    assert spec.raw_equiv(0, empty, 0, single, view)
-    assert not wandspec.equiv(spec, 0, empty, 0, single, view)
-    assert wandspec.equiv(spec, 0, single, 0, single, view)
+    assert spec.raw_equiv(0, empty, 0, single, frag)
+    assert not wandspec.equiv(spec, 0, empty, 0, single, frag)
+    assert wandspec.equiv(spec, 0, single, 0, single, frag)
 
 
 def test_collapse_is_per_level():
     spec = late_breaking_spec()
     frag = universe.build(spec, 4)
-    view = frag.view()
     names = {frag.render(i): i for i in frag.ids()}
     single, double_single = names["{{}}"], names["{{{}}}"]
     # below the breakage the official equivalence follows raw E
-    assert wandspec.equiv(spec, 0, single, 0, double_single, view)
+    assert wandspec.equiv(spec, 0, single, 0, double_single, frag)
     assert universe.tap(frag, 0, single) == universe.tap(frag, 0, double_single)
     # at the breakage rank it collapses to identity despite raw E holding
     rank3_single = next(i for i in frag.ids()
                         if frag.obj(i).ordrank == 3 and frag.obj(i).is_bland
                         and len(frag.obj(i).members) == 1)
-    assert spec.raw_equiv(0, rank3_single, 0, single, view)
-    assert not wandspec.equiv(spec, 0, rank3_single, 0, single, view)
-    assert wandspec.equiv(spec, 0, rank3_single, 0, rank3_single, view)
+    assert spec.raw_equiv(0, rank3_single, 0, single, frag)
+    assert not wandspec.equiv(spec, 0, rank3_single, 0, single, frag)
+    assert wandspec.equiv(spec, 0, rank3_single, 0, rank3_single, frag)
     # the resulting universe still satisfies every law
     from wandset import suites
     assert all(ok for _, ok, _ in suites.core_laws(frag))
@@ -176,13 +170,12 @@ def test_core_laws_hold_at_trivial_depths():
 
 
 def test_minirank(church3):
-    view = church3.view()
     empty = church3.bland_id(frozenset())
     single = church3.bland_id(frozenset([empty]))
     double_single = church3.bland_id(frozenset([single]))
-    assert wandspec.minirank(church3.spec, 1, single, view)
-    assert not wandspec.minirank(church3.spec, 1, double_single, view)
-    assert wandspec.minirank(church3.spec, 0, empty, view)
+    assert wandspec.minirank(church3.spec, 1, single, church3)
+    assert not wandspec.minirank(church3.spec, 1, double_single, church3)
+    assert wandspec.minirank(church3.spec, 0, empty, church3)
 
 
 # -- behavior reports ------------------------------------------------------------------
@@ -190,18 +183,16 @@ def test_minirank(church3):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_wrapped_predicates_wellbehaved(name):
     frag = built(name, 3)
-    report = wandspec.check_wellbehaved(frag.spec, frag.view(), frag.depth - 1)
+    report = wandspec.check_wellbehaved(frag.spec, frag, frag.depth - 1)
     assert report.ok, report.violations[:3]
 
 
 def test_raw_lopsided_spec_reported():
     spec = lopsided_spec()
     frag = universe.build(spec, 3)
-    wrapped = wandspec.check_wellbehaved(spec, frag.view(), frag.depth - 1)
-    assert wrapped.ok
-    raw = wandspec.check_wellbehaved(spec, frag.view(), frag.depth - 1, wrapped=False)
-    assert not raw.ok
-    assert any("reflexive" in v for v in raw.violations)
+    assert wandspec.check_wellbehaved(spec, frag, frag.depth - 1).ok
+    raw = wandspec.classes(spec, frag, frag.depth - 1).violations
+    assert any("reflexive" in v for v in raw)
 
 
 # -- stage stability -----------------------------------------------------------------------
@@ -330,7 +321,7 @@ def reference_tap_class(spec, w, a, q):
            for u in spec.wand_indices() if reference_equiv(spec, w, a, u, b, q)]
     low = min(q.ordrank(b) for _, b in eqs)
     kept = [(u, b) for u, b in eqs if q.ordrank(b) == low]
-    kept.sort(key=lambda p: (p[0], ref_sort_key(q.frag, p[1])))
+    kept.sort(key=lambda p: (p[0], ref_sort_key(q, p[1])))
     return tuple(kept)
 
 
@@ -369,11 +360,11 @@ def reference_check_wellbehaved(spec, q, top_rank, wrapped=True):
 def reference_equiv_quads(stages, sigma):
     """All <w, a, u, b> with both conches of stage rank <= sigma that the
     official equivalence relates (the old ``ConchStage.equiv_quads``)."""
-    spec, view, codes = stages.spec, stages.view, stages.wandcodes
+    spec, codes = stages.spec, stages.wandcodes
     objs = stages.ranked(sigma)
     return {(codes[w], a, codes[u], b) for a in objs for b in objs
             for w in spec.wand_indices() for u in spec.wand_indices()
-            if reference_equiv(spec, w, a, u, b, view)}
+            if reference_equiv(spec, w, a, u, b, stages)}
 
 
 # -- differential tests against the references -----------------------------------------
@@ -394,9 +385,9 @@ def case_spec(name):
 
 
 def case_fragment(name, depth):
-    if name in FIXTURES:
-        return universe.build(case_spec(name), depth, mode=FIXTURES[name][2])
-    return built(name, depth)
+    """A fresh build, so its class tables start empty."""
+    return universe.build(case_spec(name), depth,
+                          mode=FIXTURES[name][2] if name in FIXTURES else "exhaustive")
 
 
 def pairs_up_to(spec, q, m):
@@ -412,20 +403,20 @@ def assert_pairs_match_reference(spec, q, m):
 @pytest.mark.parametrize("name,depth", CASES)
 def test_class_sweep_matches_quadruple_scans(name, depth):
     frag = case_fragment(name, depth)
-    spec, view = frag.spec, universe.FragmentView(frag)
-    top = depth - 1
+    spec, top = frag.spec, depth - 1
     for m in range(depth):
-        assert wandspec.wellbehaved_at(spec, view, m) == reference_wellbehaved_at(spec, view, m), m
-    for wrapped in (True, False):
-        report = wandspec.check_wellbehaved(spec, view, top, wrapped=wrapped)
-        assert report.ok == (not reference_check_wellbehaved(spec, view, top, wrapped)), wrapped
-    assert_pairs_match_reference(spec, view, top)
-    pairs = pairs_up_to(spec, view, top)
+        assert wandspec.wellbehaved_at(spec, frag, m) == reference_wellbehaved_at(spec, frag, m), m
+    report = wandspec.check_wellbehaved(spec, frag, top)
+    assert report.ok == (not reference_check_wellbehaved(spec, frag, top))
+    raw = wandspec.classes(spec, frag, top).violations
+    assert (not raw) == (not reference_check_wellbehaved(spec, frag, top, wrapped=False))
+    assert_pairs_match_reference(spec, frag, top)
+    pairs = pairs_up_to(spec, frag, top)
     rng = random.Random(f"{name}:{depth}")
     quads = [rng.choice(pairs) + rng.choice(pairs) for _ in range(300)] if pairs else []
-    quads += [x + y for cls in wandspec.partition(spec, view, top) for x in cls for y in cls]
+    quads += [x + y for cls in wandspec.partition(spec, frag, top) for x in cls for y in cls]
     for quad in quads:
-        assert wandspec.equiv(spec, *quad, view) == reference_equiv(spec, *quad, view), quad
+        assert wandspec.equiv(spec, *quad, frag) == reference_equiv(spec, *quad, frag), quad
 
 
 # on the conch side every raw-E call decodes carriers, so the quadruple scan
@@ -442,43 +433,68 @@ def test_stage_classes_match_reference_quads(name, depth):
 
 def test_rank_two_classes_survive_a_broken_rank_three():
     frag = universe.build(late_breaking_spec(), 4)
-    spec, view = frag.spec, universe.FragmentView(frag)
-    assert not wandspec.wellbehaved_at(spec, view, 3)
-    assert wandspec.wellbehaved_at(spec, view, 2)
+    spec = frag.spec
+    assert not wandspec.wellbehaved_at(spec, frag, 3)
+    assert wandspec.wellbehaved_at(spec, frag, 2)
     # the broken rank keeps rank two's labels, so equiv finds no pair of
     # rank three in a class there
-    assert all(view.ordrank(a) <= 2 for _, a in wandspec.classes(spec, view, 3).label)
-    assert_pairs_match_reference(spec, view, 2)
-    assert any(len(cls) > 1 for cls in wandspec.partition(spec, view, 2))
+    assert all(frag.ordrank(a) <= 2 for _, a in wandspec.classes(spec, frag, 3).label)
+    assert_pairs_match_reference(spec, frag, 2)
+    assert any(len(cls) > 1 for cls in wandspec.partition(spec, frag, 2))
 
 
 def test_classes_rebuilt_when_population_grows_below():
     # a sampled build leaves out bland sets of three or more members; adding
     # one of rank 3 after rank 3's classes were built must rebuild them
     frag = universe.build(wandspec.get_spec("church:2"), 4, mode="sampled")
-    spec, view = frag.spec, frag.view()
-    before = wandspec.classes(spec, view, 3)
-    assert_pairs_match_reference(spec, view, 3)
+    spec = frag.spec
+    before = wandspec.classes(spec, frag, 3)
+    assert_pairs_match_reference(spec, frag, 3)
     low = [a for a in frag.ids() if frag.obj(a).ordrank == 2 and frag.obj(a).is_bland]
     members = frozenset(low[:3])
     assert len(members) == 3 and frag.bland_id(members) is None
     frag.register_bland(members, 3)
-    assert wandspec.classes(spec, view, 3) is not before
+    assert wandspec.classes(spec, frag, 3) is not before
     for m in range(4):
-        assert wandspec.wellbehaved_at(spec, view, m) == reference_wellbehaved_at(spec, view, m)
-    assert_pairs_match_reference(spec, view, 3)
+        assert wandspec.wellbehaved_at(spec, frag, m) == reference_wellbehaved_at(spec, frag, m)
+    assert_pairs_match_reference(spec, frag, 3)
 
 
 def test_church1_classes_up_to_rank_two():
-    frag = built("church:1", 4)
-    spec, view = frag.spec, universe.FragmentView(frag)
+    frag = universe.build(wandspec.get_spec("church:1"), 4)
+    spec = frag.spec
     for m in range(3):
-        assert wandspec.wellbehaved_at(spec, view, m) == reference_wellbehaved_at(spec, view, m)
-    assert_pairs_match_reference(spec, view, 2)
-    pairs = pairs_up_to(spec, view, 2)
+        assert wandspec.wellbehaved_at(spec, frag, m) == reference_wellbehaved_at(spec, frag, m)
+    assert_pairs_match_reference(spec, frag, 2)
+    pairs = pairs_up_to(spec, frag, 2)
     for x in pairs:
         for y in pairs:
-            assert wandspec.equiv(spec, *x, *y, view) == reference_equiv(spec, *x, *y, view)
+            assert wandspec.equiv(spec, *x, *y, frag) == reference_equiv(spec, *x, *y, frag)
+
+
+def _fragment_query():
+    frag = universe.build(wandspec.get_spec("church:2"), 3)
+    return frag, frag.wevel_id(2)
+
+
+def _stages_query():
+    stages = conch.gen_stages(wandspec.get_spec("church:2"), 3)
+    return stages, stages.ranked(2)[-1]
+
+
+@pytest.mark.parametrize("make", [_fragment_query, _stages_query], ids=["fragment", "stages"])
+def test_query_tables_go_with_their_query(make):
+    q, a = make()
+    wandspec.classes(q.spec, q, 2)
+    instances.n_equiv_over(q, a, a, 2)
+    tables = [(table, table[q]) for table in (wandspec._CLASSES, instances._NEQ)]
+    assert all(got for _, got in tables)
+    dead = weakref.ref(q)
+    del q
+    gc.collect()
+    assert dead() is None
+    for table, got in tables:
+        assert all(other is not got for other in table.values())
 
 
 def test_registry_names():
