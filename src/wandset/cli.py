@@ -254,14 +254,20 @@ def _print_suite(rows: List[Tuple[str, bool, str]]) -> bool:
 # -- commands ---------------------------------------------------------------------
 
 def cmd_build(args) -> int:
+    max_objects = args.max_objects
+    if max_objects is None:
+        try:
+            max_objects = _positive_int(os.environ.get(
+                "WANDSET_MAX_OBJECTS", str(universe.DEFAULT_MAX_OBJECTS)))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"WANDSET_MAX_OBJECTS: {exc}") from None
     try:
         spec = wandspec.get_spec(args.spec)
     except KeyError:
         raise UsageError(f"unknown spec {args.spec!r}") from None
     except SpecError as exc:
         raise UsageError(f"bad spec {args.spec!r}: {exc}") from None
-    frag = universe.build(spec, args.depth, max_objects=args.max_objects,
-                          mode=args.mode)
+    frag = universe.build(spec, args.depth, max_objects=max_objects, mode=args.mode)
     for alpha, contents in enumerate(frag.wevel_contents):
         print(f"stage {alpha}: {len(contents)} objects found earlier")
     by_rank: Dict[int, int] = {}
@@ -339,7 +345,7 @@ def cmd_verify(args) -> int:
     # read off the modules per call, so a wrapper installed on them after import runs
     table = {"core": suites.core_laws, "conch": suites.conch_laws,
              "formula": suites.formula_laws,
-             "church": lambda frag: instances.check_cus_axioms(frag).checks}
+             "church": instances.check_cus_axioms}
     ok = True
     for name in names:
         rows = table[name](frag)
@@ -424,11 +430,8 @@ def make_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="grow a fragment and save it")
     b.add_argument("--spec", required=True)
     b.add_argument("--depth", type=_positive_int, required=True)
-    # argparse reads a string default through the type, so a bad
-    # WANDSET_MAX_OBJECTS is a usage error of build alone
-    b.add_argument("--max-objects", type=_positive_int,
-                   default=os.environ.get("WANDSET_MAX_OBJECTS",
-                                          str(universe.DEFAULT_MAX_OBJECTS)))
+    # absent, cmd_build reads WANDSET_MAX_OBJECTS, so only build checks it
+    b.add_argument("--max-objects", type=_positive_int)
     b.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_build)

@@ -28,7 +28,8 @@ class ConchStage:
 
     sigma: int
     conches: FrozenSet[PureSet]          # everything of stage rank <= sigma
-    below: FrozenSet[PureSet]            # everything of stage rank < sigma
+    below: FrozenSet[PureSet]            # the previous stage's conches
+    ranked: Tuple[PureSet, ...]          # the conches in the order found
     _stages: "Stages" = field(repr=False, default=None)
     _dom: Optional[FrozenSet[Tuple[PureSet, PureSet]]] = None
     _classes: Optional[FrozenSet[FrozenSet[Tuple[PureSet, PureSet]]]] = None
@@ -62,26 +63,28 @@ class ConchStage:
 
 @dataclass(eq=False)
 class Stages:
-    """A run of stage generation: conches by rank.  It answers the set
-    queries of :class:`wandspec.SetQuery` with conches as handles, and
-    compares by identity, so the query tables weakly keyed by it go with it."""
+    """A run of stage generation: conches by rank, in the order found.  It
+    answers the set queries of :class:`wandspec.SetQuery` with conches as
+    handles, and compares by identity, so the query tables weakly keyed by
+    it go with it.  ``wand_of`` maps each wand code to its least wand index."""
 
     spec: WandSpec
     depth: int
     wandcodes: Tuple[PureSet, ...]
     stages: List[ConchStage] = field(default_factory=list)
     conchrank: Dict[PureSet, int] = field(default_factory=dict)
-    _ranked_cache: Dict[int, Tuple[PureSet, ...]] = field(default_factory=dict)
     _taps: Dict[Tuple[int, PureSet], Optional[PureSet]] = field(default_factory=dict)
+    wand_of: Dict[PureSet, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.wand_of = {c: i for i, c in reversed(tuple(enumerate(self.wandcodes)))}
 
     def ranked(self, top: int) -> Tuple[PureSet, ...]:
-        """All conches of stage rank <= top, canonically ordered."""
-        got = self._ranked_cache.get(top)
-        if got is None:
-            got = tuple(sorted((c for c, r in self.conchrank.items() if r <= top),
-                               key=PureSet.sort_key))
-            self._ranked_cache[top] = got
-        return got
+        """All conches of stage rank <= top, in the order the stages found
+        them; a ``top`` past the last stage reads the last stage."""
+        if top < 0:
+            return ()
+        return self.stages[min(top, len(self.stages) - 1)].ranked
 
     def class_code(self, cls: Sequence[Tuple[int, PureSet]]) -> PureSet:
         """The pure set coding a tap class: {<wand code, argument>...}."""
@@ -127,37 +130,36 @@ class Stages:
 def gen_stages(spec: WandSpec, depth: int, max_width: int = 20) -> Stages:
     """Generate stages 0..depth-1 of the conch universe for ``spec``.
 
-    Stage sigma collects the carriers of all subsets of the earlier conches
-    together with the tap classes formed at earlier stages; new tap classes
-    are read off the stage's domain and equivalence relations exactly as in a
-    fragment build.
+    Stage sigma appends to the earlier conches the new carriers of their
+    subsets, in mask order over their canonical sort, then the tap classes
+    formed at sigma - 1 in the order the tap sweep found them; tap classes
+    are read off the stage's relations exactly as in a fragment build.
     """
     codes = tuple(w.code for w in spec.wands)
     st = Stages(spec=spec, depth=depth, wandcodes=codes)
 
+    found: Tuple[PureSet, ...] = ()
+    below: FrozenSet[PureSet] = frozenset()
     pending_taps: List[PureSet] = []   # classes formed at the previous stage
     for sigma in range(depth):
-        spread = st.ranked(sigma - 1)  # memoised by the previous stage's tap sweep
-        if len(spread) > max_width:
+        if len(found) > max_width:
             raise CapExceeded(
-                f"stage {sigma}: 2**{len(spread)} carriers exceed width {max_width}")
-        below = frozenset(spread)
-        fresh = {carrier(_intern(t)) for t in subsets(spread)}
-        fresh.update(pending_taps)
-        for c in fresh:
-            st.conchrank.setdefault(c, sigma)
-        st.stages.append(ConchStage(sigma=sigma, conches=below | fresh,
-                                    below=below, _stages=st))
-        st._ranked_cache.clear()
+                f"stage {sigma}: 2**{len(found)} carriers exceed width {max_width}")
+        spread = sorted(found, key=PureSet.sort_key)  # canonical, as _intern needs
+        new = [c for c in map(carrier, map(_intern, subsets(spread))) if c not in below]
+        new += pending_taps
+        st.conchrank.update(dict.fromkeys(new, sigma))
+        found += tuple(new)
+        st.stages.append(ConchStage(sigma=sigma, conches=frozenset(found), below=below,
+                                    ranked=found, _stages=st))
+        below = st.stages[-1].conches
 
         # tap classes whose minimal argument rank is sigma become the
         # non-bland conches of the next stage
         pending_taps = []
         if sigma + 1 < depth:
             seen = set()
-            for a in st.ranked(sigma):
-                if st.ordrank(a) != sigma:
-                    continue
+            for a in new:
                 for w in spec.wand_indices():
                     cls = wandspec.tap_class(spec, w, a, st)
                     if cls is None:
@@ -182,9 +184,6 @@ def check_stage_laws(stages: Stages) -> List[str]:
     """
     bad: List[str] = []
     spec = stages.spec
-    wand_index: Dict[PureSet, int] = {}
-    for i, c in enumerate(stages.wandcodes):
-        wand_index.setdefault(c, i)
 
     # stages are cumulative: each stage's "below" is exactly the union of
     # the earlier stages, and stage contents grow monotonically
@@ -218,10 +217,10 @@ def check_stage_laws(stages: Stages) -> List[str]:
             continue
         args = []
         for wcode, b in pairs:
-            if wcode not in wand_index or b not in stages.conchrank:
+            if wcode not in stages.wand_of or b not in stages.conchrank:
                 bad.append(f"tap class member at rank {r} malformed")
                 continue
-            args.append((wand_index[wcode], b))
+            args.append((stages.wand_of[wcode], b))
         ranks = {stages.ordrank(b) for _, b in args}
         if len(ranks) != 1 or ranks.pop() + 1 != r:
             bad.append(f"tap class rank law broken at rank {r}")
@@ -249,14 +248,12 @@ def check_stage_laws(stages: Stages) -> List[str]:
         for _ in _not_within(kept, lo.classes):
             bad.append(f"equiv class appeared late at stage {sigma + 1}")
 
-    # found-at reading: rank <= alpha iff found at the carrier of the
-    # alpha-stage's earlier conches
+    # found-at reading: rank <= alpha iff found from the alpha-stage's
+    # earlier conches
     for alpha in range(stages.depth):
-        stage = stages.stages[alpha]
-        wev = carrier(mk_set(stage.below))
         for c in stages.ranked(stages.depth - 1):
             lhs = stages.ordrank(c) <= alpha
-            rhs = _found_at_code(stages, c, wev)
+            rhs = _found_at_code(stages, c, alpha)
             if lhs != rhs:
                 bad.append(f"found-at mismatch at stage {alpha}")
                 break
@@ -269,15 +266,12 @@ def _not_within(finer, coarser) -> list:
     return [cls for cls in finer if not cls <= home.get(next(iter(cls)), frozenset())]
 
 
-def _found_at_code(stages: Stages, c: PureSet, wev: PureSet) -> bool:
-    contents = uncarrier(wev).elements
+def _found_at_code(stages: Stages, c: PureSet, alpha: int) -> bool:
+    """Whether ``c`` is a carrier of, or a tap of, conches below stage alpha."""
     if is_carrier(c):
-        return all(x in contents for x in uncarrier(c))
-    for b in contents:
-        for w in stages.spec.wand_indices():
-            if stages.resolve_tap(w, b) == c:
-                return True
-    return False
+        return all(x in stages.stages[alpha].below for x in uncarrier(c))
+    return any(stages.resolve_tap(w, b) == c for b in stages.ranked(alpha - 1)
+               for w in stages.spec.wand_indices())
 
 
 # -- the structural recoding of a fragment -------------------------------------

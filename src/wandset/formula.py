@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import instances, universe, wandspec
 from .errors import NotAPair, ParseError, SignatureError
-from .pureset import PureSet, is_carrier, kunpair, lt_levels, uncarrier, vn
+from .pureset import is_carrier, kunpair, lt_levels, uncarrier, vn
 
 SIG_WS = "ws"
 SIG_LT = "lt"
@@ -906,13 +906,11 @@ def lt_model(frag) -> FiniteModel:
 def conch_model(stages) -> FiniteModel:
     """The stage side: carrier is every generated code, with the defined
     predicates of the stage reading."""
-    carrier = tuple(stages.ranked(stages.depth - 1))
-    code_index: Dict[PureSet, int] = {}
-    for i, code in enumerate(stages.wandcodes):
-        code_index.setdefault(code, i)
+    carrier = stages.ranked(stages.depth - 1)
+    wand_of = stages.wand_of
 
     def tap_star(w, a, c):
-        widx = code_index.get(w)
+        widx = wand_of.get(w)
         if widx is None:
             return False
         if a not in stages.conchrank or c not in stages.conchrank:
@@ -926,7 +924,7 @@ def conch_model(stages) -> FiniteModel:
                 wc, b = kunpair(p)
             except NotAPair:
                 return False
-            u = code_index.get(wc)
+            u = wand_of.get(wc)
             if u is not None and b in stages.conchrank:
                 if wandspec.equiv(stages.spec, widx, a, u, b, stages):
                     return True
@@ -935,13 +933,13 @@ def conch_model(stages) -> FiniteModel:
     model = FiniteModel(
         name=f"stages-{stages.spec.name}-d{stages.depth}",
         signature=SIG_LT, carrier=carrier,
-        wand=lambda x: x in code_index,
+        wand=lambda x: x in wand_of,
         member=lambda x, y: x in y.elements)
     model.defined["conch"] = lambda x: x in stages.conchrank
     model.defined["bland*"] = lambda x: is_carrier(x) and x in stages.conchrank
     model.defined["in*"] = lambda x, y: (is_carrier(y) and y in stages.conchrank
                                          and x in uncarrier(y))
-    model.defined["wand*"] = lambda x: x in code_index
+    model.defined["wand*"] = lambda x: x in wand_of
     model.defined["tap*"] = tap_star
     model.defined["finord*"] = _finord_oracle(stages)
     model.defined["nequiv*"] = _nequiv_oracle(stages)
@@ -1040,7 +1038,10 @@ def lt_axioms() -> List[Tuple[str, object]]:
 
 # -- random sentences ------------------------------------------------------------------
 
-def random_sentences(sig: str, count: int, seed: int, max_depth: int = 3) -> List[Tuple[str, object]]:
+RANDOM_DEPTH = 3  # the connective and quantifier depth of random sentences
+
+
+def random_sentences(sig: str, count: int, seed: int) -> List[Tuple[str, object]]:
     """Deterministic corpus of closed sentences of modest quantifier depth."""
     rng = random.Random(seed)
     pool = [Var(n) for n in ("x", "y", "z")]
@@ -1066,7 +1067,7 @@ def random_sentences(sig: str, count: int, seed: int, max_depth: int = 3) -> Lis
 
     out = []
     for i in range(count):
-        f = gen(max_depth, [])
+        f = gen(RANDOM_DEPTH, [])
         out.append((f"random-{sig}-{i}", closed(f)))
     return out
 

@@ -529,20 +529,9 @@ def widetap(frag: Fragment, n: int, a: int) -> Optional[int]:
 
 # -- the axiom cross-check suite ---------------------------------------------------
 
-@dataclass
-class CusReport:
-    checks: List[Tuple[str, bool, str]]
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self) -> List[Tuple[str, bool, str]]:
-        return [c for c in self.checks if not c[1]]
-
-
-def check_cus_axioms(frag: Fragment) -> CusReport:
-    """Verify the bespoke universal-set axioms on a church fragment.
+def check_cus_axioms(frag: Fragment) -> List[Tuple[str, bool, str]]:
+    """Verify the bespoke universal-set axioms on a church fragment; returns
+    (law name, passed, witness) rows.
 
     Covers: complement injectivity, double-complement identity, the
     cardinality identity law, separation of cardinal wands, cardinals never
@@ -653,7 +642,7 @@ def check_cus_axioms(frag: Fragment) -> CusReport:
                 bad.append(a)
     add("complement-raises-rank", not bad, f"{bad[:1]}")
 
-    return CusReport(checks)
+    return checks
 
 
 # -- registry wiring -----------------------------------------------------------

@@ -210,6 +210,7 @@ def deep_uncarrier(c: PureSet) -> PureSet:
 # -- carrier hierarchy over a base ------------------------------------------
 
 _DEFAULT_WIDTH = 20  # a level wider than this would have 2**width successors
+_POT_WIDTH = 16  # the widest set lt_levels, the recognizers and the history search expand
 
 
 def carrier_level(alpha: int, base: frozenset, max_width: int = _DEFAULT_WIDTH) -> frozenset:
@@ -239,19 +240,19 @@ def in_carrier_levels(base: frozenset, x: PureSet) -> bool:
     return is_carrier(x) and all(in_carrier_levels(base, y) for y in uncarrier(x))
 
 
-def _carrier_pot(base: frozenset, hs, max_width: int) -> frozenset:
+def _carrier_pot(base: frozenset, hs) -> frozenset:
     # everything available from hs under the carrier reading: the base, plus
     # carriers of subsets of any member's payload
     out = set(base)
     for r in hs:
         payload = uncarrier(r).elements
-        if len(payload) > max_width:
-            raise DepthCapExceeded(f"payload width {len(payload)} exceeds {max_width}")
+        if len(payload) > _POT_WIDTH:
+            raise DepthCapExceeded(f"payload width {len(payload)} exceeds {_POT_WIDTH}")
         out.update(carrier(_intern(t)) for t in subsets(payload))
     return frozenset(out)
 
 
-def is_carrier_level_code(base: frozenset, c: PureSet, max_width: int = 16) -> bool:
+def is_carrier_level_code(base: frozenset, c: PureSet) -> bool:
     """Recognize carriers of levels of the hierarchy over ``base``.
 
     Non-recursive characterization: the payload must equal everything
@@ -261,13 +262,13 @@ def is_carrier_level_code(base: frozenset, c: PureSet, max_width: int = 16) -> b
     if not is_carrier(c):
         return False
     inner = uncarrier(c)
-    sub = [r for r in inner if is_carrier_level_code(base, r, max_width)]
-    return _carrier_pot(base, sub, max_width) == frozenset(inner.elements)
+    sub = [r for r in inner if is_carrier_level_code(base, r)]
+    return _carrier_pot(base, sub) == frozenset(inner.elements)
 
 
 # -- the plain cumulative hierarchy ------------------------------------------
 
-def lt_levels(n: int, max_width: int = 16) -> list:
+def lt_levels(n: int) -> list:
     """The first ``n`` levels of the plain cumulative hierarchy, as PureSets.
 
     Level 0 is empty and each next level collects all subsets of the previous
@@ -279,23 +280,23 @@ def lt_levels(n: int, max_width: int = 16) -> list:
         levels.append(level)
         if i + 1 == n:
             break
-        if len(level) > max_width:
-            raise DepthCapExceeded(f"level width {len(level)} exceeds {max_width}")
+        if len(level) > _POT_WIDTH:
+            raise DepthCapExceeded(f"level width {len(level)} exceeds {_POT_WIDTH}")
         level = mk_set(_intern(t) for t in subsets(level.elements))
     return levels
 
 
-def _pot(members: Iterable[PureSet], max_width: int) -> Optional[PureSet]:
+def _pot(members: Iterable[PureSet]) -> Optional[PureSet]:
     # {x : x is a subset of some member}; None when too wide to materialize
     out = set()
     for r in members:
-        if len(r) > max_width:
-            raise DepthCapExceeded(f"powerset width {len(r)} exceeds {max_width}")
+        if len(r) > _POT_WIDTH:
+            raise DepthCapExceeded(f"powerset width {len(r)} exceeds {_POT_WIDTH}")
         out.update(_intern(t) for t in subsets(r.elements))
     return mk_set(out)
 
 
-def is_lt_level(s: PureSet, max_width: int = 16) -> bool:
+def is_lt_level(s: PureSet) -> bool:
     """Recognize levels of the plain hierarchy.
 
     A level is exactly the set of all subsets of its earlier levels; the
@@ -303,24 +304,24 @@ def is_lt_level(s: PureSet, max_width: int = 16) -> bool:
     """
     if s is EMPTY:
         return True
-    sublevels = [r for r in s if is_lt_level(r, max_width)]
-    return _pot(sublevels, max_width) is s
+    sublevels = [r for r in s if is_lt_level(r)]
+    return _pot(sublevels) is s
 
 
-def lt_history_witness(s: PureSet, max_width: int = 16) -> Optional[frozenset]:
+def lt_history_witness(s: PureSet) -> Optional[frozenset]:
     """Search for a history witnessing that ``s`` is a level.
 
     A history is a set h with r = pot(r & h) for every r in h; s is a level
     iff s = pot(h) for some history h.  The search ranges over subsets of s's
     members, which is exhaustive (any history for s is included in s).
     """
-    if len(s) > max_width:
-        raise DepthCapExceeded(f"member count {len(s)} exceeds {max_width}")
+    if len(s) > _POT_WIDTH:
+        raise DepthCapExceeded(f"member count {len(s)} exceeds {_POT_WIDTH}")
     for h in subsets(s.elements):
         hset = set(h)
-        if _pot(h, max_width) is not s:
+        if _pot(h) is not s:
             continue
-        if all(_pot([q for q in r if q in hset], max_width) is r for r in h):
+        if all(_pot([q for q in r if q in hset]) is r for r in h):
             return frozenset(h)
     return None
 

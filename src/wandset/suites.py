@@ -14,25 +14,27 @@ from . import conch, universe, wandspec
 from .universe import Fragment
 
 Row = Tuple[str, bool, str]
+ORACLE_CAP = 200  # the most objects core_laws reruns its brute-force oracles on
+RANDOM_SENTENCES = 100  # random sentences per language in formula_laws
 
 
 def _row(name: str, bad: list) -> Row:
     return (name, not bad, "" if not bad else f"{bad[:3]}")
 
 
-def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
+def core_laws(frag: Fragment) -> List[Row]:
     """The structural law sweep.
 
     Laws that rerun a brute-force oracle over the whole fragment (wistory
     search, the quadratic good-behavior report, pot inclusion) only run when
-    the fragment has at most ``oracle_cap`` objects; everything the exit
+    the fragment has at most ``ORACLE_CAP`` objects; everything the exit
     criteria pin runs at depths far below that.
     """
     rows: List[Row] = []
     ids = list(frag.ids())
     spec = frag.spec
     depth = frag.depth
-    small = len(ids) <= oracle_cap
+    small = len(ids) <= ORACLE_CAP
 
     # stage bookkeeping: recorded rank is the first stage that finds the object
     bad = [a for a in ids
@@ -177,9 +179,8 @@ def core_laws(frag: Fragment, oracle_cap: int = 200) -> List[Row]:
 
     # official predicates behave well over the whole fragment
     if small:
-        report = wandspec.check_wellbehaved(spec, frag, depth - 1)
-        rows.append(("official-predicates-wellbehaved", report.ok,
-                     "" if report.ok else f"{report.violations[:3]}"))
+        rows.append(_row("official-predicates-wellbehaved",
+                         wandspec.check_wellbehaved(spec, frag, depth - 1)))
     bad = []
     for a in ids:
         for w in spec.wand_indices():
@@ -241,7 +242,7 @@ def conch_laws(frag: Fragment) -> List[Row]:
     return rows
 
 
-def formula_laws(frag: Fragment, random_count: int = 100) -> List[Row]:
+def formula_laws(frag: Fragment) -> List[Row]:
     from . import formula  # imported here: only this suite needs it, and it costs set-up time
 
     def _interp_row(name: str, src, dst, translation: str, sentences) -> Row:
@@ -277,12 +278,12 @@ def formula_laws(frag: Fragment, random_count: int = 100) -> List[Row]:
                             formula.lt_axioms() + formula.lt_relativized_axioms()))
     rows.append(_interp_row(
         "tau-preserves-random-sentences", ltm, wsm, "tau",
-        formula.random_sentences(formula.SIG_LT, random_count, seed=1202)))
+        formula.random_sentences(formula.SIG_LT, RANDOM_SENTENCES, seed=1202)))
     rows.append(_interp_row("tolt-preserves-axioms", wsm, cm, "tolt",
                             formula.ws_axioms() + formula.ws_relativized_axioms()))
     rows.append(_interp_row(
         "tolt-preserves-random-sentences", wsm, cm, "tolt",
-        formula.random_sentences(formula.SIG_WS, random_count, seed=1203)))
+        formula.random_sentences(formula.SIG_WS, RANDOM_SENTENCES, seed=1203)))
 
     if frag.spec.name.startswith("church:"):
         em = formula.varin_model(frag)

@@ -25,6 +25,7 @@ from .pureset import PureSet, mk_set, subsets, vn
 from .wandspec import WandSpec
 
 DEFAULT_MAX_OBJECTS = 200_000
+WISTORY_WIDTH = 16  # the most bland members whose subsets wistory_witness searches
 
 Members = Tuple[int, ...]
 TapClass = Tuple[Tuple[int, int], ...]
@@ -402,7 +403,7 @@ def is_wevel(frag: Fragment, x: int) -> bool:
     return hit
 
 
-def wistory_witness(frag: Fragment, x: int, max_width: int = 16) -> Optional[FrozenSet[int]]:
+def wistory_witness(frag: Fragment, x: int) -> Optional[FrozenSet[int]]:
     """Independent oracle: search for a wistory h with x = pot(h).
 
     Any wistory for x is a set of its own members, so subsets of x's bland
@@ -412,8 +413,8 @@ def wistory_witness(frag: Fragment, x: int, max_width: int = 16) -> Optional[Fro
     if not o.is_bland:
         return None
     cands = [m for m in o.members if frag.obj(m).is_bland]
-    if len(cands) > max_width:
-        raise CapExceeded(f"{len(cands)} candidate members exceed {max_width}")
+    if len(cands) > WISTORY_WIDTH:
+        raise CapExceeded(f"{len(cands)} candidate members exceed {WISTORY_WIDTH}")
     for n in range(len(cands) + 1):
         for combo in itertools.combinations(cands, n):
             h = frozenset(combo)

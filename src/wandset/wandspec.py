@@ -21,8 +21,8 @@ rank <= m and checks the good-behaviour conditions on the classes it forms;
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from .errors import SpecError
 from .pureset import PureSet
@@ -249,35 +249,23 @@ def tap_class(spec: WandSpec, w: int, a, q: SetQuery) -> Optional[Tuple]:
     return tuple(kept)
 
 
-# -- behavior reports ---------------------------------------------------------
+# -- the good-behaviour report ------------------------------------------------
 
-@dataclass
-class BehaviorReport:
-    """Outcome of sweeping the good-behavior laws over a whole fragment."""
-
-    spec_name: str
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_wellbehaved(spec: WandSpec, q: SetQuery, top_rank: int) -> BehaviorReport:
+def check_wellbehaved(spec: WandSpec, q: SetQuery, top_rank: int) -> List[str]:
     """Assert the domain/equivalence laws over everything below top_rank:
     official ``dom`` is constant on each official class and official
-    ``equiv`` links each member to the first (the report must come back
-    empty).  The raw violations the class sweep met are
+    ``equiv`` links each member to the first; returns the violations, which
+    must come back empty.  The raw violations the class sweep met are
     ``classes(spec, q, top_rank).violations``."""
-    report = BehaviorReport(spec.name)
+    violations: List[str] = []
     for cls in classes(spec, q, top_rank).groups():
         (w, a), rest = cls[0], cls[1:]
         for u, b in rest:
             if not equiv(spec, w, a, u, b, q):
-                report.violations.append(f"equiv splits a class: wands ({w},{u})")
+                violations.append(f"equiv splits a class: wands ({w},{u})")
             if dom(spec, w, a, q) != dom(spec, u, b, q):
-                report.violations.append(f"dom not preserved: wands ({w},{u})")
-    return report
+                violations.append(f"dom not preserved: wands ({w},{u})")
+    return violations
 
 
 # -- the spec registry --------------------------------------------------------

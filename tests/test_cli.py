@@ -61,19 +61,19 @@ def test_env_var_sets_default_cap(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("env, flag, says", [
-    ("abc", [], "not an integer: 'abc'"),
-    ("0", [], "must be >= 1, not 0"),
-    (None, ["--max-objects", "-3"], "must be >= 1, not -3"),
-    ("100", ["--max-objects", "abc"], "not an integer: 'abc'"),
+    ("abc", [], "usage error: WANDSET_MAX_OBJECTS: not an integer: 'abc'"),
+    ("0", [], "usage error: WANDSET_MAX_OBJECTS: must be >= 1, not 0"),
+    (None, ["--max-objects", "-3"],
+     "usage error: wandset build: argument --max-objects: must be >= 1, not -3"),
+    ("100", ["--max-objects", "abc"],
+     "usage error: wandset build: argument --max-objects: not an integer: 'abc'"),
 ], ids=["env-not-a-number", "env-zero", "flag-negative", "flag-not-a-number"])
 def test_bad_object_budget_is_a_usage_error(capsys, tmp_path, monkeypatch, env, flag, says):
     if env is not None:
         monkeypatch.setenv("WANDSET_MAX_OBJECTS", env)
     out = tmp_path / "x.json"
     assert cli.main(["build", "--spec", "pure", "--depth", "2", "--out", str(out)] + flag) == 64
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and err.count("\n") == 1
-    assert f"--max-objects: {says}" in err
+    assert capsys.readouterr().err == says + "\n"
     assert not out.exists()
 
 

@@ -127,6 +127,48 @@ def test_sized_stages_stable_with_classes_below_the_top(sized_stages):
     assert any(len(c) > 1 for c in sized_stages.stages[2].classes)
 
 
+def assert_found_in_order(stages):
+    """Each ranked(sigma) extends ranked(sigma - 1) by exactly the conches of
+    stage rank sigma, carriers first, with no repeats; each stage holds its
+    prefix and reads its predecessor's conches; conchrank keeps that order."""
+    prev = ()
+    for sigma in range(stages.depth):
+        got = stages.ranked(sigma)
+        assert got[:len(prev)] == prev
+        assert len(set(got)) == len(got)
+        assert set(got) == {c for c, r in stages.conchrank.items() if r <= sigma}
+        carriers = [ps.is_carrier(c) for c in got[len(prev):]]
+        assert carriers == sorted(carriers, reverse=True)
+        prev = got
+    assert stages.ranked(-1) == ()
+    assert stages.ranked(stages.depth + 3) == prev
+    assert list(stages.conchrank) == list(prev)
+    below = frozenset()
+    for st in stages.stages:
+        assert st.ranked is stages.ranked(st.sigma) and frozenset(st.ranked) == st.conches
+        assert st.below == below
+        below = st.conches
+
+
+@pytest.mark.parametrize("name,depth", [("pure", 4), ("conway", 4), ("church:2", 3),
+                                        ("church:1", 4)])
+def test_stages_keep_conches_in_the_order_found(name, depth):
+    assert_found_in_order(conch.gen_stages(wandspec.get_spec(name), depth))
+
+
+def test_sized_stages_keep_conches_in_the_order_found(sized_stages):
+    assert_found_in_order(sized_stages)
+
+
+def test_ranked_sorts_nothing_after_generation(monkeypatch):
+    stages = conch.gen_stages(wandspec.get_spec("conway"), 4)
+    calls = []
+    real = ps.PureSet.sort_key
+    monkeypatch.setattr(ps.PureSet, "sort_key", lambda self: calls.append(self) or real(self))
+    assert len(stages.ranked(stages.depth - 1)) == 16
+    assert calls == []
+
+
 def test_stage_laws_report_a_dropped_dom_pair(sized_stages):
     pair = next(p for p in sized_stages.stages[2].dom_pairs
                 if sized_stages.ordrank(p[1]) == 2)

@@ -183,14 +183,14 @@ def test_minirank(church3):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_wrapped_predicates_wellbehaved(name):
     frag = built(name, 3)
-    report = wandspec.check_wellbehaved(frag.spec, frag, frag.depth - 1)
-    assert report.ok, report.violations[:3]
+    violations = wandspec.check_wellbehaved(frag.spec, frag, frag.depth - 1)
+    assert not violations, violations[:3]
 
 
 def test_raw_lopsided_spec_reported():
     spec = lopsided_spec()
     frag = universe.build(spec, 3)
-    assert wandspec.check_wellbehaved(spec, frag, frag.depth - 1).ok
+    assert wandspec.check_wellbehaved(spec, frag, frag.depth - 1) == []
     raw = wandspec.classes(spec, frag, frag.depth - 1).violations
     assert any("reflexive" in v for v in raw)
 
@@ -406,8 +406,8 @@ def test_class_sweep_matches_quadruple_scans(name, depth):
     spec, top = frag.spec, depth - 1
     for m in range(depth):
         assert wandspec.wellbehaved_at(spec, frag, m) == reference_wellbehaved_at(spec, frag, m), m
-    report = wandspec.check_wellbehaved(spec, frag, top)
-    assert report.ok == (not reference_check_wellbehaved(spec, frag, top))
+    violations = wandspec.check_wellbehaved(spec, frag, top)
+    assert (not violations) == (not reference_check_wellbehaved(spec, frag, top))
     raw = wandspec.classes(spec, frag, top).violations
     assert (not raw) == (not reference_check_wellbehaved(spec, frag, top, wrapped=False))
     assert_pairs_match_reference(spec, frag, top)
