@@ -122,7 +122,7 @@ class Stages:
         """Per stage: (sigma, measured rank of the stage set, bound)."""
         out = []
         for st in self.stages:
-            measured = rank(mk_set(st.conches))
+            measured = 1 + max(map(rank, st.conches))  # stage 0 holds carrier(EMPTY)
             out.append((st.sigma, measured, self.omega() + 4 * st.sigma + 4))
         return out
 
@@ -284,21 +284,43 @@ def conch_code(frag: Fragment, a: int) -> PureSet:
     Codes are memoised per id in ``Fragment.conch_codes``: a registered
     object never changes.
     """
-    return _conch_code(frag, frag.conch_codes, a)
+    return _conch_code(frag, a)
 
 
-def _conch_code(frag: Fragment, memo: dict, a: int) -> PureSet:
+def _conch_code(frag: Fragment, a: int) -> PureSet:
+    memo = frag.conch_codes
     got = memo.get(a)
     if got is None:
         o = frag.obj(a)
         if o.is_bland:
-            got = carrier(mk_set(_conch_code(frag, memo, m) for m in o.members))
+            pos = _code_positions(frag, o.ordrank)
+            if pos is None:
+                got = carrier(mk_set(_conch_code(frag, m) for m in o.members))
+            else:  # members sorted by their codes' order: canonical as is
+                got = carrier(_intern(tuple(map(
+                    memo.__getitem__, sorted(o.members, key=pos.__getitem__)))))
         else:
             codes = frag.spec.wands
-            got = mk_set(kpair(codes[w].code, _conch_code(frag, memo, b))
-                         for w, b in o.tclass)
+            got = mk_set(kpair(codes[w].code, _conch_code(frag, b)) for w, b in o.tclass)
         memo[a] = got
     return got
+
+
+def _code_positions(frag: Fragment, r: int) -> Optional[Dict[int, int]]:
+    """Each id below rank ``r`` mapped to its code's position in canonical
+    order, kept per population in ``Fragment.conch_positions``; None when two
+    of those codes coincide, so that their carriers dedup through mk_set."""
+    key = (r, len(frag.objects))
+    positions = frag.conch_positions
+    if key not in positions:
+        below = frag.objects_below(r)
+        codes = {b: _conch_code(frag, b) for b in below}
+        if len(set(codes.values())) < len(codes):
+            positions[key] = None
+        else:
+            order = sorted(below, key=lambda b: codes[b].sort_key())
+            positions[key] = {b: i for i, b in enumerate(order)}
+    return positions[key]
 
 
 # -- the round-trip verification -----------------------------------------------

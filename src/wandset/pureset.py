@@ -4,8 +4,13 @@ Every value built through :func:`mk_set` is deduplicated, sorted into a fixed
 total order (rank, then cardinality, then lexicographic on elements) and
 interned, so structural equality coincides with object identity for the life
 of the process.  The trusted entry ``_intern`` skips dedup and sort; its
-caller guarantees a canonical, duplicate-free tuple, such as any subset that
-:func:`subsets` cuts from a canonically sorted spread.  All operations are
+caller guarantees a canonical, duplicate-free tuple.  Its callers: any subset
+that :func:`subsets` or :func:`ordered_subsets` cuts from a canonically
+sorted spread, :func:`lt_levels` (each level built in canonical order by
+:func:`ordered_subsets`), :func:`carrier`, :func:`deep_carrier` and
+:func:`deep_uncarrier` (order preserving, see there), and the bland codes of
+``conch.conch_code`` (members sorted by their codes' canonical positions).
+All operations are
 pure.  The only mutation points are the interning table, keyed by the sorted
 element tuple (the interned set's own ``elements``) and filled with
 ``dict.setdefault``, so racing threads agree on one value, and the
@@ -15,7 +20,8 @@ the process.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DepthCapExceeded, NotACarrier, NotAPair, NotInCodeImage
 
@@ -24,6 +30,7 @@ __all__ = [
     "EMPTY",
     "mk_set",
     "subsets",
+    "ordered_subsets",
     "rank",
     "kpair",
     "kunpair",
@@ -118,6 +125,26 @@ def subsets(spread: Sequence) -> List[tuple]:
     return out
 
 
+def ordered_subsets(spread: Sequence[PureSet]) -> Iterator[tuple]:
+    """Every subset of the canonically sorted ``spread``, as a tuple in spread
+    order, in canonical order: the empty tuple, then by the rank of the top
+    element, then by size, then by index tuple read lexicographically (the
+    elements' order).  The subsets whose top lies in a run of equal-rank
+    elements ending at ``hi`` are the combinations of ``spread[:hi]`` that end
+    in that run, and combinations come in that order for each size."""
+    yield ()
+    hi, n = 0, len(spread)
+    while hi < n:
+        top = spread[hi].rank
+        while hi < n and spread[hi].rank == top:
+            hi += 1
+        head = spread[:hi]
+        for k in range(1, hi + 1):
+            for t in combinations(head, k):
+                if t[-1].rank == top:
+                    yield t
+
+
 EMPTY = mk_set(())
 _SINGLETON_EMPTY = _intern((EMPTY,))
 _CARRIER_OF_EMPTY = _intern((_intern((_SINGLETON_EMPTY,)),))  # {<empty, empty>}
@@ -194,9 +221,17 @@ def deep_carrier(a: PureSet) -> PureSet:
     level n of the carrier hierarchy over the empty base.  Codes are
     memoised per interned set, so a shared subtree is coded once.
     """
+    # The codes of a's elements come out in canonical order, so they are
+    # interned as they are: deep_carrier is strictly monotone in canonical
+    # order.  By induction on rank: a rank-n set codes to rank 4n + 3 (the
+    # payload ranks 1 + max(4(n-1) + 3) = 4n, a carrier 3 above it), so rank
+    # order is kept; every code is a one-element carrier, and carriers of
+    # payloads of equal rank compare as their payloads; a payload has as many
+    # members as the set (the map is injective), and lists the codes of its
+    # elements, which by induction compare as the elements do.
     got = _DEEP.get(a)
     if got is None:
-        got = _DEEP[a] = carrier(mk_set(deep_carrier(x) for x in a))
+        got = _DEEP[a] = carrier(_intern(tuple(map(deep_carrier, a.elements))))
     return got
 
 
@@ -204,7 +239,8 @@ def deep_uncarrier(c: PureSet) -> PureSet:
     """Invert :func:`deep_carrier`; raises NotInCodeImage off the image."""
     if not is_carrier(c):
         raise NotInCodeImage(repr(c))
-    return mk_set(deep_uncarrier(x) for x in uncarrier(c))
+    # the inverse of a strictly monotone map keeps order on its image
+    return _intern(tuple(map(deep_uncarrier, uncarrier(c).elements)))
 
 
 # -- carrier hierarchy over a base ------------------------------------------
@@ -282,12 +318,13 @@ def lt_levels(n: int) -> list:
             break
         if len(level) > _POT_WIDTH:
             raise DepthCapExceeded(f"level width {len(level)} exceeds {_POT_WIDTH}")
-        level = mk_set(_intern(t) for t in subsets(level.elements))
+        level = _intern(tuple(map(_intern, ordered_subsets(level.elements))))
     return levels
 
 
-def _pot(members: Iterable[PureSet]) -> Optional[PureSet]:
-    # {x : x is a subset of some member}; None when too wide to materialize
+def _pot(members: Iterable[PureSet]) -> PureSet:
+    # {x : x is a subset of some member}; raises DepthCapExceeded when a
+    # member is too wide to expand
     out = set()
     for r in members:
         if len(r) > _POT_WIDTH:

@@ -53,6 +53,15 @@ def test_stage_rank_bound_holds(church_stages):
         assert measured <= bound
 
 
+@pytest.mark.parametrize("name,depth", [(name, 3) for name in (
+    "pure", "conway", "partial-fun", "multiset", "church:1", "church:2")] + [("conway", 4)])
+def test_rank_bound_slack_reads_the_rank_of_the_interned_stage(name, depth):
+    stages = conch.gen_stages(wandspec.get_spec(name), depth)
+    want = [(st.sigma, ps.rank(ps.mk_set(st.conches)), stages.omega() + 4 * st.sigma + 4)
+            for st in stages.stages]
+    assert stages.rank_bound_slack() == want
+
+
 def test_trusted_interning_on_conway_stage_subsets():
     # every subset gen_stages cuts from a stage's sorted spread is canonical:
     # the trusted entry lands on the value mk_set builds, with the rank the

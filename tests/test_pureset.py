@@ -129,12 +129,28 @@ def reference_deep_carrier(a):
     return ps.carrier(ps.mk_set(reference_deep_carrier(x) for x in a))
 
 
+def reference_deep_uncarrier(c):
+    return ps.mk_set(reference_deep_uncarrier(x) for x in ps.uncarrier(c))
+
+
+def assert_canonical(s):
+    # a tuple out of canonical order would intern a second value for one set
+    assert list(s.elements) == sorted(s.elements, key=ps.PureSet.sort_key)
+
+
 def test_deep_carrier_matches_reference():
+    # both directions intern their element tuples unsorted; the references
+    # are unmemoised, so every 16th rank-4 set is coded, not all 65,536
     rank4 = ps.lt_levels(6)[-1].elements  # every pure set of rank <= 4
     low = [p for p in rank4 if p.rank <= 3]
     assert len(low) == 16
-    for p in low + list(rank4[::257]) + [rank4[-1]]:
-        assert ps.deep_carrier(p) is reference_deep_carrier(p), p
+    for p in low + list(rank4[16::16]) + [rank4[-1]]:
+        code = ps.deep_carrier(p)
+        assert code is reference_deep_carrier(p), p
+        assert_canonical(ps.uncarrier(code))
+        back = ps.deep_uncarrier(code)
+        assert back is reference_deep_uncarrier(code) and back is p
+        assert_canonical(back)
 
 
 def reference_subsets(spread):
@@ -295,6 +311,12 @@ def test_lt_levels_pass_recognizer_and_history_search():
         assert ps.lt_history_witness(level) is not None
     assert not ps.is_lt_level(S2)
     assert ps.lt_history_witness(S2) is None
+
+
+def test_pot_raises_on_a_member_too_wide_to_expand():
+    s = ps.mk_set(ps.vn(i) for i in range(17))
+    with pytest.raises(DepthCapExceeded):
+        ps._pot([s])
 
 
 def test_recognizer_exact_on_small_universe():
