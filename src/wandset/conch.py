@@ -66,18 +66,15 @@ class Stages:
     """A run of stage generation: conches by rank, in the order found.  It
     answers the set queries of :class:`wandspec.SetQuery` with conches as
     handles, and compares by identity, so the query tables weakly keyed by
-    it go with it.  ``wand_of`` maps each wand code to its least wand index."""
+    it go with it.  ``wand_of`` maps each wand code to its wand index."""
 
     spec: WandSpec
     depth: int
     wandcodes: Tuple[PureSet, ...]
+    wand_of: Dict[PureSet, int] = field(repr=False)
     stages: List[ConchStage] = field(default_factory=list)
     conchrank: Dict[PureSet, int] = field(default_factory=dict)
     _taps: Dict[Tuple[int, PureSet], Optional[PureSet]] = field(default_factory=dict)
-    wand_of: Dict[PureSet, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.wand_of = {c: i for i, c in reversed(tuple(enumerate(self.wandcodes)))}
 
     def ranked(self, top: int) -> Tuple[PureSet, ...]:
         """All conches of stage rank <= top, in the order the stages found
@@ -136,7 +133,8 @@ def gen_stages(spec: WandSpec, depth: int, max_width: int = 20) -> Stages:
     are read off the stage's relations exactly as in a fragment build.
     """
     codes = tuple(w.code for w in spec.wands)
-    st = Stages(spec=spec, depth=depth, wandcodes=codes)
+    st = Stages(spec=spec, depth=depth, wandcodes=codes,
+                wand_of={c: i for i, c in enumerate(codes)})
 
     found: Tuple[PureSet, ...] = ()
     below: FrozenSet[PureSet] = frozenset()
@@ -292,13 +290,10 @@ def _conch_code(frag: Fragment, a: int) -> PureSet:
     got = memo.get(a)
     if got is None:
         o = frag.obj(a)
-        if o.is_bland:
+        if o.is_bland:  # members sorted by their codes' order: canonical as is
             pos = _code_positions(frag, o.ordrank)
-            if pos is None:
-                got = carrier(mk_set(_conch_code(frag, m) for m in o.members))
-            else:  # members sorted by their codes' order: canonical as is
-                got = carrier(_intern(tuple(map(
-                    memo.__getitem__, sorted(o.members, key=pos.__getitem__)))))
+            got = carrier(_intern(tuple(map(
+                memo.__getitem__, sorted(o.members, key=pos.__getitem__)))))
         else:
             codes = frag.spec.wands
             got = mk_set(kpair(codes[w].code, _conch_code(frag, b)) for w, b in o.tclass)
@@ -306,48 +301,28 @@ def _conch_code(frag: Fragment, a: int) -> PureSet:
     return got
 
 
-def _code_positions(frag: Fragment, r: int) -> Optional[Dict[int, int]]:
+def _code_positions(frag: Fragment, r: int) -> Dict[int, int]:
     """Each id below rank ``r`` mapped to its code's position in canonical
-    order, kept per population in ``Fragment.conch_positions``; None when two
-    of those codes coincide, so that their carriers dedup through mk_set."""
+    order, kept per population in ``Fragment.conch_positions``.  Distinct
+    objects have distinct codes, by induction on rank, because a spec's wand
+    codes are distinct; two that coincide would intern a carrier with a
+    repeated member, so they raise."""
     key = (r, len(frag.objects))
     positions = frag.conch_positions
-    if key not in positions:
+    got = positions.get(key)
+    if got is None:
         below = frag.objects_below(r)
         codes = {b: _conch_code(frag, b) for b in below}
         if len(set(codes.values())) < len(codes):
-            positions[key] = None
-        else:
-            order = sorted(below, key=lambda b: codes[b].sort_key())
-            positions[key] = {b: i for i, b in enumerate(order)}
-    return positions[key]
+            raise ValueError(f"two objects below rank {r} share a conch code")
+        order = sorted(below, key=lambda b: codes[b].sort_key())
+        got = positions[key] = {b: i for i, b in enumerate(order)}
+    return got
 
 
 # -- the round-trip verification -----------------------------------------------
 
-@dataclass
-class SynonymyReport:
-    """Outcome of the full witness verification, per check group."""
-
-    sections: Dict[str, List[str]] = field(default_factory=dict)
-
-    def record(self, section: str, witness: Optional[str]) -> None:
-        bucket = self.sections.setdefault(section, [])
-        if witness:
-            bucket.append(witness)
-
-    def ok(self, section: str) -> bool:
-        return not self.sections.get(section)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(not v for v in self.sections.values())
-
-    def failures(self) -> Dict[str, List[str]]:
-        return {k: v for k, v in self.sections.items() if v}
-
-
-def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
+def verify_roundtrip(frag: Fragment, stages: Stages) -> Dict[str, List[str]]:
     """Verify the two witness maps between a fragment and its stages.
 
     Checks, over everything in the exhaustive fragment: the pure-set code map
@@ -356,19 +331,19 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
     injective, preserves blandness and membership everywhere and taps below
     the safe rank bound; ranks correspond; and the recoded fragment equals
     the independently generated stages bit for bit.
+
+    Returns the failure witnesses of each check group, by group name; every
+    list is empty when the witnesses hold.
     """
     from .pureset import lt_levels
 
-    report = SynonymyReport()
     if not frag.exhaustive:
-        report.record("preconditions", "fragment not exhaustive")
-        return report
+        return {"preconditions": ["fragment not exhaustive"]}
     if frag.depth != stages.depth or frag.spec.name != stages.spec.name:
-        report.record("preconditions", "fragment and stages disagree on spec/depth")
-        return report
-    for name in ("hb_iso", "code_injective", "code_clauses", "rank_correspondence",
-                 "cross_construction", "level_correspondence", "relation_stability"):
-        report.sections.setdefault(name, [])
+        return {"preconditions": ["fragment and stages disagree on spec/depth"]}
+    report: Dict[str, List[str]] = {name: [] for name in (
+        "hb_iso", "code_injective", "code_clauses", "rank_correspondence",
+        "cross_construction", "level_correspondence", "relation_stability")}
 
     ids = list(frag.ids())
     top = frag.depth - 1
@@ -380,52 +355,52 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
     for p in pures:
         oid = universe.encode_pure(frag, p)
         if oid is None:
-            report.record("hb_iso", f"pure set of rank {rank(p)} has no object")
+            report["hb_iso"].append(f"pure set of rank {rank(p)} has no object")
             continue
         encoded[p] = oid
     if sorted(encoded.values()) != sorted(hb_ids):
-        report.record("hb_iso", "pure sets do not biject onto the hereditarily bland objects")
+        report["hb_iso"].append(
+            "pure sets do not biject onto the hereditarily bland objects")
     for p, po in encoded.items():
         for q, qo in encoded.items():
             if (p in q) != (po in frag.obj(qo).members):
-                report.record("hb_iso", f"membership not preserved ({p} in {q})")
+                report["hb_iso"].append(f"membership not preserved ({p} in {q})")
     for p in pures:
         code = deep_carrier(p)
         if stages.conchrank.get(code) != rank(p):
-            report.record("hb_iso", f"code of rank-{rank(p)} pure set ranks wrong")
+            report["hb_iso"].append(f"code of rank-{rank(p)} pure set ranks wrong")
         if not in_carrier_levels(frozenset(), code):
-            report.record("hb_iso", "code escapes the empty-base carrier hierarchy")
+            report["hb_iso"].append("code escapes the empty-base carrier hierarchy")
     hb_codes = {conch_code(frag, a) for a in hb_ids}
     pure_codes = {deep_carrier(p) for p in pures}
     if hb_codes != pure_codes:
-        report.record("hb_iso", "hereditarily bland codes differ from pure-set codes")
+        report["hb_iso"].append("hereditarily bland codes differ from pure-set codes")
     wand_objs = frag.wand_obj_ids()
     for wid in frag.spec.wands:
         oid = wand_objs.get(wid.index)
         if oid is None:
-            report.record("hb_iso", f"wand {wid.index} designation unregistered")
+            report["hb_iso"].append(f"wand {wid.index} designation unregistered")
         elif conch_code(frag, oid) != wid.code:
-            report.record("hb_iso", f"wand {wid.index} code mismatch")
+            report["hb_iso"].append(f"wand {wid.index} code mismatch")
 
     # -- the recoding map
     codes = {a: conch_code(frag, a) for a in ids}
     if len(set(codes.values())) != len(ids):
-        report.record("code_injective", "two objects share a code")
+        report["code_injective"].append("two objects share a code")
 
     for a in ids:
         o = frag.obj(a)
         if o.is_bland != is_carrier(codes[a]):
-            report.record("code_clauses", f"blandness flips for object {a}")
+            report["code_clauses"].append(f"blandness flips for object {a}")
         if o.ordrank != stages.conchrank.get(codes[a]):
-            report.record("rank_correspondence",
-                          f"object {a}: rank {o.ordrank} vs stage "
-                          f"{stages.conchrank.get(codes[a])}")
+            report["rank_correspondence"].append(
+                f"object {a}: rank {o.ordrank} vs stage {stages.conchrank.get(codes[a])}")
     for a in ids:
         for b in ids:
             lhs = bool(universe.member_mask(frag, b) >> a & 1)
             rhs = is_carrier(codes[b]) and codes[a] in uncarrier(codes[b])
             if lhs != rhs:
-                report.record("code_clauses", f"membership flips for ({a},{b})")
+                report["code_clauses"].append(f"membership flips for ({a},{b})")
 
     # tap preservation below the safe bound (the guard in the structure-
     # preservation induction: tapping just below the top leaves the fragment)
@@ -437,15 +412,15 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
             stage_tap = stages.resolve_tap(w, codes[a])
             lhs = None if got is None else codes[got]
             if lhs != stage_tap:
-                report.record("code_clauses", f"tap flips for wand {w} on object {a}")
+                report["code_clauses"].append(f"tap flips for wand {w} on object {a}")
 
     # -- cross construction: recoded rank-<=sigma fragment == stage sigma
     for sigma in range(frag.depth):
         want = frozenset(codes[a] for a in ids if frag.obj(a).ordrank <= sigma)
         got = stages.stages[sigma].conches
         if want != got:
-            report.record("cross_construction",
-                          f"stage {sigma}: {len(want)} recoded vs {len(got)} generated")
+            report["cross_construction"].append(
+                f"stage {sigma}: {len(want)} recoded vs {len(got)} generated")
 
     # -- the bland hierarchies over matching stages correspond: an object
     # sits in some level over the stage-alpha contents exactly when its code
@@ -457,8 +432,8 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
             lhs = universe.in_ur_levels(frag, base_ids, a)
             rhs = in_carrier_levels(base_codes, codes[a])
             if lhs != rhs:
-                report.record("level_correspondence",
-                              f"object {a} at stage {alpha}: {lhs} vs {rhs}")
+                report["level_correspondence"].append(
+                    f"object {a} at stage {alpha}: {lhs} vs {rhs}")
 
     # -- relation answers agree between the fragment and every stage
     for sigma in range(frag.depth):
@@ -470,10 +445,10 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> SynonymyReport:
                 lhs = wandspec.dom(frag.spec, w, a, frag)
                 rhs = (stages.wandcodes[w], codes[a]) in stage.dom_pairs
                 if lhs != rhs:
-                    report.record("relation_stability",
-                                  f"dom disagrees at stage {sigma} (wand {w})")
+                    report["relation_stability"].append(
+                        f"dom disagrees at stage {sigma} (wand {w})")
         recoded = frozenset(frozenset((stages.wandcodes[w], codes[a]) for w, a in cls)
                             for cls in wandspec.partition(frag.spec, frag, sigma))
         if recoded != stage.classes:
-            report.record("relation_stability", f"equiv classes disagree at stage {sigma}")
+            report["relation_stability"].append(f"equiv classes disagree at stage {sigma}")
     return report

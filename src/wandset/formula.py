@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import instances, universe, wandspec
-from .errors import NotAPair, ParseError, SignatureError
-from .pureset import is_carrier, kunpair, lt_levels, uncarrier, vn
+from . import instances, universe
+from .errors import BeyondFragment, ParseError, SignatureError
+from .pureset import lt_levels, vn
 
 SIG_WS = "ws"
 SIG_LT = "lt"
@@ -277,8 +277,6 @@ class _Parser:
 
     def atom(self):
         _, head, at = self.take("ident")
-        if head in ("forall", "exists"):
-            raise ParseError("quantifier cannot start an atom", at)
         kind = _HEADS.get(head)
         if kind is None:
             self.take("punct", "=")
@@ -589,8 +587,10 @@ def found_at_formula(x: Var, r: Var, fresh: _Fresh):
               Exists(w, Exists(b, And(In(b, r), Tap(w, b, x)))))
 
 
-def wevel_formula(s: Var, fresh: _Fresh):
-    """s is a stage proxy: the pot of some wistory."""
+def _history_pot(s: Var, fresh: _Fresh, found_at: Callable, wistory: bool):
+    """s is the pot of some history h: every member a of h is the pot of
+    its members in h, and a pot collects everything ``found_at`` one of the
+    source's members.  A wistory must also be bland."""
     h = fresh()
 
     def pot_eq(target: Var, source: Var, extra: Optional[Var]):
@@ -598,27 +598,24 @@ def wevel_formula(s: Var, fresh: _Fresh):
         x, r = fresh(), fresh()
         guard = In(r, source) if extra is None else And(In(r, source), In(r, extra))
         return Forall(x, Iff(In(x, target),
-                             Exists(r, And(guard, found_at_formula(x, r, fresh)))))
+                             Exists(r, And(guard, found_at(x, r, fresh)))))
 
     a = fresh()
-    wistory = And(Bland(h), Forall(a, Implies(In(a, h), pot_eq(a, a, h))))
-    return Exists(h, And(wistory, pot_eq(s, h, None)))
+    history = Forall(a, Implies(In(a, h), pot_eq(a, a, h)))
+    if wistory:
+        history = And(Bland(h), history)
+    return Exists(h, And(history, pot_eq(s, h, None)))
+
+
+def wevel_formula(s: Var, fresh: _Fresh):
+    """s is a stage proxy: the pot of some wistory."""
+    return _history_pot(s, fresh, found_at_formula, wistory=True)
 
 
 def lt_level_formula(s: Var, fresh: _Fresh):
     """s is a level of the plain hierarchy: the pot of some history, where
     pot collects all subsets of members."""
-    h = fresh()
-
-    def pot_eq(target: Var, source: Var, extra: Optional[Var]):
-        x, r = fresh(), fresh()
-        guard = In(r, source) if extra is None else And(In(r, source), In(r, extra))
-        return Forall(x, Iff(In(x, target),
-                             Exists(r, And(guard, subset(x, r, fresh)))))
-
-    a = fresh()
-    history = Forall(a, Implies(In(a, h), pot_eq(a, a, h)))
-    return Exists(h, And(history, pot_eq(s, h, None)))
+    return _history_pot(s, fresh, subset, wistory=False)
 
 
 def closed(f):
@@ -802,20 +799,11 @@ def fragment_model(frag) -> FiniteModel:
     def member(x, y):
         return bool(universe.member_mask(frag, y) >> x & 1)
 
-    def tapr(w, a, c):
-        widx = wand_index.get(w)
-        if widx is None or frag.obj(c).is_bland:
-            return False
-        if not wandspec.dom(frag.spec, widx, a, frag):
-            return False
-        return any(wandspec.equiv(frag.spec, widx, a, u, b, frag)
-                   for u, b in frag.obj(c).tclass)
-
     model = FiniteModel(
         name=f"{frag.spec.name}-d{frag.depth}", signature=SIG_WS, carrier=carrier,
-        bland=lambda x: frag.obj(x).is_bland,
+        bland=frag.is_bland,
         wand=lambda x: x in wand_index,
-        member=member, tap=tapr)
+        member=member, tap=_tap_oracle(frag, wand_index))
     model.defined["nequiv"] = _nequiv_oracle(frag)
     model.defined["finord"] = _finord_oracle(frag)
     # oracles for circle-composites: e-side defined atoms read back over ws
@@ -845,6 +833,19 @@ def _predicate(model: FiniteModel, f, v: Var) -> Callable[[object], bool]:
         return holds(x)
 
     return pred
+
+
+def _tap_oracle(q, wand_of: Dict[object, int]) -> Callable[[object, object, object], bool]:
+    """``(w, a, c) -> c is the tap of a by the wand that w designates``, read
+    from the set query q; False when w designates no wand or q never
+    registered that tap (a tap out of the top rank of a fragment)."""
+    def tap(w, a, c) -> bool:
+        try:
+            return w in wand_of and q.resolve_tap(wand_of[w], a) == c
+        except BeyondFragment:
+            return False
+
+    return tap
 
 
 def _nequiv_oracle(q) -> Callable[[object, object, object], bool]:
@@ -907,40 +908,18 @@ def conch_model(stages) -> FiniteModel:
     """The stage side: carrier is every generated code, with the defined
     predicates of the stage reading."""
     carrier = stages.ranked(stages.depth - 1)
-    wand_of = stages.wand_of
-
-    def tap_star(w, a, c):
-        widx = wand_of.get(w)
-        if widx is None:
-            return False
-        if a not in stages.conchrank or c not in stages.conchrank:
-            return False
-        if not wandspec.dom(stages.spec, widx, a, stages):
-            return False
-        # tap results are pair classes; a carrier's members unpack with an
-        # empty tag, which is never a wand code, so carriers fall out here
-        for p in c:
-            try:
-                wc, b = kunpair(p)
-            except NotAPair:
-                return False
-            u = wand_of.get(wc)
-            if u is not None and b in stages.conchrank:
-                if wandspec.equiv(stages.spec, widx, a, u, b, stages):
-                    return True
-        return False
+    wand_of, conches = stages.wand_of, stages.conchrank
 
     model = FiniteModel(
         name=f"stages-{stages.spec.name}-d{stages.depth}",
         signature=SIG_LT, carrier=carrier,
         wand=lambda x: x in wand_of,
         member=lambda x, y: x in y.elements)
-    model.defined["conch"] = lambda x: x in stages.conchrank
-    model.defined["bland*"] = lambda x: is_carrier(x) and x in stages.conchrank
-    model.defined["in*"] = lambda x, y: (is_carrier(y) and y in stages.conchrank
-                                         and x in uncarrier(y))
+    model.defined["conch"] = lambda x: x in conches
+    model.defined["bland*"] = lambda x: x in conches and stages.is_bland(x)
+    model.defined["in*"] = lambda x, y: y in conches and x in stages.members(y)
     model.defined["wand*"] = lambda x: x in wand_of
-    model.defined["tap*"] = tap_star
+    model.defined["tap*"] = _tap_oracle(stages, wand_of)
     model.defined["finord*"] = _finord_oracle(stages)
     model.defined["nequiv*"] = _nequiv_oracle(stages)
     return model

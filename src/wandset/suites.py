@@ -234,7 +234,7 @@ def conch_laws(frag: Fragment) -> List[Row]:
     law_violations = conch.check_stage_laws(stages)
     rows.append(_row("stage-encoding-laws", law_violations))
     report = conch.verify_roundtrip(frag, stages)
-    for section, problems in sorted(report.sections.items()):
+    for section, problems in sorted(report.items()):
         rows.append(_row(f"roundtrip-{section.replace('_', '-')}", problems))
     for sigma, measured, bound in stages.rank_bound_slack():
         rows.append((f"stage-{sigma}-rank-bound", measured <= bound,

@@ -72,9 +72,8 @@ class Fragment:
     _tap_of: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
     _below: Dict[Tuple[int, int], Tuple[int, ...]] = field(default_factory=dict)
     # keyed like _below, filled by conch: each id below the rank mapped to its
-    # code's position in canonical order, or None when two of those codes agree
-    conch_positions: Dict[Tuple[int, int], Optional[Dict[int, int]]] = field(
-        default_factory=dict)
+    # code's position in canonical order
+    conch_positions: Dict[Tuple[int, int], Dict[int, int]] = field(default_factory=dict)
     _wevel_ids: Dict[int, int] = field(default_factory=dict)
     _masks: Optional["_Masks"] = None
     # facts fixed when an object is registered, kept for the fragment's life:

@@ -70,7 +70,7 @@ class WandSpec:
     the pairs (u, b) with rank at most ``top`` for which raw E can hold
     against (w, a).  It feeds the class sweep: only the pairs it yields are
     probed for raw-E edges, so it prunes that sweep and never changes
-    answers.
+    answers.  Wand codes must be distinct, so that codes tell objects apart.
     """
 
     name: str
@@ -78,6 +78,10 @@ class WandSpec:
     raw_dom: RawDom
     raw_equiv: RawEquiv
     equiv_candidates: Optional[Callable[[int, object, SetQuery, int], Iterable]] = None
+
+    def __post_init__(self):
+        if len({w.code for w in self.wands}) < len(self.wands):
+            raise SpecError(f"spec {self.name}: two wands share a code")
 
     def wand_indices(self) -> range:
         return range(len(self.wands))

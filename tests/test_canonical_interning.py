@@ -65,21 +65,19 @@ def test_conch_code_matches_mk_set_reference(name, depth, kw):
         assert_canonical(got)
 
 
-def test_colliding_codes_below_a_rank_fall_back_to_mk_set():
+def test_colliding_codes_below_a_rank_raise():
+    # distinct wand codes keep codes distinct; only a planted memo entry
+    # collides, and it must not reach the trusted intern table
     frag = universe.build(wandspec.get_spec("pure"), 4)
     names = {frag.render(i): i for i in frag.ids()}
     one, two = names["{{}}"], names["{{{}}}"]  # ranks 1 and 2
-    planted = {two: conch.conch_code(frag, one)}
-    frag.conch_codes.update(planted)
+    frag.conch_codes[two] = conch.conch_code(frag, one)
     rank3 = [a for a in frag.ids() if frag.obj(a).ordrank == 3]
-    # some rank-3 set holds both, so its member codes must dedup
-    assert any({one, two} <= set(frag.obj(a).members) for a in rank3)
-    memo = dict(planted)
-    for a in rank3:
-        got = conch.conch_code(frag, a)
-        assert got is reference_conch_code(frag, a, memo), frag.render(a)
-        assert_canonical(ps.uncarrier(got))
-    assert frag.conch_positions[(3, len(frag))] is None
+    holder = next(a for a in rank3 if {one, two} <= set(frag.obj(a).members))
+    with pytest.raises(ValueError, match="below rank 3 share a conch code"):
+        conch.conch_code(frag, holder)
+    assert holder not in frag.conch_codes
+    assert (3, len(frag)) not in frag.conch_positions
 
 
 # -- plain levels --------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wandset import conch, formula as F, instances, pureset as ps, wandspec
-from wandset.errors import NotInCodeImage, ParseError, SignatureError
+from wandset.errors import BeyondFragment, NotAPair, NotInCodeImage, ParseError, SignatureError
 
 from conftest import built
 
@@ -959,3 +959,142 @@ def test_vn_decode_matches_the_conch_numeral_decoder(name, depth):
         got[c] = instances.vn_decode(stages, c)
         assert got[c] == reference_decode_conch_num(c), c
     assert set(got.values()) >= {None, 0, 1, 2}
+
+
+# -- the model oracles against the derivations they replaced -------------------------
+
+def reference_tapr(frag):
+    """The fragment model's tap oracle before it asked ``resolve_tap``: the
+    tap relation rebuilt from the official domain and equivalence."""
+    wand_index = {oid: idx for idx, oid in frag.wand_obj_ids().items()}
+
+    def tapr(w, a, c):
+        widx = wand_index.get(w)
+        if widx is None or frag.obj(c).is_bland:
+            return False
+        if not wandspec.dom(frag.spec, widx, a, frag):
+            return False
+        return any(wandspec.equiv(frag.spec, widx, a, u, b, frag)
+                   for u, b in frag.obj(c).tclass)
+
+    return tapr
+
+
+def reference_tap_star(stages):
+    """The stage model's ``tap*`` before it asked ``resolve_tap``: the tap
+    relation rebuilt by unpacking class codes into pairs."""
+    wand_of = stages.wand_of
+
+    def tap_star(w, a, c):
+        widx = wand_of.get(w)
+        if widx is None:
+            return False
+        if a not in stages.conchrank or c not in stages.conchrank:
+            return False
+        if not wandspec.dom(stages.spec, widx, a, stages):
+            return False
+        for p in c:
+            try:
+                wc, b = ps.kunpair(p)
+            except NotAPair:
+                return False
+            u = wand_of.get(wc)
+            if u is not None and b in stages.conchrank:
+                if wandspec.equiv(stages.spec, widx, a, u, b, stages):
+                    return True
+        return False
+
+    return tap_star
+
+
+def _tap_triples(q, carrier, wands, step):
+    """Every wand handle and one other handle, against every ``step``-th
+    argument and every non-bland handle plus one bland one."""
+    others = [h for h in carrier if h not in wands]
+    ws = [w for w in carrier if w in wands] + others[:1]
+    cs = [h for h in carrier if not q.is_bland(h)] + [carrier[0]]
+    return [(w, a, c) for w in ws for a in carrier[::step] for c in cs]
+
+
+# every argument up to depth 4 where the rank-3 class sweeps are cheap; on
+# church:1 depth 4 they take most of a minute, so there every 64th argument
+ORACLE_BUILDS = [(name, 3, 1) for name in ("pure", "conway", "partial-fun", "multiset",
+                                           "church:1", "church:2")]
+ORACLE_BUILDS += [("conway", 4, 1), ("church:1", 4, 64)]
+
+
+@pytest.mark.parametrize("name,depth,step", ORACLE_BUILDS)
+def test_tap_oracles_match_the_derived_relations(name, depth, step):
+    frag = built(name, depth)
+    model = F.fragment_model(frag)
+    wands = set(frag.wand_obj_ids().values())
+    triples = _tap_triples(frag, model.carrier, wands, step)
+    ref = reference_tapr(frag)
+    assert [t for t in triples if model.tap(*t) != ref(*t)] == []
+    assert any(map(ref, *zip(*triples))) or not name.startswith("church:")
+
+    stages = conch.gen_stages(frag.spec, depth)
+    cm = F.conch_model(stages)
+    wands = set(stages.wand_of) & stages.conchrank.keys()
+    triples = _tap_triples(stages, cm.carrier, wands, step)
+    ref = reference_tap_star(stages)
+    tap_star = cm.defined["tap*"]
+    assert [t for t in triples if tap_star(*t) != ref(*t)] == []
+    assert any(map(ref, *zip(*triples))) or not name.startswith("church:")
+
+
+def test_an_unregistered_top_rank_tap_reads_false(church3):
+    model = F.fragment_model(church3)
+    top = [a for a in church3.ids() if church3.ordrank(a) == church3.depth - 1]
+    beyond = []
+    for idx, w in church3.wand_obj_ids().items():
+        for a in top:
+            try:
+                church3.resolve_tap(idx, a)
+            except BeyondFragment:
+                beyond.append((w, a))
+    assert beyond
+    for w, a in beyond:
+        assert not any(model.tap(w, a, c) for c in model.carrier)
+
+
+def reference_wevel_formula(s, fresh):
+    h = fresh()
+
+    def pot_eq(target, source, extra):
+        x, r = fresh(), fresh()
+        guard = F.In(r, source) if extra is None else F.And(F.In(r, source), F.In(r, extra))
+        return F.Forall(x, F.Iff(F.In(x, target),
+                                 F.Exists(r, F.And(guard, F.found_at_formula(x, r, fresh)))))
+
+    a = fresh()
+    wistory = F.And(F.Bland(h), F.Forall(a, F.Implies(F.In(a, h), pot_eq(a, a, h))))
+    return F.Exists(h, F.And(wistory, pot_eq(s, h, None)))
+
+
+def reference_lt_level_formula(s, fresh):
+    h = fresh()
+
+    def pot_eq(target, source, extra):
+        x, r = fresh(), fresh()
+        guard = F.In(r, source) if extra is None else F.And(F.In(r, source), F.In(r, extra))
+        return F.Forall(x, F.Iff(F.In(x, target),
+                                 F.Exists(r, F.And(guard, F.subset(x, r, fresh)))))
+
+    a = fresh()
+    history = F.Forall(a, F.Implies(F.In(a, h), pot_eq(a, a, h)))
+    return F.Exists(h, F.And(history, pot_eq(s, h, None)))
+
+
+@pytest.mark.parametrize("build, reference", [
+    (F.wevel_formula, reference_wevel_formula),
+    (F.lt_level_formula, reference_lt_level_formula),
+])
+def test_history_pots_match_the_hand_written_formulas(build, reference):
+    s = F.Var("s")
+    for prefix in ("_a", "_q"):
+        fresh, ref_fresh = F._Fresh(prefix), F._Fresh(prefix)
+        fresh.n = ref_fresh.n = 3  # a later call continues the numbering
+        assert F.render(build(s, fresh)) == F.render(reference(s, ref_fresh))
+        assert fresh.n == ref_fresh.n
+

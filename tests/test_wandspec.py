@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -505,3 +506,16 @@ def test_registry_names():
     for name in ["church:x", "church:-1", "church:"]:
         with pytest.raises(SpecError):
             wandspec.get_spec(name)
+
+
+def test_wands_sharing_a_code_raise():
+    church = wandspec.get_spec("church:2")
+    one = church.wands[1]
+    clash = (church.wands[0], one, wandspec.WandId(2, one.code))
+    with pytest.raises(SpecError, match="two wands share a code"):
+        WandSpec(name="clash", wands=clash, raw_dom=church.raw_dom,
+                 raw_equiv=church.raw_equiv)
+    with pytest.raises(SpecError):
+        dataclasses.replace(church, wands=clash)
+    assert WandSpec(name="distinct", wands=church.wands, raw_dom=church.raw_dom,
+                    raw_equiv=church.raw_equiv).wands == church.wands
