@@ -12,6 +12,7 @@ import argparse
 import bisect
 import contextlib
 import json
+import operator
 import os
 import sys
 from collections import Counter
@@ -20,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from . import conch, instances, universe, wandspec
 from .errors import (BeyondFragment, CapExceeded, ParseError, SignatureError,
                      SpecError, WandsetError)
+from .pureset import acyclic
 from .universe import Fragment, Obj
 
 FORMAT_VERSION = 1
@@ -66,30 +68,30 @@ def _check_canonical(objects: List[Obj]) -> None:
     for o in objects:
         body = o.members if o.is_bland else o.tclass
         key = (o.ordrank, 0 if o.is_bland else 1, body)
-        if any(a >= b for a, b in zip(body, body[1:])) or key <= last:
+        if not all(map(operator.lt, body, body[1:])) or key <= last:
             raise DataError(f"object {o.id}: out of canonical order")
         last = key
 
 
 def export_fragment(frag: Fragment) -> str:
     """Serialize with the fragment's ids, which a build makes canonical;
-    byte-stable across runs.  Ids out of canonical order are bad data."""
+    byte-stable across runs.  Ids out of canonical order are bad data.  The
+    text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, with
+    each int list written as its ``str`` values joined by commas."""
     _check_canonical(frag.objects)
-    objects = []
-    for o in frag.objects:
-        if o.is_bland:
-            rec = {"kind": "bland", "members": list(o.members), "ordrank": o.ordrank}
-        else:
-            rec = {"kind": "tapped", "class": [list(p) for p in o.tclass],
-                   "ordrank": o.ordrank}
-        objects.append(rec)
-    doc = {
-        "header": {"format_version": FORMAT_VERSION, "spec_name": frag.spec.name,
-                   "depth": frag.depth, "exhaustive": frag.exhaustive},
-        "objects": objects,
-        "wevels": [list(c) for c in frag.wevel_contents],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    header = json.dumps({"format_version": FORMAT_VERSION, "spec_name": frag.spec.name,
+                         "depth": frag.depth, "exhaustive": frag.exhaustive},
+                        sort_keys=True, separators=(",", ":"))
+    objects = ",".join(
+        f'{{"kind":"bland","members":[{",".join(map(str, o.members))}],'
+        f'"ordrank":{o.ordrank}}}' if o.is_bland else
+        f'{{"class":[{",".join(f"[{w},{b}]" for w, b in o.tclass)}],'
+        f'"kind":"tapped","ordrank":{o.ordrank}}}' for o in frag.objects)
+    wevels = ",".join(f"[{','.join(map(str, c))}]" for c in frag.wevel_contents)
+    return f'{{"header":{header},"objects":[{objects}],"wevels":[{wevels}]}}\n'
+
+
+_INT = frozenset({int})
 
 
 def _typed(value, kind: type, what: str):
@@ -100,12 +102,19 @@ def _typed(value, kind: type, what: str):
 
 
 def _ids(value, what: str) -> Tuple[int, ...]:
-    return tuple(_typed(i, int, what) for i in _typed(value, list, what))
+    """``value``, a list of exact ints, as a tuple."""
+    if type(value) is not list or not _INT.issuperset(map(type, value)):
+        for i in _typed(value, list, what):
+            _typed(i, int, what)
+    return tuple(value)
 
 
+@acyclic()
 def import_fragment(text: str) -> Fragment:
     """Read a universe file with canonical ids, as export writes them; a
-    value of any other JSON type than export writes is bad data."""
+    value of any other JSON type than export writes is bad data.  Each
+    object is checked as it is read, its canonical order included, so the
+    first object out of order is named before any fault after it."""
     try:
         doc = json.loads(text)
         header = doc["header"]
@@ -117,40 +126,49 @@ def import_fragment(text: str) -> Fragment:
         if frag.depth < 1:  # as build requires
             raise DataError(f"depth must be >= 1, not {frag.depth}")
         wands = spec.wand_indices()
+        objects, bland_index, tap_index = frag.objects, frag._bland_index, frag._tap_index
+        ranks: List[int] = []
+        last: tuple = ()
         for oid, rec in enumerate(_typed(doc["objects"], list, "objects")):
-            what = f"object {oid}"
-            if rec["kind"] == "bland":
+            what, kind = f"object {oid}", rec["kind"]
+            if kind == "bland":
                 members = _ids(rec["members"], what)
-                if any(not 0 <= m < oid for m in members):
-                    raise DataError(f"object {oid}: members must be earlier objects")
                 rank = _typed(rec["ordrank"], int, what)
-                want = 0 if not members else 1 + max(
-                    frag.obj(m).ordrank for m in members)
+                if not all(map(operator.lt, members, members[1:])):
+                    raise DataError(f"{what}: out of canonical order")
+                if members and (members[0] < 0 or members[-1] >= oid):
+                    raise DataError(f"{what}: members must be earlier objects")
+                # the key check below keeps ranks ascending with ids
+                want = 1 + ranks[members[-1]] if members else 0
                 if rank != want:
-                    raise DataError(f"object {oid}: rank {rank}, expected {want}")
-                o = Obj(oid, rank, members, None)
-                frag._bland_index[members] = oid
-            elif rec["kind"] == "tapped":
+                    raise DataError(f"{what}: rank {rank}, expected {want}")
+                o, key = Obj(oid, rank, members, None), (rank, kind, members)
+                bland_index[members] = oid
+            elif kind == "tapped":
                 cls = tuple(_ids(p, what) for p in _typed(rec["class"], list, what))
-                if any(not 0 <= b < oid or w not in wands for w, b in cls):
-                    raise DataError(f"object {oid}: class pairs must name a wand "
-                                    "and an earlier object")
                 rank = _typed(rec["ordrank"], int, what)
-                arg_ranks = {frag.obj(b).ordrank for _, b in cls}
+                if not all(map(operator.lt, cls, cls[1:])):
+                    raise DataError(f"{what}: out of canonical order")
+                if any(not 0 <= b < oid or w not in wands for w, b in cls):
+                    raise DataError(f"{what}: class pairs must name a wand "
+                                    "and an earlier object")
+                arg_ranks = {ranks[b] for _, b in cls}
                 if len(arg_ranks) != 1 or arg_ranks.pop() + 1 != rank:
-                    raise DataError(f"object {oid}: tap rank law broken")
-                o = Obj(oid, rank, None, cls)
-                frag._tap_index[cls] = oid
+                    raise DataError(f"{what}: tap rank law broken")
+                o, key = Obj(oid, rank, None, cls), (rank, kind, cls)
+                tap_index[cls] = oid
             else:
-                raise DataError(f"unknown kind {rec['kind']!r}")
-            frag.objects.append(o)
-        _check_canonical(frag.objects)
+                raise DataError(f"unknown kind {kind!r}")
+            if key <= last:  # "bland" sorts before "tapped"
+                raise DataError(f"{what}: out of canonical order")
+            last = key
+            ranks.append(rank)
+            objects.append(o)
         frag.wevel_contents = [_ids(c, "wevel") for c in _typed(doc["wevels"], list, "wevels")]
         if len(frag.wevel_contents) != frag.depth + 1:
             raise DataError("wevel list does not match depth")
         # canonical order sorts by rank, so wevel i < depth lists the ids 0, 1,
         # ... of rank below i, and the last one every id
-        ranks = [o.ordrank for o in frag.objects]
         for i, c in enumerate(frag.wevel_contents):
             if i == frag.depth:
                 if c != tuple(range(len(ranks))):
@@ -160,7 +178,7 @@ def import_fragment(text: str) -> Fragment:
         if frag.exhaustive:
             # an exhaustive build registers every subset of wevel i at stage
             # i; checking the bit length first keeps the shift small
-            per_rank = Counter(o.ordrank for o in frag.objects if o.is_bland)
+            per_rank = Counter(map(ranks.__getitem__, bland_index.values()))
             blands = 0
             for i, c in enumerate(frag.wevel_contents[:-1]):
                 blands += per_rank[i]
@@ -413,12 +431,12 @@ def cmd_export(args) -> int:
                 if args.labels else str(o.id)
             fh.write(f'  n{o.id} [shape={shape} label="{label}"];\n')
         for o in frag.objects:
+            head = f"  n{o.id} -> n"
             if o.is_bland:
-                for m in o.members:
-                    fh.write(f"  n{o.id} -> n{m};\n")
+                if o.members:
+                    fh.write(head + (";\n" + head).join(map(str, o.members)) + ";\n")
             else:
-                for w, b in o.tclass:
-                    fh.write(f'  n{o.id} -> n{b} [label="w{w}"];\n')
+                fh.write("".join(f'{head}{b} [label="w{w}"];\n' for w, b in o.tclass))
         fh.write("}\n")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import universe, wandspec
 from .errors import CapExceeded, NotAConch, NotAPair
-from .pureset import (PureSet, _intern, carrier, deep_carrier, in_carrier_levels,
+from .pureset import (PureSet, _intern, acyclic, carrier, deep_carrier, in_carrier_levels,
                       is_carrier, kpair, kunpair, mk_set, rank, subsets, uncarrier)
 from .universe import Fragment
 from .wandspec import WandSpec
@@ -124,6 +124,7 @@ class Stages:
         return out
 
 
+@acyclic()
 def gen_stages(spec: WandSpec, depth: int, max_width: int = 20) -> Stages:
     """Generate stages 0..depth-1 of the conch universe for ``spec``.
 

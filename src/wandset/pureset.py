@@ -20,12 +20,15 @@ the process.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DepthCapExceeded, NotACarrier, NotAPair, NotInCodeImage
 
 __all__ = [
+    "acyclic",
     "PureSet",
     "EMPTY",
     "mk_set",
@@ -46,6 +49,20 @@ __all__ = [
     "vn",
     "vn_value",
 ]
+
+
+@contextlib.contextmanager
+def acyclic():
+    """Pause the cyclic garbage collector for a block or, as a decorator, a
+    call that allocates only acyclic values, which reference counting frees.
+    It is re-enabled on exit only if it was enabled on entry, so uses nest."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
 
 
 class PureSet:
@@ -304,6 +321,7 @@ def is_carrier_level_code(base: frozenset, c: PureSet) -> bool:
 
 # -- the plain cumulative hierarchy ------------------------------------------
 
+@acyclic()
 def lt_levels(n: int) -> list:
     """The first ``n`` levels of the plain cumulative hierarchy, as PureSets.
 

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import wandspec
 from .errors import BeyondFragment, CapExceeded, NotBland, StabilityViolation, TapUndefinedAt
-from .pureset import PureSet, mk_set, subsets, vn
+from .pureset import PureSet, acyclic, mk_set, subsets, vn
 from .wandspec import WandSpec
 
 DEFAULT_MAX_OBJECTS = 200_000
@@ -71,6 +71,8 @@ class Fragment:
     _tap_index: Dict[TapClass, int] = field(default_factory=dict)
     _tap_of: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
     _below: Dict[Tuple[int, int], Tuple[int, ...]] = field(default_factory=dict)
+    # (wand, handle, population) -> why the tap is beyond; a later registration may resolve it
+    _beyond: Dict[Tuple[int, int, int], str] = field(default_factory=dict)
     # keyed like _below, filled by conch: each id below the rank mapped to its
     # code's position in canonical order
     conch_positions: Dict[Tuple[int, int], Dict[int, int]] = field(default_factory=dict)
@@ -153,7 +155,10 @@ class Fragment:
         if got is None:
             o = self.obj(oid)
             if o.is_bland:
-                got = "{" + ",".join(map(self.render, o.members)) + "}"
+                try:  # members have lower ids: rendered in id order, they are cached
+                    got = "{" + ",".join(map(self._renders.__getitem__, o.members)) + "}"
+                except KeyError:
+                    got = "{" + ",".join(map(self.render, o.members)) + "}"
             else:
                 w, b = o.tclass[0]
                 got = f"*{w}{self.render(b)}"
@@ -199,12 +204,15 @@ class Fragment:
         key = (w, h)
         if key in self._tap_of:
             return self._tap_of[key]
-        cls = wandspec.tap_class(self.spec, w, h, self)
-        cid = None if cls is None else self._tap_index.get(cls)
-        if cls is not None and cid is None:
-            raise BeyondFragment(f"tap of wand {w} on rank-{self.ordrank(h)} object")
-        self._tap_of[key] = cid
-        return cid
+        beyond = (w, h, len(self.objects))
+        if beyond not in self._beyond:
+            cls = wandspec.tap_class(self.spec, w, h, self)
+            cid = None if cls is None else self._tap_index.get(cls)
+            if cls is None or cid is not None:
+                self._tap_of[key] = cid
+                return cid
+            self._beyond[beyond] = f"tap of wand {w} on rank-{self.ordrank(h)} object"
+        raise BeyondFragment(self._beyond[beyond])
 
     def objects_below(self, r: int) -> Tuple[int, ...]:
         # keyed by population so mid-build growth invalidates stale answers
@@ -217,6 +225,7 @@ class Fragment:
 
 # -- construction -------------------------------------------------------------
 
+@acyclic()
 def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
           mode: str = "exhaustive", subset_bound: int = 2) -> Fragment:
     """Grow a fragment for ``depth`` stages.

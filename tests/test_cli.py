@@ -141,7 +141,8 @@ _SINGLETON = {"kind": "bland", "ordrank": 1}
 _COMPLEMENT = {"kind": "tapped", "ordrank": 1}
 
 
-@pytest.mark.parametrize("objs, wevels", [
+# (objs, wevels) arguments of _corrupt, each with one fault
+BAD_IDS = [
     ([dict(_SINGLETON, members=[-1], ordrank=2)], {}),
     ([dict(_SINGLETON, members=[7])], {}),
     ([dict(_COMPLEMENT, ordrank=2, **{"class": [[0, -1]]})], {}),
@@ -162,12 +163,16 @@ _COMPLEMENT = {"kind": "tapped", "ordrank": 1}
       dict(_SINGLETON, members=[0, 1], ordrank=2)], {2: [0, 1, 2, 3, 4]}),
     ([dict(_COMPLEMENT, ordrank=2, **{"class": [[0, 1]]}),
       dict(_SINGLETON, members=[1], ordrank=2)], {2: [0, 1, 2, 3, 4]}),
-], ids=["negative-member", "member-out-of-range", "negative-tap-argument",
-        "tap-argument-out-of-range", "wand-out-of-range", "negative-wevel-id",
-        "wevel-id-out-of-range", "duplicate-bland-set", "duplicate-tap-class",
-        "last-wevel-cut-short", "wevel-without-a-low-rank-id", "wevel-out-of-order",
-        "members-out-of-order", "repeated-member", "class-pairs-out-of-order",
-        "same-rank-blands-swapped", "tapped-before-bland-of-its-rank"])
+]
+BAD_ID_NAMES = ["negative-member", "member-out-of-range", "negative-tap-argument",
+                "tap-argument-out-of-range", "wand-out-of-range", "negative-wevel-id",
+                "wevel-id-out-of-range", "duplicate-bland-set", "duplicate-tap-class",
+                "last-wevel-cut-short", "wevel-without-a-low-rank-id", "wevel-out-of-order",
+                "members-out-of-order", "repeated-member", "class-pairs-out-of-order",
+                "same-rank-blands-swapped", "tapped-before-bland-of-its-rank"]
+
+
+@pytest.mark.parametrize("objs, wevels", BAD_IDS, ids=BAD_ID_NAMES)
 def test_import_rejects_bad_ids(capsys, tmp_path, objs, wevels):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_corrupt(objs, wevels)))
@@ -176,7 +181,18 @@ def test_import_rejects_bad_ids(capsys, tmp_path, objs, wevels):
     assert err.startswith("bad data:") and err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("path, value", [
+def _retyped(path, value):
+    doc = json.loads(_GOLDEN_D2.read_text())
+    *owners, last = path
+    target = doc
+    for key in owners:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+# (path, value) arguments of _retyped
+INEXACT_TYPES = [
     (("header", "exhaustive"), "false"),
     (("header", "exhaustive"), 0),
     (("header", "depth"), "2"),
@@ -195,21 +211,20 @@ def test_import_rejects_bad_ids(capsys, tmp_path, objs, wevels):
     (("wevels",), "012"),
     (("wevels", 1), [False]),
     (("wevels", 1), "0"),
-], ids=["exhaustive-string", "exhaustive-int", "depth-string", "depth-float", "depth-bool",
-        "format-bool", "spec-name-int", "objects-dict", "ordrank-bool", "members-string",
-        "member-float", "members-dict", "class-pair-string", "wand-bool",
-        "tap-argument-string", "wevels-string", "wevel-id-bool", "wevel-string"])
+]
+INEXACT_TYPE_NAMES = ["exhaustive-string", "exhaustive-int", "depth-string", "depth-float",
+                      "depth-bool", "format-bool", "spec-name-int", "objects-dict",
+                      "ordrank-bool", "members-string", "member-float", "members-dict",
+                      "class-pair-string", "wand-bool", "tap-argument-string",
+                      "wevels-string", "wevel-id-bool", "wevel-string"]
+
+
+@pytest.mark.parametrize("path, value", INEXACT_TYPES, ids=INEXACT_TYPE_NAMES)
 def test_import_rejects_inexact_json_types(capsys, tmp_path, path, value):
     # export writes ints, bools and lists; a file that would re-export to
     # other bytes is bad data
-    doc = json.loads(_GOLDEN_D2.read_text())
-    *owners, last = path
-    target = doc
-    for key in owners:
-        target = target[key]
-    target[last] = value
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(_retyped(path, value)))
     assert cli.main(["query", "rank", "--obj", "0", "--in", str(bad)]) == 65
     err = capsys.readouterr().err
     assert err.startswith("bad data:") and err.count("\n") == 1 and "Traceback" not in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wandset import conch, formula as F, instances, pureset as ps, wandspec
+from wandset import conch, formula as F, instances, pureset as ps, universe, wandspec
 from wandset.errors import BeyondFragment, NotAPair, NotInCodeImage, ParseError, SignatureError
 
 from conftest import built
@@ -1056,6 +1056,56 @@ def test_an_unregistered_top_rank_tap_reads_false(church3):
     assert beyond
     for w, a in beyond:
         assert not any(model.tap(w, a, c) for c in model.carrier)
+
+
+def unmemoised_tap(frag, wand_of):
+    """The tap oracle read from ``tap_class`` on every call, as resolve_tap
+    reads it on a miss."""
+    def tap(w, a, c):
+        if w not in wand_of:
+            return False
+        cls = wandspec.tap_class(frag.spec, wand_of[w], a, frag)
+        return cls is not None and frag._tap_index.get(cls, -1) == c
+
+    return tap
+
+
+def test_the_memoised_tap_oracle_matches_the_unmemoised_one(monkeypatch):
+    frag = universe.build(wandspec.get_spec("church:2"), 3)  # fresh memos
+    model = F.fragment_model(frag)
+    wand_of = {oid: idx for idx, oid in frag.wand_obj_ids().items()}
+    ref = unmemoised_tap(frag, wand_of)
+    triples = [(w, a, c) for w in model.carrier for a in model.carrier
+               for c in model.carrier]
+    calls = []
+    real = wandspec.tap_class
+
+    def spy(spec, w, a, q):
+        calls.append((w, a))
+        return real(spec, w, a, q)
+
+    monkeypatch.setattr(wandspec, "tap_class", spy)
+    got = [model.tap(*t) for t in triples]
+    monkeypatch.undo()
+    # each (wand, top-rank argument) is asked once, a tap beyond the
+    # fragment too; the build answered every lower argument
+    top = [a for a in frag.ids() if frag.ordrank(a) == frag.depth - 1]
+    assert sorted(calls) == sorted((w, a) for w in frag.spec.wand_indices() for a in top)
+    assert frag._beyond
+    assert [t for t, g in zip(triples, got) if g != ref(*t)] == []
+    assert any(got)
+
+
+def test_a_tap_beyond_the_fragment_resolves_once_registered():
+    frag = universe.build(wandspec.get_spec("church:2"), 3)
+    top = [a for a in frag.ids() if frag.ordrank(a) == frag.depth - 1]
+    w, a = next((w, a) for w in frag.spec.wand_indices() for a in top
+                if wandspec.tap_class(frag.spec, w, a, frag) is not None)
+    for _ in range(2):
+        with pytest.raises(BeyondFragment):
+            frag.resolve_tap(w, a)
+    cid = frag.register_tap(wandspec.tap_class(frag.spec, w, a, frag))
+    assert frag.resolve_tap(w, a) == cid
 
 
 def reference_wevel_formula(s, fresh):

@@ -332,3 +332,70 @@ def test_vn_roundtrip():
         assert ps.vn_value(ps.vn(n)) == n
     assert ps.vn_value(S2) is None
     assert ps.vn(2) is PAIR01
+
+
+# -- pausing the cyclic collector --------------------------------------------------
+
+@pytest.fixture
+def collector():
+    """Restore the collector's state, whatever a test leaves it in."""
+    import gc
+
+    was = gc.isenabled()
+    yield gc
+    (gc.enable if was else gc.disable)()
+
+
+def test_acyclic_pauses_an_enabled_collector_and_restores_it(collector):
+    collector.enable()
+    with ps.acyclic():
+        assert not collector.isenabled()
+    assert collector.isenabled()
+    with pytest.raises(KeyError):
+        with ps.acyclic():
+            raise KeyError("boom")
+    assert collector.isenabled()
+
+
+def test_acyclic_leaves_a_paused_collector_paused(collector):
+    collector.disable()
+    with ps.acyclic():
+        assert not collector.isenabled()
+    assert not collector.isenabled()
+    with pytest.raises(KeyError):
+        with ps.acyclic():
+            raise KeyError("boom")
+    assert not collector.isenabled()
+
+
+def test_nested_acyclic_restores_the_outer_state(collector):
+    collector.enable()
+    with ps.acyclic():
+        with ps.acyclic():
+            assert not collector.isenabled()
+        assert not collector.isenabled()
+    assert collector.isenabled()
+
+
+def test_the_builders_pause_the_collector_and_keep_their_names(collector):
+    from wandset import cli, conch, universe, wandspec
+
+    seen = []
+    real = wandspec.tap_class
+
+    def spy(*args):
+        seen.append(collector.isenabled())
+        return real(*args)
+
+    collector.enable()
+    wandspec.tap_class = spy
+    try:
+        universe.build(wandspec.get_spec("conway"), 2)
+        conch.gen_stages(wandspec.get_spec("conway"), 2)
+    finally:
+        wandspec.tap_class = real
+    assert seen and not any(seen) and collector.isenabled()
+    # the tracer of perfbench wraps them by these names
+    assert [f.__name__ for f in (universe.build, cli.import_fragment, conch.gen_stages,
+                                 ps.lt_levels)] == ["build", "import_fragment",
+                                                    "gen_stages", "lt_levels"]
