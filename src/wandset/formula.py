@@ -859,8 +859,11 @@ def _nequiv_oracle(q) -> Callable[[object, object, object], bool]:
 
 
 def _finord_oracle(q) -> Callable[[object], bool]:
-    """``x -> x is a finite ordinal (decodes to a numeral) over the set query q``."""
-    return lambda x: instances.vn_decode(q, x) is not None
+    """``x -> x decodes over the set query q to a numeral n that names a
+    wand of q's spec``, which is what ``Wand`` reads: a church:k spec has
+    wands 0..k only, though its fragments hold larger numerals."""
+    nwands = len(q.spec.wands)
+    return lambda x: (n := instances.vn_decode(q, x)) is not None and n < nwands
 
 
 def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem):

@@ -158,7 +158,10 @@ def classes(spec: WandSpec, q: SetQuery, m: int) -> Classes:
     whose larger rank is m (through ``equiv_candidates`` when the spec has
     one).  Each rank is kept in ``_CLASSES`` under its population, so growth
     below m rebuilds it.  A violation persists as ranks are added, so every
-    rank above a broken one is broken too.
+    rank above a broken one is broken too.  A rank-m pair that would merge
+    two lower classes fails the clique count, and a broken rank keeps rank
+    m - 1's labels, so ``partition(m)`` restricted to ranks <= m - 1 is
+    ``partition(m - 1)``.
     """
     objs = q.objects_below(m + 1)
     table = _CLASSES.setdefault(q, {})

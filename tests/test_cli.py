@@ -612,6 +612,19 @@ def test_verify_conch_on_church_depth3(capsys, church_file):
     assert capsys.readouterr().out == CONCH_OUT_CHURCH3
 
 
+def test_verify_formula_on_church1_depth3(capsys, tmp_path):
+    # church:1 has wands 0 and 1 only, though its depth-3 fragment holds
+    # the numeral 2: bullet must not read that numeral as a wand
+    path = tmp_path / "church1.json"
+    assert cli.main(["build", "--spec", "church:1", "--depth", "3",
+                     "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "formula", "--in", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# suite formula" and "PASS bullet-circle-identity" in lines
+    assert all(line.startswith("PASS ") for line in lines[1:])
+
+
 @pytest.mark.parametrize("translation, flag", [("bullet", "--dst"), ("circle", "--src")])
 def test_expansive_translation_on_a_non_church_side_is_a_usage_error(
         capsys, church_file, pure_file, tmp_path, translation, flag):

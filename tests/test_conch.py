@@ -115,25 +115,9 @@ def sized_stages():
     return conch.gen_stages(sized_spec(), 4)
 
 
-def with_stage(stages, sigma, **recorded):
-    """A copy of ``stages`` whose stage sigma recorded other relations."""
-    out = list(stages.stages)
-    out[sigma] = dataclasses.replace(out[sigma], **recorded)
-    return dataclasses.replace(stages, stages=out)
-
-
-def split_one(stages, sigma):
-    """Stage sigma's classes with one member of rank <= 2 split off a class
-    that holds two such members."""
-    classes = stages.stages[sigma].classes
-    cls = next(c for c in classes if sum(stages.ordrank(a) <= 2 for _, a in c) >= 2)
-    alone = next(p for p in cls if stages.ordrank(p[1]) <= 2)
-    return classes - {cls} | {frozenset([alone]), cls - {alone}}
-
-
 def test_sized_stages_stable_with_classes_below_the_top(sized_stages):
     assert conch.check_stage_laws(sized_stages) == []
-    assert any(len(c) > 1 for c in sized_stages.stages[2].classes)
+    assert any(len(c) > 1 for c in wandspec.partition(sized_stages.spec, sized_stages, 2))
 
 
 def assert_found_in_order(stages):
@@ -176,22 +160,6 @@ def test_ranked_sorts_nothing_after_generation(monkeypatch):
     monkeypatch.setattr(ps.PureSet, "sort_key", lambda self: calls.append(self) or real(self))
     assert len(stages.ranked(stages.depth - 1)) == 16
     assert calls == []
-
-
-def test_stage_laws_report_a_dropped_dom_pair(sized_stages):
-    pair = next(p for p in sized_stages.stages[2].dom_pairs
-                if sized_stages.ordrank(p[1]) == 2)
-    hi = with_stage(sized_stages, 3, _dom=sized_stages.stages[3].dom_pairs - {pair})
-    assert conch.check_stage_laws(hi) == ["dom pair lost from stage 2 to 3"]
-    lo = with_stage(sized_stages, 2, _dom=sized_stages.stages[2].dom_pairs - {pair})
-    assert conch.check_stage_laws(lo) == ["dom pair appeared late at stage 3"]
-
-
-def test_stage_laws_report_a_split_class(sized_stages):
-    hi = with_stage(sized_stages, 3, _classes=split_one(sized_stages, 3))
-    assert conch.check_stage_laws(hi) == ["equiv class lost from stage 2 to 3"]
-    lo = with_stage(sized_stages, 2, _classes=split_one(sized_stages, 2))
-    assert conch.check_stage_laws(lo) == ["equiv class appeared late at stage 3"]
 
 
 # -- stage ranks -----------------------------------------------------------------------
@@ -264,6 +232,43 @@ def test_roundtrip_requires_exhaustive():
     stages = conch.gen_stages(frag.spec, 3)
     report = conch.verify_roundtrip(frag, stages)
     assert report == {"preconditions": ["fragment not exhaustive"]}
+
+
+def test_roundtrip_reports_a_dom_disagreement(church3, monkeypatch):
+    stages = conch.gen_stages(church3.spec, 3)
+    flipped = next(c for c in stages.ranked(1) if stages.ordrank(c) == 1)
+    real = wandspec.dom
+
+    def dom(spec, w, a, q):
+        return real(spec, w, a, q) != (q is stages and (w, a) == (0, flipped))
+
+    monkeypatch.setattr(wandspec, "dom", dom)
+    report = conch.verify_roundtrip(church3, stages)
+    # then {{}} has no complement, so raw D lets wand 0 act on *0{{}} too
+    assert report["relation_stability"][0] == "dom disagrees at stage 1 (wand 0)"
+
+
+def test_roundtrip_reports_split_classes(church3, monkeypatch):
+    stages = conch.gen_stages(church3.spec, 3)
+    real = wandspec.partition
+
+    def partition(spec, q, m):
+        got = real(spec, q, m)
+        if q is stages and m == 2:
+            cls = next(c for c in got if len(c) > 1)
+            got = [c for c in got if c is not cls] + [cls[:1], cls[1:]]
+        return got
+
+    monkeypatch.setattr(wandspec, "partition", partition)
+    report = conch.verify_roundtrip(church3, stages)
+    assert report["relation_stability"] == ["equiv classes disagree at stage 2"]
+
+
+def test_a_stage_is_a_frozen_record(church_stages):
+    st = church_stages.stages[-1]
+    assert [f.name for f in dataclasses.fields(st)] == ["sigma", "conches", "below", "ranked"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.sigma = 0
 
 
 def test_cross_construction_bit_exact(church3, church_stages):

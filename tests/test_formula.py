@@ -301,6 +301,20 @@ def test_bullet_circle_roundtrip(church3):
         assert F.eval_formula(wsm, f), name
 
 
+@pytest.mark.parametrize("name,depth", [("church:1", 3), ("church:2", 4)])
+def test_finord_holds_exactly_on_the_wand_designations(name, depth):
+    # both fragments hold the numeral k + 1, which names no wand of church:k
+    frag = built(name, depth)
+    assert universe.encode_pure(frag, ps.vn(len(frag.spec.wands))) is not None
+    for model in (F.fragment_model(frag), F.varin_model(frag)):
+        finord = model.defined["finord"]
+        assert {x for x in model.carrier if finord(x)} == set(frag.wand_obj_ids().values())
+    stages = conch.gen_stages(frag.spec, depth)
+    cm = F.conch_model(stages)
+    finord = cm.defined["finord*"]
+    assert {x for x in cm.carrier if finord(x)} == set(stages.wand_of)
+
+
 def test_circle_bullet_roundtrip(church3):
     em = F.varin_model(church3)
     for name, f in F.circle_bullet_identities():
@@ -1056,6 +1070,40 @@ def test_an_unregistered_top_rank_tap_reads_false(church3):
     assert beyond
     for w, a in beyond:
         assert not any(model.tap(w, a, c) for c in model.carrier)
+
+
+def test_an_unregistered_top_rank_tap_reads_false_on_the_stages():
+    stages = conch.gen_stages(wandspec.get_spec("church:2"), 3)
+    cm = F.conch_model(stages)
+    tap_star = cm.defined["tap*"]
+    top = [a for a in cm.carrier if stages.ordrank(a) == stages.depth - 1]
+    beyond = []
+    for w, idx in stages.wand_of.items():
+        for a in top:
+            try:
+                stages.resolve_tap(idx, a)
+            except BeyondFragment:
+                beyond.append((w, a))
+    assert len(beyond) == 13
+    for w, a in beyond:
+        assert not any(tap_star(w, a, c) for c in cm.carrier)
+
+
+def test_the_stage_tap_oracle_codes_no_class_above_the_last_stage(monkeypatch):
+    stages = conch.gen_stages(wandspec.get_spec("church:2"), 3)  # fresh memos
+    cm = F.conch_model(stages)
+    tap_star = cm.defined["tap*"]
+    coded = []
+    real = conch.Stages.class_code
+    monkeypatch.setattr(conch.Stages, "class_code",
+                        lambda self, cls: coded.append(cls) or real(self, cls))
+    top = [a for a in cm.carrier if stages.ordrank(a) == stages.depth - 1]
+    held = [(w, a, c) for w in stages.wand_of for a in top for c in cm.carrier
+            if tap_star(w, a, c)]
+    assert [cls for cls in coded if stages.ordrank(cls[0][1]) == stages.depth - 1] == []
+    # two top-rank taps have their class one rank down, so they are coded
+    # at the top rank, and they still hold
+    assert len(held) == 2 and all(stages.ordrank(c) == stages.depth - 1 for _, _, c in held)
 
 
 def unmemoised_tap(frag, wand_of):

@@ -427,9 +427,27 @@ def test_class_sweep_matches_quadruple_scans(name, depth):
     (name, 3 if name == "late-breaking" else depth) for name, depth in CASES])
 def test_stage_classes_match_reference_quads(name, depth):
     stages = conch.gen_stages(case_spec(name), depth)
-    for st in stages.stages:
-        pairs = {x + y for cls in st.classes for x in cls for y in cls}
-        assert pairs == reference_equiv_quads(stages, st.sigma), st.sigma
+    codes = stages.wandcodes
+    for sigma in range(depth):
+        pairs = {(codes[w], a, codes[u], b) for cls in wandspec.partition(stages.spec, stages, sigma)
+                 for w, a in cls for u, b in cls}
+        assert pairs == reference_equiv_quads(stages, sigma), sigma
+
+
+# rank m's sweep starts from rank m - 1's union-find, and a rank-m pair that
+# would merge two lower classes fails the clique count, so that rank keeps
+# rank m - 1's labels: each partition restricts to the one below.  This is
+# why the stages need no relation-stability law of their own.
+@pytest.mark.parametrize("side", ["fragment", "stages"])
+@pytest.mark.parametrize("name,depth", CASES)
+def test_partition_restricts_to_the_rank_below(name, depth, side):
+    q = (case_fragment(name, depth) if side == "fragment"
+         else conch.gen_stages(case_spec(name), depth))
+    spec = q.spec
+    for m in range(1, depth):
+        kept = {frozenset(p for p in cls if q.ordrank(p[1]) < m)
+                for cls in wandspec.partition(spec, q, m)} - {frozenset()}
+        assert kept == set(map(frozenset, wandspec.partition(spec, q, m - 1))), m
 
 
 def test_rank_two_classes_survive_a_broken_rank_three():
