@@ -341,6 +341,8 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> Dict[str, List[str]]:
         report["hb_iso"].append("hereditarily bland codes differ from pure-set codes")
     wand_objs = frag.wand_obj_ids()
     for wid in frag.spec.wands:
+        if wid.index >= frag.depth:  # the numeral k ranks k, so no depth-k fragment holds it
+            continue
         oid = wand_objs.get(wid.index)
         if oid is None:
             report["hb_iso"].append(f"wand {wid.index} designation unregistered")

@@ -350,9 +350,11 @@ def parse_sentences(text: str) -> List[Tuple[str, object]]:
 class FiniteModel:
     """A finite structure: a carrier plus total relation oracles.
 
-    ``answers`` holds the oracles' answers, one table per relation, for every
-    formula compiled over the model; it is not an init field, so a copy made
-    with ``dataclasses.replace`` starts empty.
+    Three tables live as long as the model and serve every formula compiled
+    over it: ``answers`` holds the oracles' answers, one table per relation;
+    ``classes`` interns alpha classes of subformulas; ``memos`` holds one
+    truth table per quantifier alpha class.  None is an init field, so a copy
+    made with ``dataclasses.replace`` starts with all three empty.
     """
 
     name: str
@@ -364,29 +366,45 @@ class FiniteModel:
     tap: Callable = None
     defined: Dict[str, Callable] = field(default_factory=dict)
     answers: Dict[object, dict] = field(default_factory=dict, init=False, repr=False)
+    classes: Dict[object, int] = field(default_factory=dict, init=False, repr=False)
+    memos: Dict[int, dict] = field(default_factory=dict, init=False, repr=False)
+
+
+# The closure of a negation or a connective, built from its operands' closures.
+_JOIN = {
+    Not: lambda body: lambda env: not body(env),
+    And: lambda lhs, rhs: lambda env: lhs(env) and rhs(env),
+    Or: lambda lhs, rhs: lambda env: lhs(env) or rhs(env),
+    Implies: lambda lhs, rhs: lambda env: not lhs(env) or rhs(env),
+    Iff: lambda lhs, rhs: lambda env: lhs(env) == rhs(env),
+}
 
 
 def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..., bool]:
     """Compile ``f`` once over ``model`` into a function of the values of ``params``.
 
-    One bottom-up pass gives every variable an integer slot and returns, for
-    each node, a closure over a list environment indexed by slot (a
-    quantifier sets and restores its own slot in place), the node's free
-    slots in first-use order, and its alpha-class id.  The id is interned
-    from a flat tuple of the node's tag, its children's class ids and the
-    positions that wire them together: where each argument of an atom, or
-    each free slot of a right operand, sits among the node's free slots, and
-    where a quantifier's variable sits among its body's (-1 if absent).  A
-    one-argument atom's class is its tag alone.
+    An eager bottom-up walk gives every variable an integer slot and returns,
+    for each node, the node's free slots in first-use order, its alpha-class
+    id, and a builder of its closure over a list environment indexed by slot
+    (a quantifier sets and restores its own slot in place).  The id is
+    interned in the model's ``classes`` from a flat tuple of the node's tag,
+    its children's class ids and the positions that wire them together: where
+    each argument of an atom, or each free slot of a right operand, sits among
+    the node's free slots, and where a quantifier's variable sits among its
+    body's (-1 if absent).  A one-argument atom's class is its tag alone.  The
+    walk raises the signature and unbound-variable errors before anything is
+    built or evaluated.
 
-    Memos: all quantifiers of one alpha class share one memo, keyed by the
-    values of their free slots in that order, so the alpha-equivalent copies
-    of a subformula that a translation emits are evaluated once per binding;
-    these live as long as the returned function.  All atoms of one relation
-    share one memo keyed by their argument values, kept in the model's
-    ``answers`` for as long as the model lives, so no oracle of a model is
-    called twice with the same arguments, across formulas too.  Connectives,
-    ``Not`` and ``Eq`` keep none.
+    Memos live as long as the model, so they serve every formula compiled
+    over it.  All quantifiers of one alpha class share one memo in the
+    model's ``memos``, keyed by the values of their free slots in that order,
+    so the alpha-equivalent copies of a subformula that a translation emits,
+    in one sentence or across a batch, are evaluated once per binding.  A
+    quantifier builds its body's closures on its first memo miss, so a copy
+    that only ever hits builds none.  All atoms of one relation share one
+    memo keyed by their argument values, kept in the model's ``answers``, so
+    no oracle of a model is called twice with the same arguments.
+    Connectives, ``Not`` and ``Eq`` keep none.
 
     Quantifiers move inward: ``(P op Q) op R`` chains of ``&`` or ``|`` are
     reassociated to ``P op (Q op R)``; then, on a non-empty carrier, ``Qv.
@@ -395,21 +413,18 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
     not occur in its body is dropped.  On an empty carrier both would change
     the truth value, so quantifiers stay where they are.
 
-    Invariant: on a model with no answers yet, oracles are first called on
-    the same tuples, in the same order, as a top-down reading of ``f``.
-    Connectives short-circuit left to right, and a guard left inside a
-    quantifier only repeats calls it made for the first binding.  A model without an oracle for a defined atom
-    raises SignatureError when that atom is first evaluated.
+    Invariant: on a fresh model, oracles are first called on the same tuples,
+    in the same order, as a top-down reading of ``f``.  Connectives
+    short-circuit left to right, and a guard left inside a quantifier only
+    repeats calls it made for the first binding.  A model without an oracle
+    for a defined atom raises SignatureError when that atom is first
+    evaluated.
     """
     slots: Dict[Var, int] = {}
     for v in params:
         slots.setdefault(v, len(slots))
     allowed = _ALLOWED[model.signature]
-    carrier = model.carrier
-    compiled: Dict[int, Tuple[Callable, Tuple[int, ...], int]] = {}
-    keep: List[object] = []  # the nodes ``compiled`` keys by id; rewriting makes temporary ones
-    classes: Dict[tuple, int] = {}
-    memos: Dict[int, dict] = {}  # per quantifier alpha class
+    carrier, classes = model.carrier, model.classes
     bad: List[object] = []
 
     def slot(v: Var) -> int:
@@ -418,71 +433,61 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
             got = slots[v] = len(slots)
         return got
 
-    def node(g) -> Tuple[Callable, Tuple[int, ...], int]:
-        got = compiled.get(id(g))
-        if got is None:
-            got = compiled[id(g)] = build(g)
-            keep.append(g)
-        return got
-
-    def memoized(run: Callable, key: Callable, memo: dict) -> Callable:
-        def cached(env) -> bool:
-            k = key(env)
-            hit = memo.get(k)
-            if hit is None:
-                hit = memo[k] = run(env)
-            return hit
-        return cached
-
-    def build(g) -> Tuple[Callable, Tuple[int, ...], int]:
+    def walk(g) -> Tuple[Callable, Tuple[int, ...], int]:
         kind = type(g)
         if kind is Eq:
             i, j = idx = slot(g.x), slot(g.y)
             free = (i,) if i == j else idx
             cls = classes.setdefault((Eq, len(free)), len(classes))
-            return (lambda env: env[i] == env[j]), free, cls
+            return (lambda: lambda env: env[i] == env[j]), free, cls
         if kind in _RELATIONS:
             if kind not in allowed and not bad:
                 bad.append(g)
-            rel, args = _relation(model, g)
-            idx = tuple(map(slot, args))
+            idx = tuple(map(slot, _atom_args(g)))
             free = idx if len(idx) == 1 else tuple(dict.fromkeys(idx))
             tag = g.name if kind is Defined else kind
-            get = _getter(idx)
-            run = (lambda env: bool(rel(get(env)))) if len(idx) == 1 else (
-                lambda env: bool(rel(*get(env))))
             cls = classes.setdefault(tag if len(idx) == 1 else (tag, *map(free.index, idx)),
                                      len(classes))
-            memo = model.answers.setdefault((tag, len(idx)), {})
-            return memoized(run, get, memo), free, cls
+            return (lambda: _atom(model, g, tag, idx)), free, cls
         if kind is Not:
-            body, free, bc = node(g.f)
+            body, free, bc = walk(g.f)
             cls = classes.setdefault((Not, bc), len(classes))
-            return (lambda env: not body(env)), free, cls
-        if kind in _MOVABLE or kind is Iff:
-            (lhs, lf, lc), (rhs, rf, rc) = node(g.lhs), node(g.rhs)
-            if kind is And:
-                run = lambda env: lhs(env) and rhs(env)
-            elif kind is Or:
-                run = lambda env: lhs(env) or rhs(env)
-            elif kind is Implies:
-                run = lambda env: not lhs(env) or rhs(env)
-            else:
-                run = lambda env: lhs(env) == rhs(env)
-            free = tuple(dict.fromkeys(lf + rf))
-            cls = classes.setdefault((kind, lc, rc, *map(free.index, rf)), len(classes))
-            return run, free, cls
+            return (lambda: _JOIN[Not](body())), free, cls
+        if kind in _CONNECTIVES:
+            return join(kind, walk(g.lhs), walk(g.rhs))
         if kind is Forall or kind is Exists:
-            s, inner = slot(g.v), _rotate(g.body)
-            if carrier and type(inner) in _MOVABLE and s not in node(inner.lhs)[1]:
-                return node(type(inner)(inner.lhs, kind(g.v, inner.rhs)))
-            body, bf, bc = node(inner)
-            at = bf.index(s) if s in bf else -1
-            if carrier and at < 0:
-                return body, bf, bc
-            want_all = kind is Forall
+            return quantify(kind, g.v, g.body)
+        raise TypeError(f"not a formula: {g!r}")
+
+    def join(kind, left, right) -> Tuple[Callable, Tuple[int, ...], int]:
+        (lhs, lf, lc), (rhs, rf, rc) = left, right
+        free = tuple(dict.fromkeys(lf + rf))
+        cls = classes.setdefault((kind, lc, rc, *map(free.index, rf)), len(classes))
+        return (lambda: _JOIN[kind](lhs(), rhs())), free, cls
+
+    def quantify(kind, v: Var, body) -> Tuple[Callable, Tuple[int, ...], int]:
+        s, inner = slot(v), _rotate(body)
+        if carrier and type(inner) in _MOVABLE:
+            left = walk(inner.lhs)
+            if s not in left[1]:
+                return join(type(inner), left, quantify(kind, v, inner.rhs))
+            build_body, bf, bc = join(type(inner), left, walk(inner.rhs))
+        else:
+            build_body, bf, bc = walk(inner)
+        at = bf.index(s) if s in bf else -1
+        if carrier and at < 0:
+            return build_body, bf, bc
+        want_all = kind is Forall
+        free = bf[:at] + bf[at + 1:] if at >= 0 else bf
+        cls = classes.setdefault((kind, bc, at), len(classes))
+
+        def build() -> Callable:
+            body = None
 
             def run(env) -> bool:
+                nonlocal body
+                if body is None:
+                    body = build_body()
                 saved = env[s]
                 out = want_all
                 for e in carrier:
@@ -493,19 +498,18 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
                 env[s] = saved
                 return out
 
-            free = bf[:at] + bf[at + 1:] if at >= 0 else bf
-            cls = classes.setdefault((kind, bc, at), len(classes))
-            return memoized(run, _getter(free), memos.setdefault(cls, {})), free, cls
-        raise TypeError(f"not a formula: {g!r}")
+            return _memoized(run, _getter(free), model.memos.setdefault(cls, {}))
 
-    run, free, _ = node(f)
+        return build, free, cls
+
+    top, free, _ = walk(f)
     missing = sorted(v.name for v, i in slots.items() if i in free and v not in params)
     if missing:
         raise SignatureError(f"unbound variables: {missing}")
     if bad:
         raise SignatureError(
             f"{type(bad[0]).__name__} atom not in signature {model.signature}")
-    width = len(slots)
+    run, width = top(), len(slots)
 
     def holds(*values) -> bool:
         env = [None] * width
@@ -523,6 +527,15 @@ def _rotate(g):
     return g
 
 
+def _atom(model: FiniteModel, g, tag, idx: Tuple[int, ...]) -> Callable:
+    """The closure of the relational atom ``g`` read at slots ``idx``: its
+    oracle's answer, kept in the model's ``answers`` table for ``tag``."""
+    rel, get = _relation(model, g)[0], _getter(idx)
+    run = (lambda env: bool(rel(get(env)))) if len(idx) == 1 else (
+        lambda env: bool(rel(*get(env))))
+    return _memoized(run, get, model.answers.setdefault((tag, len(idx)), {}))
+
+
 def _relation(model: FiniteModel, g) -> Tuple[Callable, Tuple[Var, ...]]:
     """The oracle a relational atom reads and the variables it is applied to."""
     if type(g) is not Defined:
@@ -534,6 +547,16 @@ def _relation(model: FiniteModel, g) -> Tuple[Callable, Tuple[Var, ...]]:
     return oracle, g.args
 
 
+def _memoized(run: Callable, key: Callable, memo: dict) -> Callable:
+    def cached(env) -> bool:
+        k = key(env)
+        hit = memo.get(k)
+        if hit is None:
+            hit = memo[k] = run(env)
+        return hit
+    return cached
+
+
 def _getter(idx: Sequence[int]) -> Callable:
     """Read slots ``idx`` of an environment: a bare value for one slot, a
     tuple for several, ``()`` for none."""
@@ -543,11 +566,11 @@ def _getter(idx: Sequence[int]) -> Callable:
 def eval_formula(model: FiniteModel, f, env: Optional[Dict[Var, object]] = None) -> bool:
     """Tarskian truth over ``model``; quantifiers range over the carrier.
 
-    ``env`` binds the free variables of ``f``.  The formula is compiled once
-    by :func:`compile_formula` into slot-indexed closures whose memos are
-    keyed by each subformula's free-variable values, so large relativized
-    guards stay cheap; an unbound variable or an atom outside the model's
-    signature raises SignatureError before anything is evaluated.
+    ``env`` binds the free variables of ``f``.  The formula is compiled by
+    :func:`compile_formula` into slot-indexed closures whose memos live with
+    the model and are keyed by free-variable values, so large relativized
+    guards stay cheap across a batch; an unbound variable or an atom outside
+    the model's signature raises SignatureError before anything is evaluated.
     """
     env = env or {}
     return compile_formula(model, f, tuple(env))(*env.values())

@@ -612,6 +612,18 @@ def test_verify_conch_on_church_depth3(capsys, church_file):
     assert capsys.readouterr().out == CONCH_OUT_CHURCH3
 
 
+@pytest.mark.parametrize("spec, depth", [("church:1", "1"), ("church:2", "2")])
+def test_verify_conch_below_the_top_wand_designation(capsys, tmp_path, spec, depth):
+    # the numeral k ranks k, so these builds cannot hold the top wand's designation
+    path = tmp_path / "shallow.json"
+    assert cli.main(["build", "--spec", spec, "--depth", depth, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "conch", "--in", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "PASS roundtrip-hb-iso" in lines
+    assert all(line.startswith("PASS ") for line in lines[1:])
+
+
 def test_verify_formula_on_church1_depth3(capsys, tmp_path):
     # church:1 has wands 0 and 1 only, though its depth-3 fragment holds
     # the numeral 2: bullet must not read that numeral as a wand

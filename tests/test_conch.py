@@ -219,12 +219,21 @@ def test_codes_injective(church3):
 
 @pytest.mark.parametrize("name,depth", [
     ("pure", 3), ("pure", 4), ("conway", 3), ("church:2", 3),
+    ("church:1", 1), ("church:2", 2),  # too shallow to hold the top wand's designation
 ])
 def test_roundtrip_all_pass(name, depth):
     frag = built(name, depth)
     stages = conch.gen_stages(frag.spec, depth)
     report = conch.verify_roundtrip(frag, stages)
     assert not any(report.values()), report
+
+
+def test_roundtrip_reports_an_unregistered_designation_the_depth_holds(church3, monkeypatch):
+    stages = conch.gen_stages(church3.spec, 3)
+    wands = {w: oid for w, oid in church3.wand_obj_ids().items() if w != 2}
+    monkeypatch.setattr(church3, "wand_obj_ids", lambda: wands)
+    report = conch.verify_roundtrip(church3, stages)
+    assert report["hb_iso"] == ["wand 2 designation unregistered"]
 
 
 def test_roundtrip_requires_exhaustive():

@@ -940,14 +940,17 @@ def test_eval_keeps_quantifiers_in_place_on_an_empty_carrier():
         _assert_same_order(empty, [(name, f)], env)
 
 
-@pytest.mark.parametrize("text", [
+_WIRING = [
     "forall x. forall y. (exists z. In(z,x) & In(y,z)) <-> (exists z. In(z,x) & In(z,y))",
     "forall x. (exists z. Tap(z,x,x)) <-> (exists z. Tap(z,z,x))",
     "forall x. forall y. (exists z. Tap(z,x,y)) <-> (exists z. Tap(z,y,x))",
     "forall x. forall y. (exists z. In(z,x) & ~In(z,y)) <-> (exists z. In(z,y) & ~In(z,x))",
     "forall a. (exists z. In(z,a)) <-> (exists x. In(a,x))",
     "forall x. (exists y. (x = x <-> In(x,y))) <-> (exists y. (x = y <-> In(x,y)))",
-])
+]
+
+
+@pytest.mark.parametrize("text", _WIRING)
 def test_eval_keeps_apart_subformulas_that_differ_in_wiring(church3, text):
     # each side has the shape of the other with its variables wired
     # differently, so a memo shared between the two sides would make it true
@@ -955,6 +958,66 @@ def test_eval_keeps_apart_subformulas_that_differ_in_wiring(church3, text):
     f = F.parse(text)
     assert not F.eval_formula(m, f)
     _assert_same_order(m, [(text, f)])
+
+
+# -- the model's tables shared across a batch ----------------------------------------------
+
+def _assert_batch_matches_fresh(model, sentences):
+    """Evaluated in turn on one model, whose class table and memos they share,
+    the sentences get the values they get on a fresh copy each and from
+    ``reference_eval``."""
+    for name, f in sentences:
+        fresh = F.eval_formula(dataclasses.replace(model), f)
+        assert F.eval_formula(model, f) == fresh == reference_eval(model, f), (model.name, name)
+    assert model.classes and model.memos
+
+
+def test_a_batch_on_one_model_matches_fresh_models_and_the_reference():
+    wsm, ltm, cm, em = _church3_models()
+    ws = F.random_sentences(F.SIG_WS, 60, seed=51) + F.ws_axioms() + F.ws_relativized_axioms()
+    lt = F.random_sentences(F.SIG_LT, 60, seed=52) + F.lt_axioms() + F.lt_relativized_axioms()
+    plain = [(n, f) for n, f in ws if n != "stages-cover-everything"]
+    _assert_batch_matches_fresh(wsm, ws + [(n, F.translate_tau(f)) for n, f in lt])
+    _assert_batch_matches_fresh(ltm, lt)
+    _assert_batch_matches_fresh(cm, [(n, F.translate_tolt(f)) for n, f in ws])
+    _assert_batch_matches_fresh(em, F.random_sentences(F.SIG_E, 60, seed=53)
+                                + [(n, F.translate_bullet(f)) for n, f in plain])
+
+
+@pytest.mark.parametrize("text", _WIRING)
+def test_a_batch_keeps_apart_sentences_that_differ_in_wiring(church3, text):
+    # the two sides of each wiring case as two sentences, in either order
+    f, prefix = F.parse(text), []
+    while type(f) in (F.Forall, F.Exists):
+        prefix.append(f)
+        f = f.body
+    sides = []
+    for side in (f.lhs, f.rhs):
+        for q in reversed(prefix):
+            side = type(q)(q.v, side)
+        sides.append((text, side))
+    _assert_batch_matches_fresh(F.fragment_model(church3), sides)
+    _assert_batch_matches_fresh(F.fragment_model(church3), sides[::-1])
+
+
+def test_an_alpha_equivalent_sentence_reuses_the_model_tables(church3):
+    # tau's guards make both sentences large; only their bound names differ
+    text = "forall {x}. ~Wand({x}) -> (exists {y}. In({y},{x}) | (forall {z}. ~In({x},{z})))"
+    first, second = (F.translate_tau(F.parse(text.format(x=x, y=y, z=z)))
+                     for x, y, z in ("xyz", "abc"))
+    assert first != second
+    model, calls = _recording(F.fragment_model(church3))
+
+    def tables():
+        return ([len(t) for t in model.answers.values()], len(model.classes),
+                [len(t) for t in model.memos.values()])
+
+    value, seen = F.eval_formula(model, first), tables()
+    made = len(calls)
+    assert F.eval_formula(model, second) == value
+    assert len(calls) == made and tables() == seen
+    copy = dataclasses.replace(model)
+    assert model.classes and not copy.classes and not copy.memos and not copy.answers
 
 
 def reference_decode_conch_num(h):
