@@ -112,9 +112,9 @@ def _ids(value, what: str) -> Tuple[int, ...]:
 @acyclic()
 def import_fragment(text: str) -> Fragment:
     """Read a universe file with canonical ids, as export writes them; a
-    value of any other JSON type than export writes is bad data.  Each
-    object is checked as it is read, its canonical order included, so the
-    first object out of order is named before any fault after it."""
+    value of any other JSON type than export writes is bad data.  Each object
+    is checked as it is read, its canonical order and a tapped object's class
+    included, so the first faulty object is named before any fault after it."""
     try:
         doc = json.loads(text)
         header = doc["header"]
@@ -155,6 +155,8 @@ def import_fragment(text: str) -> Fragment:
                 arg_ranks = {ranks[b] for _, b in cls}
                 if len(arg_ranks) != 1 or arg_ranks.pop() + 1 != rank:
                     raise DataError(f"{what}: tap rank law broken")
+                if wandspec.tap_class(spec, *cls[0], frag) != cls:
+                    raise DataError(f"{what}: not the tap class of its first pair")
                 o, key = Obj(oid, rank, None, cls), (rank, kind, cls)
                 tap_index[cls] = oid
             else:
@@ -186,7 +188,7 @@ def import_fragment(text: str) -> Fragment:
                     raise DataError(f"exhaustive fragment has {blands} bland sets "
                                     f"of rank <= {i}, not 2**{len(c)}")
         return frag
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError, BeyondFragment) as exc:
         raise DataError(str(exc)) from exc
 
 

@@ -214,16 +214,9 @@ def _union_chain(q: SetQuery, a, n: int) -> Optional[List[Tuple]]:
         cur = levels[i]
         if any(not q.is_bland(x) for x in cur):
             return None
-        nxt = []
-        seen = set()
-        for x in cur:
-            for y in q.members(x):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        if not nxt:
+        if not (nxt := tuple(dict.fromkeys(y for x in cur for y in q.members(x)))):
             return None
-        levels.append(tuple(nxt))
+        levels.append(nxt)
     return levels
 
 
@@ -260,6 +253,26 @@ def n_equiv_holds(q: SetQuery, a, b, n: int) -> bool:
         mb = q.members(b) if q.is_bland(b) else ()
         return len(ma) > 0 and len(ma) == len(mb)
     return n_equiv_over(q, a, b, n) is not None
+
+
+def _neq_key(q: SetQuery, a, n: int) -> Optional[tuple]:
+    # what every n-equivalence witness keeps: the union chain's level sizes and
+    # the member counts at each level above the bottom; None when the chain fails
+    chain = _union_chain(q, a, n)
+    return chain and (tuple(map(len, chain)),
+                      *[tuple(sorted(map(len, map(q.members, lvl)))) for lvl in chain[:-1]])
+
+
+def _neq_group(frag: Fragment, a: int, n: int) -> List[int]:
+    """The ids sharing ``a``'s n-key, a superset of those n-equivalent to it;
+    for n >= 2 cut from ``a``'s (n-1)-group, as the n-key fixes the (n-1)-key."""
+    key = _neq_key(frag, a, n)
+    groups = universe._masks(frag).neq.setdefault(n, {})
+    if key is not None and key not in groups:
+        for x in frag.ids() if n == 1 else _neq_group(frag, a, n - 1):
+            if (kx := _neq_key(frag, x, n)) is not None:
+                groups.setdefault(kx, []).append(x)
+    return groups.get(key, [])
 
 
 def _induce(q: SetQuery, fmap: Dict, level: Sequence, target: Sequence) -> Optional[Dict]:
@@ -493,8 +506,8 @@ def varin(frag: Fragment, x: int, a: int) -> bool:
 
 def varin_mask(frag: Fragment, a: int) -> int:
     """The expansive extension of ``a`` as a bitmask over ids: its member
-    mask when it is bland, else one sweep over the fragment, memoised with
-    the fragment's masks (it covers every object registered so far)."""
+    mask when it is bland, else one sweep over the fragment (over the base's
+    n-equivalence key group for a cardinal), memoised with the masks."""
     kind = classify_kind(frag, a)
     if kind.tag == "bland":
         return universe.member_mask(frag, a)
@@ -505,7 +518,7 @@ def varin_mask(frag: Fragment, a: int) -> int:
         if kind.n == 0:
             hit = everything & ~universe.member_mask(frag, kind.base)
         else:
-            hit = universe.ids_mask(x for x in frag.ids()
+            hit = universe.ids_mask(x for x in _neq_group(frag, kind.base, kind.n)
                                     if n_equiv_holds(frag, x, kind.base, kind.n))
             if kind.tag == "comp_of_card":
                 hit = everything & ~hit

@@ -31,6 +31,10 @@ Members = Tuple[int, ...]
 TapClass = Tuple[Tuple[int, int], ...]
 
 
+def _canonical(items: Iterable) -> tuple:  # members or class pairs, any order
+    return tuple(sorted(set(items)))
+
+
 class Obj:
     """A universe object: bland (with members) or tapped (with its class),
     each a tuple in canonical order."""
@@ -70,22 +74,22 @@ class Fragment:
     _bland_index: Dict[Members, int] = field(default_factory=dict)
     _tap_index: Dict[TapClass, int] = field(default_factory=dict)
     _tap_of: Dict[Tuple[int, int], Optional[int]] = field(default_factory=dict)
-    _below: Dict[Tuple[int, int], Tuple[int, ...]] = field(default_factory=dict)
+    # rank -> (population scanned, the ids below the rank among it)
+    _below: Dict[int, Tuple[int, Tuple[int, ...]]] = field(default_factory=dict)
     # (wand, handle, population) -> why the tap is beyond; a later registration may resolve it
     _beyond: Dict[Tuple[int, int, int], str] = field(default_factory=dict)
-    # keyed like _below, filled by conch: each id below the rank mapped to its
-    # code's position in canonical order
+    # (rank, population) -> each id below the rank mapped to its code's
+    # position in canonical order, filled by conch
     conch_positions: Dict[Tuple[int, int], Dict[int, int]] = field(default_factory=dict)
     _wevel_ids: Dict[int, int] = field(default_factory=dict)
     _masks: Optional["_Masks"] = None
     # facts fixed when an object is registered, kept for the fragment's life:
     # renders, conch codes, kinds (filled by conch and instances), hereditary
-    # blandness, membership in the levels over a base, and encode_pure's hits
+    # blandness and encode_pure's hits
     _renders: Dict[int, str] = field(default_factory=dict)
     conch_codes: Dict[int, PureSet] = field(default_factory=dict)
     kinds: Dict[int, "instances.CusKind"] = field(default_factory=dict)
     _hb: Dict[int, bool] = field(default_factory=dict)
-    _in_ur_levels: Dict[FrozenSet[int], Dict[int, bool]] = field(default_factory=dict)
     _encoded: Dict[PureSet, int] = field(default_factory=dict)
 
     # -- plumbing -------------------------------------------------------------
@@ -101,18 +105,18 @@ class Fragment:
 
     def register_bland(self, members: Iterable[int], stage: int) -> int:
         """Register the bland set of ``members``, given in any order."""
-        return self._add_bland(self._canonical(members), stage)
+        return self._add_bland(_canonical(members), stage)
 
     def register_tap(self, tclass: Iterable[Tuple[int, int]]) -> int:
         """Register the tapped object of ``tclass``, given in any order."""
-        return self._add_tap(self._canonical_class(tclass))
+        return self._add_tap(_canonical(tclass))
 
     def _add_bland(self, members: Members, stage: int) -> int:
         # trusted: the caller guarantees canonical order, as for pureset._intern
         oid = self._bland_index.get(members)
         if oid is not None:
             return oid
-        rank = 0 if not members else 1 + max(self.obj(m).ordrank for m in members)
+        rank = 0 if not members else 1 + max([self.objects[m].ordrank for m in members])
         assert rank == stage or not self.exhaustive
         o = Obj(len(self.objects), rank, members, None)
         self.objects.append(o)
@@ -130,19 +134,13 @@ class Fragment:
         self._tap_index[tclass] = o.id
         return o.id
 
-    def _canonical(self, members: Iterable[int]) -> Members:
-        return tuple(sorted(set(members)))
-
-    def _canonical_class(self, tclass: Iterable[Tuple[int, int]]) -> TapClass:
-        return tuple(sorted(set(tclass)))
-
     def bland_id(self, members: Iterable[int]) -> Optional[int]:
         """Id of the bland set of ``members``, given in any order."""
-        return self._bland_index.get(self._canonical(members))
+        return self._bland_index.get(_canonical(members))
 
     def tap_id(self, tclass: Iterable[Tuple[int, int]]) -> Optional[int]:
         """Id of the tapped object of ``tclass``, given in any order."""
-        return self._tap_index.get(self._canonical_class(tclass))
+        return self._tap_index.get(_canonical(tclass))
 
     def sort_key(self, oid: int) -> int:
         """Ids are canonical: an object sorts by its id.  Nothing in the
@@ -215,11 +213,11 @@ class Fragment:
         raise BeyondFragment(self._beyond[beyond])
 
     def objects_below(self, r: int) -> Tuple[int, ...]:
-        # keyed by population so mid-build growth invalidates stale answers
-        key = (r, len(self.objects))
-        got = self._below.get(key)
-        if got is None:
-            got = self._below[key] = tuple(o.id for o in self.objects if o.ordrank < r)
+        # growth since the last answer scans only the new objects
+        seen, got = self._below.get(r, (0, ()))
+        if seen != len(self.objects):
+            got += tuple(o.id for o in self.objects[seen:] if o.ordrank < r)
+            self._below[r] = (len(self.objects), got)
         return got
 
 
@@ -293,7 +291,7 @@ class _Masks:
     """
 
     __slots__ = ("size", "members", "bland", "subsets", "found", "transitive",
-                 "wevel", "ur_level", "wands", "varin")
+                 "wevel", "levels", "ur_level", "wands", "varin", "neq")
 
     def __init__(self, frag: Fragment):
         self.size = len(frag.objects)
@@ -304,9 +302,11 @@ class _Masks:
         self.found: Dict[int, int] = {}
         self.transitive: Optional[List[Tuple[int, int]]] = None
         self.wevel: Dict[int, bool] = {}
+        self.levels: Dict[FrozenSet[int], List[int]] = {}  # per base, see _levels
         self.ur_level: Dict[FrozenSet[int], Dict[int, bool]] = {}
         self.wands: Optional[Dict[int, int]] = None
         self.varin: Dict[int, int] = {}  # filled by instances.varin_mask
+        self.neq: Dict[int, Dict[tuple, List[int]]] = {}  # by instances._neq_group
 
 
 def _masks(frag: Fragment) -> _Masks:
@@ -410,7 +410,7 @@ def is_wevel(frag: Fragment, x: int) -> bool:
     hit = memo.get(x)
     if hit is None:
         o = frag.obj(x)
-        sub = [r for r in o.members or () if is_wevel(frag, r)]
+        sub = [r for r in o.members or () if (memo[r] if r in memo else is_wevel(frag, r))]
         hit = memo[x] = o.is_bland and _pot_mask(frag, sub) == member_mask(frag, x)
     return hit
 
@@ -473,7 +473,10 @@ def hb_witness(frag: Fragment, a: int) -> Optional[int]:
                         if all(frag.obj(x).is_bland and not m.members[x] & ~cm
                                for x in frag.obj(c).members)]
     am = m.members[a]
-    return next((c for c, cm in m.transitive if not am & ~cm), None)
+    for c, cm in m.transitive:
+        if not am & ~cm:
+            return c
+    return None
 
 
 def hb_part(frag: Fragment, a: int) -> int:
@@ -514,61 +517,61 @@ def decode_pure(frag: Fragment, a: int):
 
 # -- levels over urelements ---------------------------------------------------
 
+def _levels(frag: Fragment, base: FrozenSet[int]) -> List[int]:
+    """The level masks over ``base``, each the base plus every bland set whose
+    members all sit at the one before, until one repeats: the fixpoint."""
+    m = _masks(frag)
+    got = m.levels.get(base)
+    if got is None:
+        got = m.levels[base] = [ids_mask(base)]
+        while len(got) < 2 or got[-1] != got[-2]:
+            outside, nxt = ~got[-1], got[0]
+            for x, xm in m.bland:
+                if not xm & outside:
+                    nxt |= 1 << x
+            got.append(nxt)
+    return got
+
+
 def ur_level(frag: Fragment, alpha: int, base: FrozenSet[int]) -> FrozenSet[int]:
     """Level ``alpha`` of the bland hierarchy over ``base``, within the
     fragment: base members plus every registered bland set whose members all
     sit at an earlier level."""
-    level = frozenset(base)
-    for _ in range(alpha):
-        nxt = set(base)
-        for o in frag.objects:
-            if o.is_bland and level.issuperset(o.members):
-                nxt.add(o.id)
-        level = frozenset(nxt)
-    return level
+    levels = _levels(frag, base)
+    return frozenset(mask_ids(levels[min(alpha, len(levels) - 1)]))
 
 
 def in_ur_levels(frag: Fragment, base: FrozenSet[int], x: int) -> bool:
-    """Whether ``x`` appears at some level over ``base`` (recursive form)."""
-    return _in_ur_levels(frag, base, frag._in_ur_levels.setdefault(base, {}), x)
+    """Whether ``x`` appears at some level over ``base``: a bit of the fixpoint."""
+    return bool(_levels(frag, base)[-1] >> x & 1)
 
 
-def _in_ur_levels(frag: Fragment, base: FrozenSet[int], memo: dict, x: int) -> bool:
-    hit = memo.get(x)
-    if hit is None:
-        memo[x] = False  # guard against self-membership in odd bases
-        o = frag.obj(x)
-        hit = memo[x] = x in base or (o.is_bland and all(
-            _in_ur_levels(frag, base, memo, m) for m in o.members))
-    return hit
-
-
-def _ur_pot_mask(frag: Fragment, base: FrozenSet[int], member_ids: Iterable[int]) -> int:
-    # the base plus the bland subsets of each member, read with primitive
-    # membership (a tapped member has none)
-    mask = ids_mask(base)
+def _ur_pot_mask(frag: Fragment, bottom: int, member_ids: Iterable[int]) -> int:
+    # the base's mask plus the bland subsets of each member, read with
+    # primitive membership (a tapped member has none)
     for c in member_ids:
-        mask |= subset_mask(frag, c)
-    return mask
+        bottom |= subset_mask(frag, c)
+    return bottom
 
 
 def ur_pot_ids(frag: Fragment, base: FrozenSet[int], member_ids: Iterable[int]) -> FrozenSet[int]:
-    return frozenset(mask_ids(_ur_pot_mask(frag, base, member_ids)))
+    return frozenset(mask_ids(_ur_pot_mask(frag, ids_mask(base), member_ids)))
 
 
 def is_ur_level(frag: Fragment, base: FrozenSet[int], t: int) -> bool:
     """Recognizer for levels over ``base``, via the characterization that a
     level is the ur-pot of its level members."""
-    return _is_ur_level(frag, base, _masks(frag).ur_level.setdefault(base, {}), t)
+    return _is_ur_level(frag, ids_mask(base), _masks(frag).ur_level.setdefault(base, {}), t)
 
 
-def _is_ur_level(frag: Fragment, base: FrozenSet[int], memo: dict, t: int) -> bool:
+def _is_ur_level(frag: Fragment, bottom: int, memo: dict, t: int) -> bool:
     hit = memo.get(t)
     if hit is None:
         memo[t] = False  # recursion guard; members may include base elements
         o = frag.obj(t)
-        sub = [r for r in o.members or () if _is_ur_level(frag, base, memo, r)]
-        hit = memo[t] = o.is_bland and _ur_pot_mask(frag, base, sub) == member_mask(frag, t)
+        sub = [r for r in o.members or ()
+               if (memo[r] if r in memo else _is_ur_level(frag, bottom, memo, r))]
+        hit = memo[t] = o.is_bland and _ur_pot_mask(frag, bottom, sub) == member_mask(frag, t)
     return hit
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from wandset import cli, wandspec
+from wandset import cli, universe, wandspec
 
 from conftest import ref_sort_key
 
@@ -90,8 +90,6 @@ def test_export_import_roundtrip_bytes(church_file, pure_file):
 
 
 def test_independent_builds_export_identically():
-    from wandset import universe, wandspec
-
     spec = wandspec.get_spec("church:2")
     a = cli.export_fragment(universe.build(spec, 3))
     b = cli.export_fragment(universe.build(wandspec.get_spec("church:2"), 3))
@@ -279,9 +277,10 @@ def test_import_rejects_an_exhaustive_file_without_the_bland_census(capsys, tmp_
 
 
 def test_import_accepts_the_canonical_orders_of_the_rejected_cases(capsys, tmp_path):
-    # the same objects as the out-of-order cases above, in canonical order
+    # the same objects as the out-of-order cases above, in canonical order;
+    # the class [[0, 0], [1, 0]] is not here, as no build makes it
+    # (test_import_rejects_a_tap_class_no_build_makes)
     for objs in ([dict(_SINGLETON, members=[0, 1], ordrank=2)],
-                 [dict(_COMPLEMENT, **{"class": [[0, 0], [1, 0]]})],
                  [dict(_SINGLETON, members=[0, 1], ordrank=2),
                   dict(_SINGLETON, members=[1], ordrank=2)],
                  [dict(_SINGLETON, members=[1], ordrank=2),
@@ -290,6 +289,39 @@ def test_import_accepts_the_canonical_orders_of_the_rejected_cases(capsys, tmp_p
         good.write_text(json.dumps(_corrupt(objs, {2: list(range(3 + len(objs)))})))
         assert cli.main(["query", "rank", "--obj", "3", "--in", str(good)]) == 0
         assert capsys.readouterr().out == f"{objs[0]['ordrank']}\n"
+
+
+@pytest.mark.parametrize("cls", [[[0, 0], [1, 0]], [[1, 0]], [[2, 0]]],
+                         ids=["two-pairs", "1-cardinal-of-the-empty-set",
+                              "2-cardinal-of-the-empty-set"])
+def test_import_rejects_a_tap_class_no_build_makes(capsys, tmp_path, cls):
+    # each class passes the shape, range, rank and order checks, but the
+    # empty set has no cardinal, so its complement's class is [[0, 0]] alone
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_corrupt([dict(_COMPLEMENT, **{"class": cls})],
+                                       {2: [0, 1, 2, 3]})))
+    assert cli.main(["query", "rank", "--obj", "0", "--in", str(bad)]) == 65
+    assert capsys.readouterr().err == ("bad data: object 3: not the tap class "
+                                       "of its first pair\n")
+
+
+def test_import_rejects_a_sampled_file_without_a_tap_a_later_class_reads(capsys, tmp_path):
+    # the complement of {{}} (object 4) dropped and the ids renumbered: the
+    # complement of {{},{{}},*0{}} is in its wand's domain only if no earlier
+    # bland set's complement is that object, which asks for the dropped tap
+    doc = json.loads(cli.export_fragment(universe.build(
+        wandspec.get_spec("church:2"), 4, mode="sampled", subset_bound=0)))
+    assert doc["objects"].pop(4) == {"class": [[0, 1]], "kind": "tapped", "ordrank": 2}
+    for o in doc["objects"]:
+        if "members" in o:
+            o["members"] = [i - (i > 4) for i in o["members"] if i != 4]
+        else:
+            o["class"] = [[w, b - (b > 4)] for w, b in o["class"]]
+    doc["wevels"] = [[i - (i > 4) for i in c if i != 4] for c in doc["wevels"]]
+    path = tmp_path / "sampled.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["query", "rank", "--obj", "0", "--in", str(path)]) == 65
+    assert capsys.readouterr().err == "bad data: tap of wand 0 on rank-1 object\n"
 
 
 @pytest.mark.parametrize("stage2", [[0, 1], [0, 2, 1], [0, 0, 2], [0, 1, 3]],
@@ -635,6 +667,20 @@ def test_verify_formula_on_church1_depth3(capsys, tmp_path):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# suite formula" and "PASS bullet-circle-identity" in lines
     assert all(line.startswith("PASS ") for line in lines[1:])
+
+
+def test_verify_all_on_church1_depth1(capsys, tmp_path):
+    # bland_bullet asks for the set {{}}, which depth 1 lacks, so the two
+    # rows that read it need depth 2; circle-bullet-identity still runs
+    path = tmp_path / "church1.json"
+    assert cli.main(["build", "--spec", "church:1", "--depth", "1",
+                     "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "all", "--in", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "PASS circle-bullet-identity" in lines
+    assert not [line for line in lines
+                if "bullet-preserves-axioms" in line or "bullet-circle-identity" in line]
 
 
 @pytest.mark.parametrize("translation, flag", [("bullet", "--dst"), ("circle", "--src")])

@@ -310,6 +310,55 @@ def test_varin_mask_matches_per_pair_reference(name, depth):
         assert universe.mask_ids(instances.varin_mask(frag, a)) == want, a
 
 
+def ref_varin_mask(frag, a):
+    """The extension swept over every id, as before the key groups."""
+    kind = instances.classify_kind(frag, a)
+    if kind.tag == "bland":
+        return universe.member_mask(frag, a)
+    everything = (1 << len(frag)) - 1
+    if kind.n == 0:
+        return everything & ~universe.member_mask(frag, kind.base)
+    hit = universe.ids_mask(x for x in frag.ids()
+                            if instances.n_equiv_holds(frag, x, kind.base, kind.n))
+    return everything & ~hit if kind.tag == "comp_of_card" else hit
+
+
+@pytest.mark.parametrize("name, depth", [("church:1", 3), ("church:1", 4),
+                                         ("church:2", 3), ("church:2", 4)])
+def test_varin_mask_matches_the_all_ids_sweep(name, depth):
+    frag = built(name, depth)
+    cardinals = 0
+    for a in frag.ids():
+        assert instances.varin_mask(frag, a) == ref_varin_mask(frag, a), a
+        cardinals += bool(instances.classify_kind(frag, a).n)
+    assert cardinals
+
+
+def test_neq_key_is_kept_by_every_n_equivalence(church3):
+    ids = list(church3.ids())
+    held = {}
+    for n in (1, 2, 3):
+        keys = {a: instances._neq_key(church3, a, n) for a in ids}
+        for a in ids:
+            for b in ids:
+                if instances.n_equiv_holds(church3, a, b, n):
+                    held[n] = held.get(n, 0) + 1
+                    assert keys[a] is not None and keys[a] == keys[b], (n, a, b)
+    assert held.keys() == {1, 2}  # no union chain of this depth is three levels long
+
+
+@pytest.mark.parametrize("name, depth", [("church:2", 3), ("church:1", 4), ("church:2", 4)])
+def test_neq_groups_are_the_ids_with_the_same_key(name, depth):
+    # for n >= 2 a group is cut from the (n-1)-group of the first id asked
+    frag = universe.build(universe.wandspec.get_spec(name), depth)
+    ids = list(frag.ids())
+    for n in (1, 2, 3):
+        keys = [instances._neq_key(frag, x, n) for x in ids]
+        for a in reversed(ids):
+            want = [] if keys[a] is None else [x for x in ids if keys[x] == keys[a]]
+            assert instances._neq_group(frag, a, n) == want, (n, a)
+
+
 def test_varin_mask_rejects_non_church(conway4):
     with pytest.raises(ValueError):
         instances.varin_mask(conway4, 0)

@@ -90,3 +90,40 @@ def test_every_command_on_a_mutated_file_exits_with_a_documented_code(valid, pat
                  ["query", "member", "--x", other, "--of", obj, "--expansive"],
                  ["verify", "--suite", "all"]):
         assert run(argv + ["--in", path]) in DOCUMENTED, argv
+
+
+# One class pair of the church:2 depth-3 file changed, by object id: the file
+# keeps its shape, ranks and canonical order, but no build makes the class.
+CLASS_MUTATIONS = [(2, [1, 0]), (2, [2, 0]), (9, [0, 2]), (10, [2, 1])]
+
+
+@pytest.mark.parametrize("oid, pair", CLASS_MUTATIONS,
+                         ids=[f"object-{oid}-{w}-{b}" for oid, (w, b) in CLASS_MUTATIONS])
+def test_a_tap_class_no_build_makes_is_bad_data(valid, path, capsys, oid, pair):
+    doc = json.loads(valid)
+    assert doc["objects"][oid]["kind"] == "tapped" and len(doc["objects"][oid]["class"]) == 1
+    doc["objects"][oid]["class"] = [pair]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+    for argv in (["query", "rank", "--obj", "0"], ["verify", "--suite", "all"]):
+        assert cli.main(argv + ["--in", path]) == cli.EXIT_DATA, argv
+        assert capsys.readouterr().err == \
+            f"bad data: object {oid}: not the tap class of its first pair\n"
+
+
+def test_every_change_of_one_class_pair_is_bad_data(valid):
+    # each pair of each tapped object moved to every other wand of the spec
+    # and earlier object: whatever check names it, the file is bad data
+    doc = json.loads(valid)
+    by_class = 0
+    for oid, o in enumerate(doc["objects"]):
+        for j, old in enumerate(o.get("class", ())):
+            for new in ([w, b] for w in range(3) for b in range(oid)):
+                if new == old:
+                    continue
+                mutated = copy.deepcopy(doc)
+                mutated["objects"][oid]["class"][j] = new
+                with pytest.raises(cli.DataError) as err:
+                    cli.import_fragment(json.dumps(mutated))
+                by_class += "not the tap class" in str(err.value)
+    assert by_class >= len(CLASS_MUTATIONS)

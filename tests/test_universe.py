@@ -440,6 +440,53 @@ def test_hb_witness_matches_reference(diff_frag):
         assert universe.hb_witness(diff_frag, a) == ref_hb_witness(diff_frag, a), a
 
 
+def ref_ur_level(frag, alpha, base):
+    """Level ``alpha`` over ``base``, rebuilt from the base on every call."""
+    level = frozenset(base)
+    for _ in range(alpha):
+        nxt = set(base)
+        for o in frag.objects:
+            if o.is_bland and level.issuperset(o.members):
+                nxt.add(o.id)
+        level = frozenset(nxt)
+    return level
+
+
+def ref_in_ur_levels(frag, base, x, memo):
+    """Membership in some level over ``base``, read by recursion on members."""
+    hit = memo.get(x)
+    if hit is None:
+        memo[x] = False  # guard against self-membership in odd bases
+        o = frag.obj(x)
+        hit = memo[x] = x in base or (o.is_bland and all(
+            ref_in_ur_levels(frag, base, m, memo) for m in o.members))
+    return hit
+
+
+def _level_bases(frag):
+    # the core suite's two bases and the conch round trip's stage contents
+    return {frozenset(), *map(frozenset, frag.wevel_contents)}
+
+
+def test_ur_level_matches_reference(diff_frag):
+    for base in _level_bases(diff_frag):
+        alpha, prev = 0, None
+        while True:
+            want = ref_ur_level(diff_frag, alpha, base)
+            assert universe.ur_level(diff_frag, alpha, base) == want, (sorted(base), alpha)
+            if want == prev:  # the fixpoint, asked once more
+                break
+            alpha, prev = alpha + 1, want
+
+
+def test_in_ur_levels_matches_reference(diff_frag):
+    for base in _level_bases(diff_frag):
+        memo = {}
+        for x in diff_frag.ids():
+            assert universe.in_ur_levels(diff_frag, base, x) == \
+                ref_in_ur_levels(diff_frag, base, x, memo), (sorted(base), x)
+
+
 def test_masks_follow_a_growing_fragment():
     frag = universe.build(wandspec.get_spec("pure"), 2)
     empty = frag.bland_id(frozenset())
@@ -467,7 +514,11 @@ def _memoised_answers(frag):
     for base in (frozenset(), frozenset(frag.wevel_contents[1])):
         out["is_ur_level", base] = [universe.is_ur_level(frag, base, a) for a in ids]
         out["in_ur_levels", base] = [universe.in_ur_levels(frag, base, a) for a in ids]
+        out["ur_level", base] = [universe.ur_level(frag, alpha, base)
+                                 for alpha in range(frag.depth + 3)]
     if frag.spec.name.startswith("church:"):
+        out["neq_group"] = [[instances._neq_group(frag, a, n) for n in (1, 2, 3)]
+                            for a in ids]
         out["classify_kind"] = [instances.classify_kind(frag, a) for a in ids]
         out["varin"] = [[instances.varin(frag, x, a) for x in ids] for a in ids]
     return out
