@@ -82,12 +82,13 @@ def export_fragment(frag: Fragment) -> str:
     header = json.dumps({"format_version": FORMAT_VERSION, "spec_name": frag.spec.name,
                          "depth": frag.depth, "exhaustive": frag.exhaustive},
                         sort_keys=True, separators=(",", ":"))
+    id_of = list(map(str, range(len(frag.objects)))).__getitem__  # made once per write
     objects = ",".join(
-        f'{{"kind":"bland","members":[{",".join(map(str, o.members))}],'
-        f'"ordrank":{o.ordrank}}}' if o.is_bland else
-        f'{{"class":[{",".join(f"[{w},{b}]" for w, b in o.tclass)}],'
+        f'{{"kind":"bland","members":[{",".join(map(id_of, o.members))}],'
+        f'"ordrank":{o.ordrank}}}' if o.members is not None else
+        f'{{"class":[{",".join(f"[{w},{id_of(b)}]" for w, b in o.tclass)}],'
         f'"kind":"tapped","ordrank":{o.ordrank}}}' for o in frag.objects)
-    wevels = ",".join(f"[{','.join(map(str, c))}]" for c in frag.wevel_contents)
+    wevels = ",".join(f"[{','.join(map(id_of, c))}]" for c in frag.wevel_contents)
     return f'{{"header":{header},"objects":[{objects}],"wevels":[{wevels}]}}\n'
 
 
@@ -109,12 +110,23 @@ def _ids(value, what: str) -> Tuple[int, ...]:
     return tuple(value)
 
 
+def _tap_class(spec: wandspec.WandSpec, w: int, b: int, frag: Fragment, oid: int):
+    """``wandspec.tap_class``; a tap it finds beyond the file names ``oid``."""
+    try:
+        return wandspec.tap_class(spec, w, b, frag)
+    except BeyondFragment as exc:
+        raise DataError(f"object {oid}: {exc}") from exc
+
+
 @acyclic()
 def import_fragment(text: str) -> Fragment:
     """Read a universe file with canonical ids, as export writes them; a
     value of any other JSON type than export writes is bad data.  Each object
     is checked as it is read, its canonical order and a tapped object's class
-    included, so the first faulty object is named before any fault after it."""
+    included, so the first faulty object is named before any fault after it.
+    Then the file as a whole must be one a build of its depth makes: its
+    wevels, no object ranked at or above the depth, the bland census of an
+    exhaustive file, and every tap a build registers."""
     try:
         doc = json.loads(text)
         header = doc["header"]
@@ -129,22 +141,30 @@ def import_fragment(text: str) -> Fragment:
         objects, bland_index, tap_index = frag.objects, frag._bland_index, frag._tap_index
         ranks: List[int] = []
         last: tuple = ()
+        # a bland object's name, "object N", is made only for a message, and
+        # its _ids and _typed calls are reached only to raise theirs
         for oid, rec in enumerate(_typed(doc["objects"], list, "objects")):
-            what, kind = f"object {oid}", rec["kind"]
+            kind = rec["kind"]
             if kind == "bland":
-                members = _ids(rec["members"], what)
-                rank = _typed(rec["ordrank"], int, what)
+                members = rec["members"]
+                if type(members) is not list or not _INT.issuperset(map(type, members)):
+                    _ids(members, f"object {oid}")
+                rank = rec["ordrank"]
+                if type(rank) is not int:
+                    _typed(rank, int, f"object {oid}")
+                members = tuple(members)
                 if not all(map(operator.lt, members, members[1:])):
-                    raise DataError(f"{what}: out of canonical order")
+                    raise DataError(f"object {oid}: out of canonical order")
                 if members and (members[0] < 0 or members[-1] >= oid):
-                    raise DataError(f"{what}: members must be earlier objects")
+                    raise DataError(f"object {oid}: members must be earlier objects")
                 # the key check below keeps ranks ascending with ids
                 want = 1 + ranks[members[-1]] if members else 0
                 if rank != want:
-                    raise DataError(f"{what}: rank {rank}, expected {want}")
+                    raise DataError(f"object {oid}: rank {rank}, expected {want}")
                 o, key = Obj(oid, rank, members, None), (rank, kind, members)
                 bland_index[members] = oid
             elif kind == "tapped":
+                what = f"object {oid}"
                 cls = tuple(_ids(p, what) for p in _typed(rec["class"], list, what))
                 rank = _typed(rec["ordrank"], int, what)
                 if not all(map(operator.lt, cls, cls[1:])):
@@ -155,14 +175,14 @@ def import_fragment(text: str) -> Fragment:
                 arg_ranks = {ranks[b] for _, b in cls}
                 if len(arg_ranks) != 1 or arg_ranks.pop() + 1 != rank:
                     raise DataError(f"{what}: tap rank law broken")
-                if wandspec.tap_class(spec, *cls[0], frag) != cls:
+                if _tap_class(spec, *cls[0], frag, oid) != cls:
                     raise DataError(f"{what}: not the tap class of its first pair")
                 o, key = Obj(oid, rank, None, cls), (rank, kind, cls)
                 tap_index[cls] = oid
             else:
                 raise DataError(f"unknown kind {kind!r}")
             if key <= last:  # "bland" sorts before "tapped"
-                raise DataError(f"{what}: out of canonical order")
+                raise DataError(f"object {oid}: out of canonical order")
             last = key
             ranks.append(rank)
             objects.append(o)
@@ -177,6 +197,11 @@ def import_fragment(text: str) -> Fragment:
                     raise DataError(f"wevel {i} must list every id")
             elif c != tuple(range(bisect.bisect_left(ranks, i))):
                 raise DataError(f"wevel {i} must list the ids of rank below {i}")
+        # a build's last stage, depth - 1, makes objects of rank depth - 1 at most
+        if ranks and ranks[-1] >= frag.depth:
+            oid = bisect.bisect_left(ranks, frag.depth)
+            raise DataError(f"object {oid}: rank {ranks[oid]} at or above "
+                            f"depth {frag.depth}")
         if frag.exhaustive:
             # an exhaustive build registers every subset of wevel i at stage
             # i; checking the bit length first keeps the shift small
@@ -187,8 +212,15 @@ def import_fragment(text: str) -> Fragment:
                 if len(c) >= blands.bit_length() or blands != 1 << len(c):
                     raise DataError(f"exhaustive fragment has {blands} bland sets "
                                     f"of rank <= {i}, not 2**{len(c)}")
+        # every stage registers the taps of the objects found before it, so
+        # the last one those of every object ranked below depth - 1
+        for a in frag.wevel_contents[-2]:
+            for w in wands:
+                cls = _tap_class(spec, w, a, frag, a)
+                if cls is not None and cls not in tap_index:
+                    raise DataError(f"object {a}: its tap by wand {w} is missing")
         return frag
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError, BeyondFragment) as exc:
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(str(exc)) from exc
 
 
@@ -425,20 +457,30 @@ def cmd_translate(args) -> int:
 
 def cmd_export(args) -> int:
     frag = _load(args.infile)
+    objects = frag.objects
+    ids = list(map(str, range(len(objects))))  # made once per write
+    # labels are built escaped, and only those ranked below the last object
+    # are kept: a label reads only the labels of lower ranks
+    top = objects[-1].ordrank if objects else 0
+    low: List[str] = []
+    of, id_of = low.__getitem__, ids.__getitem__
     with _output(args.dot) as fh:
         fh.write("digraph universe {\n")
-        for o in frag.objects:
-            shape = "box" if o.is_bland else "ellipse"
-            label = frag.render(o.id).replace("{", "\\{").replace("}", "\\}") \
-                if args.labels else str(o.id)
-            fh.write(f'  n{o.id} [shape={shape} label="{label}"];\n')
-        for o in frag.objects:
-            head = f"  n{o.id} -> n"
-            if o.is_bland:
+        for o, i in zip(objects, ids):
+            label = i
+            if args.labels:
+                label = universe.label(o, of, "\\{", "\\}")
+                if o.ordrank < top:
+                    low.append(label)
+            shape = "box" if o.members is not None else "ellipse"
+            fh.write(f'  n{i} [shape={shape} label="{label}"];\n')
+        for o, i in zip(objects, ids):
+            head = f"  n{i} -> n"
+            if o.members is not None:
                 if o.members:
-                    fh.write(head + (";\n" + head).join(map(str, o.members)) + ";\n")
+                    fh.write(head + (";\n" + head).join(map(id_of, o.members)) + ";\n")
             else:
-                fh.write("".join(f'{head}{b} [label="w{w}"];\n' for w, b in o.tclass))
+                fh.write("".join(f'{head}{ids[b]} [label="w{w}"];\n' for w, b in o.tclass))
         fh.write("}\n")
     return EXIT_OK
 

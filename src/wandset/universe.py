@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import wandspec
 from .errors import BeyondFragment, CapExceeded, NotBland, StabilityViolation, TapUndefinedAt
@@ -58,6 +58,18 @@ class Obj:
 
     def __repr__(self) -> str:
         return f"<obj {self.id} {self.kind} rank {self.ordrank}>"
+
+
+def label(o: Obj, of: Callable[[int], str], opening: str, closing: str) -> str:
+    """An object's brace notation, given ``of``, the label of a lower id: a
+    bland set is ``opening``, its members' labels joined by commas, then
+    ``closing``; a tapped object is ``*w`` and the label of its least
+    (wand, argument) pair.  ``Fragment.render`` and the DOT export, which
+    escapes the braces, share this rule."""
+    if o.members is not None:
+        return opening + ",".join(map(of, o.members)) + closing
+    w, b = o.tclass[0]
+    return f"*{w}{of(b)}"
 
 
 @dataclass(eq=False)
@@ -148,18 +160,14 @@ class Fragment:
         return oid
 
     def render(self, oid: int) -> str:
-        """Brace notation; a tapped object shows its least (wand, argument)."""
+        """Brace notation (:func:`label` with ``{`` and ``}``)."""
         got = self._renders.get(oid)
         if got is None:
-            o = self.obj(oid)
-            if o.is_bland:
-                try:  # members have lower ids: rendered in id order, they are cached
-                    got = "{" + ",".join(map(self._renders.__getitem__, o.members)) + "}"
-                except KeyError:
-                    got = "{" + ",".join(map(self.render, o.members)) + "}"
-            else:
-                w, b = o.tclass[0]
-                got = f"*{w}{self.render(b)}"
+            o = self.objects[oid]
+            try:  # members have lower ids: rendered in id order, they are cached
+                got = label(o, self._renders.__getitem__, "{", "}")
+            except KeyError:
+                got = label(o, self.render, "{", "}")
             self._renders[oid] = got
         return got
 

@@ -23,6 +23,17 @@ def ref_sort_key(frag, oid):
     return (o.ordrank, 1, tuple(sorted((w, ref_sort_key(frag, b)) for w, b in o.tclass)))
 
 
+def ref_render(frag, oid):
+    """Brace notation from the sorting reference: a bland set's members in
+    canonical order, a tapped object's least (wand, argument) pair."""
+    o = frag.obj(oid)
+    if o.is_bland:
+        inner = sorted((ref_sort_key(frag, m), m) for m in o.members)
+        return "{" + ",".join(ref_render(frag, m) for _, m in inner) + "}"
+    w, _, b = min((w, ref_sort_key(frag, b), b) for w, b in o.tclass)
+    return f"*{w}{ref_render(frag, b)}"
+
+
 @pytest.fixture(scope="session")
 def church3():
     return built("church:2", 3)

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from conftest import built, ref_sort_key
+from conftest import built, ref_render, ref_sort_key
 from test_wandspec import (dom_splitting_spec, late_breaking_spec, lopsided_spec,
                            peeking_spec)
 from wandset import cli, instances, universe, wandspec
@@ -34,15 +34,6 @@ def _build_id(build):
 def frag(request):
     name, depth, kw = request.param
     return built(name, depth, **kw)
-
-
-def ref_render(frag, oid):
-    o = frag.obj(oid)
-    if o.is_bland:
-        inner = sorted((ref_sort_key(frag, m), m) for m in o.members)
-        return "{" + ",".join(ref_render(frag, m) for _, m in inner) + "}"
-    w, _, b = min((w, ref_sort_key(frag, b), b) for w, b in o.tclass)
-    return f"*{w}{ref_render(frag, b)}"
 
 
 def ref_view_members(frag, h):

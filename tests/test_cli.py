@@ -8,7 +8,7 @@ import pytest
 
 from wandset import cli, universe, wandspec
 
-from conftest import ref_sort_key
+from conftest import ref_render, ref_sort_key
 
 
 @pytest.fixture(scope="module")
@@ -278,17 +278,32 @@ def test_import_rejects_an_exhaustive_file_without_the_bland_census(capsys, tmp_
 
 def test_import_accepts_the_canonical_orders_of_the_rejected_cases(capsys, tmp_path):
     # the same objects as the out-of-order cases above, in canonical order;
+    # they rank 2, so they are added to a depth-3 file: the sampled church:2
+    # build without subsets, which has each stage's wevel set and every tap;
     # the class [[0, 0], [1, 0]] is not here, as no build makes it
     # (test_import_rejects_a_tap_class_no_build_makes)
+    base = json.loads(cli.export_fragment(universe.build(
+        wandspec.get_spec("church:2"), 3, mode="sampled", subset_bound=0)))
+    assert len(base["objects"]) == 6 and {"class": [[0, 1]], "kind": "tapped",
+                                           "ordrank": 2} in base["objects"]
     for objs in ([dict(_SINGLETON, members=[0, 1], ordrank=2)],
                  [dict(_SINGLETON, members=[0, 1], ordrank=2),
                   dict(_SINGLETON, members=[1], ordrank=2)],
                  [dict(_SINGLETON, members=[1], ordrank=2),
                   dict(_COMPLEMENT, ordrank=2, **{"class": [[0, 1]]})]):
+        doc = json.loads(json.dumps(base))
+        objects = doc["objects"]
+        objects += [o for o in objs if o not in objects]
+        # no object refers to one of rank 2, so sorting them renumbers nothing
+        objects.sort(key=lambda o: (o["ordrank"], o["kind"], o.get("members", o.get("class"))))
+        doc["wevels"][3] = list(range(len(objects)))
         good = tmp_path / "good.json"
-        good.write_text(json.dumps(_corrupt(objs, {2: list(range(3 + len(objs)))})))
-        assert cli.main(["query", "rank", "--obj", "3", "--in", str(good)]) == 0
-        assert capsys.readouterr().out == f"{objs[0]['ordrank']}\n"
+        good.write_text(json.dumps(doc))
+        ids = [objects.index(o) for o in objs]
+        assert ids == sorted(ids)
+        for oid in ids:
+            assert cli.main(["query", "rank", "--obj", str(oid), "--in", str(good)]) == 0
+            assert capsys.readouterr().out == "2\n"
 
 
 @pytest.mark.parametrize("cls", [[[0, 0], [1, 0]], [[1, 0]], [[2, 0]]],
@@ -321,7 +336,7 @@ def test_import_rejects_a_sampled_file_without_a_tap_a_later_class_reads(capsys,
     path = tmp_path / "sampled.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["query", "rank", "--obj", "0", "--in", str(path)]) == 65
-    assert capsys.readouterr().err == "bad data: tap of wand 0 on rank-1 object\n"
+    assert capsys.readouterr().err == "bad data: object 6: tap of wand 0 on rank-1 object\n"
 
 
 @pytest.mark.parametrize("stage2", [[0, 1], [0, 2, 1], [0, 0, 2], [0, 1, 3]],
@@ -502,7 +517,7 @@ def reference_export(frag, labels):
     for old in order:
         o = frag.obj(old)
         shape = "box" if o.is_bland else "ellipse"
-        label = frag.render(old).replace("{", "\\{").replace("}", "\\}") \
+        label = ref_render(frag, old).replace("{", "\\{").replace("}", "\\}") \
             if labels else str(remap[old])
         lines.append(f'  n{remap[old]} [shape={shape} label="{label}"];')
     for old in order:
@@ -517,12 +532,23 @@ def reference_export(frag, labels):
     return "\n".join(lines) + "\n"
 
 
+# (spec, depth, build flags): the church builds carry tapped labels, and the
+# sampled one tapped objects of its top rank
+EXPORTED = [("conway", 4, []), ("church:2", 3, []), ("church:2", 4, []),
+            ("church:2", 4, ["--mode", "sampled"])]
+
+
 @pytest.mark.parametrize("labels", [False, True])
-def test_streamed_export_matches_reference(tmp_path, capsys, labels):
-    path = tmp_path / "conway4.json"
-    assert cli.main(["build", "--spec", "conway", "--depth", "4",
-                     "--out", str(path)]) == 0
-    dot = tmp_path / "c.dot"
+@pytest.mark.parametrize("spec, depth, flags", EXPORTED,
+                         ids=[f"{s}-{d}" + ("-sampled" if f else "") for s, d, f in EXPORTED])
+def test_streamed_export_matches_reference(tmp_path, capsys, monkeypatch,
+                                           spec, depth, flags, labels):
+    path = tmp_path / "u.json"
+    assert cli.main(["build", "--spec", spec, "--depth", str(depth), "--out", str(path)]
+                    + flags) == 0
+    # the export builds its escaped labels itself, without the render memo
+    monkeypatch.setattr(universe.Fragment, "render", None)
+    dot = tmp_path / "u.dot"
     assert cli.main(["export", "--in", str(path), "--dot", str(dot)]
                     + (["--labels"] if labels else [])) == 0
     want = reference_export(cli.import_fragment(path.read_text()), labels)

@@ -127,3 +127,31 @@ def test_every_change_of_one_class_pair_is_bad_data(valid):
                     cli.import_fragment(json.dumps(mutated))
                 by_class += "not the tap class" in str(err.value)
     assert by_class >= len(CLASS_MUTATIONS)
+
+
+def _depth_lowered(doc):
+    # header depth 2 over the depth-3 objects, with the wevels of depth 2
+    doc["header"]["depth"] = 2
+    doc["wevels"] = [[], [0], list(range(len(doc["objects"])))]
+    return "object 3: rank 2 at or above depth 2"
+
+
+def _top_tap_dropped(doc):
+    # *0{{}} (object 9) dropped: no object refers to it, and *1{{}} becomes 9
+    assert doc["objects"].pop(9) == {"class": [[0, 1]], "kind": "tapped", "ordrank": 2}
+    doc["wevels"][3] = list(range(len(doc["objects"])))
+    return "object 1: its tap by wand 0 is missing"
+
+
+@pytest.mark.parametrize("mutate", [_depth_lowered, _top_tap_dropped],
+                         ids=["depth-lowered", "top-tap-dropped"])
+def test_a_file_no_build_of_its_depth_makes_is_bad_data(valid, path, capsys, mutate):
+    # every object is well formed and in canonical order, but a build of the
+    # file's depth makes no object of its rank, or makes the missing tap
+    doc = json.loads(valid)
+    says = mutate(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+    for argv in (["query", "rank", "--obj", "0"], ["verify", "--suite", "all"]):
+        assert cli.main(argv + ["--in", path]) == cli.EXIT_DATA, argv
+        assert capsys.readouterr().err == f"bad data: {says}\n"
