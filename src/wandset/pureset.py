@@ -7,15 +7,15 @@ of the process.  The trusted entry ``_intern`` skips dedup and sort; its
 caller guarantees a canonical, duplicate-free tuple.  Its callers: any subset
 that :func:`subsets` or :func:`ordered_subsets` cuts from a canonically
 sorted spread, :func:`lt_levels` (each level built in canonical order by
-:func:`ordered_subsets`), :func:`carrier`, :func:`deep_carrier` and
+:func:`ordered_subsets`), a carrier's pair, :func:`deep_carrier` and
 :func:`deep_uncarrier` (order preserving, see there), and the bland codes of
 ``conch.conch_code`` (members sorted by their codes' canonical positions).
-All operations are
-pure.  The only mutation points are the interning table, keyed by the sorted
-element tuple (the interned set's own ``elements``) and filled with
-``dict.setdefault``, so racing threads agree on one value, and the
-:func:`deep_carrier` memo, keyed by the interned set; both live as long as
-the process.
+All operations are pure.  The only mutation points, all as long-lived as the
+process: the interning table, keyed by the sorted element tuple (the interned
+set's own ``elements``); the carrier table, keyed by payload, which holds
+every {<empty, a>} (``_intern`` routes that shape there), both filled with
+``dict.setdefault``, so racing threads agree on one value; a carrier's one
+element, built on first read; and the :func:`deep_carrier` memo.
 """
 
 from __future__ import annotations
@@ -109,9 +109,30 @@ class PureSet:
         return "{" + ",".join(repr(e) for e in self.elements) + "}"
 
 
+class _Carrier(PureSet):
+    """{<empty, a>}, one per payload ``a``; its element, the pair <empty, a>,
+    is interned on the first read of the unset ``elements`` slot."""
+
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: PureSet):
+        self.payload, self.rank, self._key = payload, payload.rank + 3, None
+
+    def __getattr__(self, name):  # reached only while the elements slot is unset
+        if name != "elements":
+            raise AttributeError(name)
+        a = self.payload  # <empty, a> = {{empty}, {empty, a}}, canonical as written
+        pair = (_SINGLETON_EMPTY,) if a is EMPTY else (_SINGLETON_EMPTY, _intern((EMPTY, a)))
+        self.elements = (_intern(pair),)
+        return self.elements
+
+
+EMPTY = PureSet(())
+_SINGLETON_EMPTY = PureSet((EMPTY,))
 # Elements hash and compare by identity, which interning makes structural
-# equality, so equal element tuples name the same set.
-_TABLE: Dict[Tuple[PureSet, ...], PureSet] = {}
+# equality, so equal element tuples name the same set; carriers: _CARRIERS.
+_TABLE: Dict[Tuple[PureSet, ...], PureSet] = {(): EMPTY, (EMPTY,): _SINGLETON_EMPTY}
+_CARRIERS: Dict[PureSet, _Carrier] = {}
 
 
 def mk_set(elems: Iterable[PureSet]) -> PureSet:
@@ -128,8 +149,20 @@ def _intern(ordered: Tuple[PureSet, ...]) -> PureSet:
     and duplicate-free, else the table would hold two values for one set."""
     hit = _TABLE.get(ordered)
     if hit is None:
+        if len(ordered) == 1 and (a := _pair_payload(ordered[0])) is not None:
+            return carrier(a)
         hit = _TABLE.setdefault(ordered, PureSet(ordered))
     return hit
+
+
+def _pair_payload(p: PureSet) -> Optional[PureSet]:
+    # a when p is the pair <empty, a> = {{empty}, {empty, a}} ({{empty}} for a =
+    # empty), else None; types are tested first, so no carrier's pair is built
+    e = p.elements if type(p) is PureSet else ()
+    if e == (_SINGLETON_EMPTY,):
+        return EMPTY
+    x = e[1].elements if len(e) == 2 and type(e[1]) is PureSet else ()
+    return x[1] if len(x) == 2 and x[0] is EMPTY and e[0] is _SINGLETON_EMPTY else None
 
 
 def subsets(spread: Sequence) -> List[tuple]:
@@ -160,11 +193,6 @@ def ordered_subsets(spread: Sequence[PureSet]) -> Iterator[tuple]:
             for t in combinations(head, k):
                 if t[-1].rank == top:
                     yield t
-
-
-EMPTY = mk_set(())
-_SINGLETON_EMPTY = _intern((EMPTY,))
-_CARRIER_OF_EMPTY = _intern((_intern((_SINGLETON_EMPTY,)),))  # {<empty, empty>}
 
 
 def rank(s: PureSet) -> int:
@@ -199,31 +227,22 @@ def kunpair(p: PureSet) -> Tuple[PureSet, PureSet]:
 
 def carrier(a: PureSet) -> PureSet:
     """The code {<empty, a>} marking a as a bland value."""
-    if a is EMPTY:
-        return _CARRIER_OF_EMPTY
-    # <empty, a> = {{empty}, {empty, a}} is canonical as written: a ranks
-    # above empty, so {empty, a} ranks above {empty}
-    return _intern((_intern((_SINGLETON_EMPTY, _intern((EMPTY, a)))),))
+    hit = _CARRIERS.get(a)
+    if hit is None:
+        hit = _CARRIERS.setdefault(a, _Carrier(a))
+    return hit
 
 
 def uncarrier(c: PureSet) -> PureSet:
     """Invert :func:`carrier`; raises NotACarrier on anything else."""
-    if not is_carrier(c):
+    if type(c) is not _Carrier:
         raise NotACarrier(repr(c))
-    pair = c.elements[0].elements
-    return EMPTY if len(pair) == 1 else pair[1].elements[1]
+    return c.payload
 
 
 def is_carrier(c: PureSet) -> bool:
-    """Whether ``c`` is {<empty, a>}, read off its shape: {{{empty}}}, or
-    {{{empty}, {empty, a}}} in canonical order (empty sorts first)."""
-    if len(c.elements) != 1:  # element tuples: len() of a PureSet runs Python code
-        return False
-    pair = c.elements[0].elements
-    if len(pair) == 1:
-        return pair[0] is _SINGLETON_EMPTY
-    return (len(pair) == 2 and pair[0] is _SINGLETON_EMPTY
-            and len(pair[1].elements) == 2 and pair[1].elements[0] is EMPTY)
+    """Whether ``c`` is {<empty, a>}: interning makes every such set a carrier."""
+    return type(c) is _Carrier
 
 
 # deep_carrier codes, keyed by the interned set; as long-lived as _TABLE.

@@ -35,6 +35,12 @@ def _canonical(items: Iterable) -> tuple:  # members or class pairs, any order
     return tuple(sorted(set(items)))
 
 
+def _check_range(items: Iterable[int], n: int, what: str) -> None:
+    for i in items:
+        if not 0 <= i < n:
+            raise ValueError(f"{what} {i} is outside 0 .. {n - 1}")
+
+
 class Obj:
     """A universe object: bland (with members) or tapped (with its class),
     each a tuple in canonical order."""
@@ -116,12 +122,17 @@ class Fragment:
         return range(len(self.objects))
 
     def register_bland(self, members: Iterable[int], stage: int) -> int:
-        """Register the bland set of ``members``, given in any order."""
-        return self._add_bland(_canonical(members), stage)
+        """Register the bland set of ``members`` (any order); ValueError on a bad id."""
+        members = _canonical(members)
+        _check_range(members, len(self.objects), "object id")
+        return self._add_bland(members, stage)
 
     def register_tap(self, tclass: Iterable[Tuple[int, int]]) -> int:
-        """Register the tapped object of ``tclass``, given in any order."""
-        return self._add_tap(_canonical(tclass))
+        """Register the tap class ``tclass`` (any order); ValueError on a bad id or wand."""
+        tclass = _canonical(tclass)
+        _check_range([w for w, _ in tclass], len(self.spec.wands), "wand")
+        _check_range([b for _, b in tclass], len(self.objects), "object id")
+        return self._add_tap(tclass)
 
     def _add_bland(self, members: Members, stage: int) -> int:
         # trusted: the caller guarantees canonical order, as for pureset._intern

@@ -32,12 +32,35 @@ def test_canonical_order_sorts_by_rank_then_size():
     assert s.elements == (E, S1, S2)
 
 
-@given(st.lists(pure_sets(), max_size=5))
-def test_interning_and_idempotence(elems):
+def _nested():
+    z = E
+    while True:
+        z = ps.mk_set([z])
+        if z.rank > 40:  # deeper than any other test reaches, with short reprs
+            yield z
+
+
+_FRESH = _nested()
+
+
+@given(st.lists(pure_sets(), max_size=5), st.booleans())
+def test_interning_and_idempotence(elems, structural_first):
     a = ps.mk_set(elems)
     b = ps.mk_set(list(reversed(elems)))
     assert a is b
     assert ps.mk_set(a.elements) is a
+    # {<empty, x>} built by mk_set and by carrier is one object, whichever
+    # comes first; x is a payload no carrier has been made of yet
+    x = ps.mk_set(elems + [next(_FRESH)])
+    assert x not in ps._CARRIERS
+    if structural_first:
+        s = ps.mk_set([ps.kpair(E, x)])
+        c = ps.carrier(x)
+    else:
+        c = ps.carrier(x)
+        s = ps.mk_set([ps.kpair(E, x)])
+    assert s is c and ps.uncarrier(s) is x
+    assert ps.mk_set(c.elements) is c and ps.mk_set(list(c)) is c
 
 
 def test_rank():

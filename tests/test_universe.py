@@ -498,6 +498,28 @@ def test_masks_follow_a_growing_fragment():
     assert universe.mask_ids(universe.subset_mask(frag, grown)) == [empty, grown]
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 5])
+def test_register_bland_rejects_an_id_outside_the_fragment(bad):
+    frag = universe.build(wandspec.get_spec("pure"), 2)  # {} and {{}}
+    with pytest.raises(ValueError, match=f"object id {bad} is outside 0 .. 1"):
+        frag.register_bland([0, bad], 1)
+    assert len(frag) == 2 and frag.bland_id([bad]) is None
+
+
+@pytest.mark.parametrize("tclass, message", [
+    ([(0, -1)], "object id -1 is outside"),
+    ([(0, 0), (1, 99)], "object id 99 is outside"),
+    ([(3, 0)], "wand 3 is outside 0 .. 2"),  # church:2 has wands 0, 1 and 2
+    ([(-1, 0)], "wand -1 is outside"),
+])
+def test_register_tap_rejects_an_id_or_wand_outside_the_fragment(tclass, message):
+    frag = universe.build(wandspec.get_spec("church:2"), 2)
+    n = len(frag)
+    with pytest.raises(ValueError, match=message):
+        frag.register_tap(tclass)
+    assert len(frag) == n
+
+
 # -- memo lifetimes: answers asked before a registration match a fresh build ------
 
 def _memoised_answers(frag):
