@@ -876,7 +876,7 @@ def _nequiv_oracle(q) -> Callable[[object, object, object], bool]:
     ``n`` must decode to a numeral of at least 1."""
     def nequiv(n, x, y) -> bool:
         k = instances.vn_decode(q, n)
-        return k is not None and k >= 1 and instances.n_equiv_over(q, x, y, k) is not None
+        return k is not None and k >= 1 and instances.n_equiv_over(q, x, y, k)
 
     return nequiv
 

@@ -3,19 +3,20 @@
 Instances: the pure theory (no wands), Conway games, hereditary partial
 functions, multisets, and the Church universal-set family ``church:<k>``
 whose wands are complement (0) and one cardinality wand per positive n <= k.
-The Church half also carries n-equivalence with explicit bijection
-witnesses, the expansive membership relation, the kind taxonomy, widened
-tapping, and the axiom cross-check suite.
+The Church half also carries n-equivalence, the expansive membership
+relation, the kind taxonomy, widened tapping, and the axiom cross-check
+suite.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import universe, wandspec
-from .errors import BeyondFragment, SpecError, TaxonomyViolation
+from .errors import SpecError, TaxonomyViolation
 from .pureset import deep_carrier, vn
 from .universe import Fragment
 from .wandspec import SetQuery, WandId, WandSpec
@@ -125,30 +126,6 @@ def conway_spec() -> WandSpec:
                     equiv_candidates=_self_candidates)
 
 
-def left_options(frag: Fragment, y: int) -> frozenset:
-    """Left options of a game: the first pair component's members, or the
-    members of a bland set read as a game by courtesy."""
-    return _options(frag, y)[0]
-
-
-def right_options(frag: Fragment, y: int) -> frozenset:
-    """Right options of a game; bland sets have none by courtesy."""
-    return _options(frag, y)[1]
-
-
-def _options(frag: Fragment, y: int) -> Tuple[frozenset, frozenset]:
-    if not 0 <= y < len(frag.objects):
-        raise BeyondFragment(f"no object {y}")
-    o = frag.obj(y)
-    if o.is_bland:
-        return frozenset(o.members), frozenset()
-    for w, arg in o.tclass:
-        p = pair_decode(frag, arg)
-        if p is not None:
-            return frozenset(frag.members(p[0])), frozenset(frag.members(p[1]))
-    raise BeyondFragment(f"object {y} is not a game")
-
-
 def partial_fun_spec() -> WandSpec:
     """One wand acting on function graphs that are not identity graphs.
 
@@ -191,19 +168,6 @@ def multiset_spec() -> WandSpec:
 
 # -- n-equivalence --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NEquivWitness:
-    """Witnessing bijections for an n-equivalence, outermost first.
-
-    ``chain[0]`` bijects the (n-1)-fold unions; each later entry is induced
-    pointwise from the previous one, down to ``chain[-1]`` on the sets
-    themselves.
-    """
-
-    n: int
-    chain: Tuple[Tuple[Tuple[object, object], ...], ...]
-
-
 def _union_chain(q: SetQuery, a, n: int) -> Optional[List[Tuple]]:
     """[a, union a, ..., union^(n-1) a] with the non-emptiness and, below the
     top, all-members-bland requirements; None when they fail."""
@@ -220,39 +184,31 @@ def _union_chain(q: SetQuery, a, n: int) -> Optional[List[Tuple]]:
     return levels
 
 
-# The n-equivalence answers of each query by (n, a, b): they read only the
-# handles' members, which never change, so a query's table goes with it.
-_NEQ: weakref.WeakKeyDictionary[SetQuery, Dict[tuple, Optional[NEquivWitness]]]
-_NEQ = weakref.WeakKeyDictionary()
+# The n-equivalence answers of each query by (n, a, b) for n >= 2: they read
+# only the handles' members, which never change, so a query's table goes with it.
+_NEQ: weakref.WeakKeyDictionary[SetQuery, Dict[tuple, bool]] = weakref.WeakKeyDictionary()
 
 
-def n_equiv_over(q: SetQuery, a, b, n: int) -> Optional[NEquivWitness]:
-    """Search for an n-equivalence witness between ``a`` and ``b``.
+def n_equiv_over(q: SetQuery, a, b, n: int) -> bool:
+    """Whether ``a`` and ``b`` are n-equivalent over the query ``q``.
 
-    The search is exhaustive over bijections of the deepest unions, induced
-    upward, pruned by cardinality profiles; results are memoized per query
-    in ``_NEQ``.
+    For n = 1 any pairing of two equinumerous nonempty bland sets works, so
+    the sizes answer and nothing is cached.  For n >= 2 the search runs over
+    bijections of the deepest unions, induced upward and pruned by container
+    degree; its answers are memoised per query in ``_NEQ``.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    table = _NEQ.setdefault(q, {})
-    key = (n, a, b)
-    if key not in table:
-        table[key] = _n_equiv_search(q, a, b, n)
-    return table[key]
-
-
-def n_equiv_holds(q: SetQuery, a, b, n: int) -> bool:
-    """Boolean form of :func:`n_equiv_over`.
-
-    For n = 1 there is nothing to search (any pairing of two equinumerous
-    nonempty sets works), so no witness is built and nothing is cached.
-    """
     if n == 1:
         ma = q.members(a) if q.is_bland(a) else ()
         mb = q.members(b) if q.is_bland(b) else ()
         return len(ma) > 0 and len(ma) == len(mb)
-    return n_equiv_over(q, a, b, n) is not None
+    table = _NEQ.setdefault(q, {})
+    key = (n, a, b)
+    hit = table.get(key)
+    if hit is None:
+        hit = table[key] = _n_equiv_search(q, a, b, n)
+    return hit
 
 
 def _neq_key(q: SetQuery, a, n: int) -> Optional[tuple]:
@@ -292,79 +248,43 @@ def _induce(q: SetQuery, fmap: Dict, level: Sequence, target: Sequence) -> Optio
     return out if len(used) == len(target) else None
 
 
-def _n_equiv_search(q: SetQuery, a, b, n: int) -> Optional[NEquivWitness]:
+def _n_equiv_search(q: SetQuery, a, b, n: int) -> bool:
     ua = _union_chain(q, a, n)
     ub = _union_chain(q, b, n)
-    if ua is None or ub is None:
-        return None
-    if any(len(x) != len(y) for x, y in zip(ua, ub)):
-        return None
-
-    def pack(maps: List[Dict]) -> NEquivWitness:
-        chain = tuple(tuple(sorted(m.items())) for m in maps)
-        return NEquivWitness(n, chain)
-
-    if a == b:
-        # the identity chain always witnesses self-equivalence
-        return pack([{x: x for x in lvl} for lvl in reversed(ua)])
-
-    deep_a, deep_b = ua[n - 1], ub[n - 1]
-    if n == 1:
-        # no induced maps to satisfy: any pairing works
-        return pack([dict(zip(deep_a, deep_b))])
+    if ua is None or ub is None or any(len(x) != len(y) for x, y in zip(ua, ub)):
+        return False
+    if a == b:  # the identity chain; an empty or non-bland a failed above
+        return True
 
     # Sound pruning for the bottom bijection: container degree is preserved
     # (an induced container bijection forces it); the members of bottom-level
     # elements are not part of the witness, so their sizes must NOT be used.
-    def profile(x):
-        return sum(1 for c in ua[n - 2] if x in q.members(c))
+    deg_a = Counter(x for c in ua[-2] for x in q.members(c))
+    deg_b = Counter(y for c in ub[-2] for y in q.members(c))
+    cands = {x: [y for y in ub[-1] if deg_b[y] == deg_a[x]] for x in ua[-1]}
+    slots = sorted(ua[-1], key=lambda x: len(cands[x]))
+    bottom: Dict = {}
+    used = set()
 
-    def profile_b(y):
-        return sum(1 for c in ub[n - 2] if y in q.members(c))
-
-    cands = {x: [y for y in deep_b if profile_b(y) == profile(x)] for x in deep_a}
-    slots = sorted(deep_a, key=lambda x: len(cands[x]))
-
-    def all_maps(i: int, fmap: Dict, used: set):
+    def extend(i: int) -> bool:
+        # fill slots i.. of the bottom bijection; at a full one, lift it
         if i == len(slots):
-            yield dict(fmap)
-            return
+            fmap = bottom
+            for lvl in range(n - 2, -1, -1):
+                if (fmap := _induce(q, fmap, ua[lvl], ub[lvl])) is None:
+                    return False
+            return True
         x = slots[i]
         for y in cands[x]:
-            if y in used:
-                continue
-            fmap[x] = y
-            used.add(y)
-            yield from all_maps(i + 1, fmap, used)
-            del fmap[x]
-            used.remove(y)
+            if y not in used:
+                bottom[x] = y
+                used.add(y)
+                if extend(i + 1):
+                    return True
+                used.remove(y)
+        return False
 
-    for base in all_maps(0, {}, set()):
-        maps = [base]
-        ok = True
-        for i in range(n - 2, -1, -1):
-            lifted = _induce(q, maps[-1], ua[i], ub[i])
-            if lifted is None:
-                ok = False
-                break
-            maps.append(lifted)
-        if ok:
-            return pack(maps)
-    return None
-
-
-def union_n(frag: Fragment, a: int, n: int) -> Optional[int]:
-    """n-fold union of ``a`` under primitive membership."""
-    cur = a
-    for _ in range(n):
-        members = set()
-        for x in frag.members(cur):
-            members.update(frag.members(x))
-        oid = frag.bland_id(members)
-        if oid is None:
-            raise BeyondFragment("union not registered")
-        cur = oid
-    return cur
+    return extend(0)
 
 
 # -- the Church family ------------------------------------------------------------
@@ -385,13 +305,13 @@ def church_spec(k: int) -> WandSpec:
         if n == 0:
             return not any(q.is_bland(x) and q.resolve_tap(0, x) == a
                            for x in q.objects_below(q.ordrank(a)))
-        return n_equiv_holds(q, a, a, n)
+        return n_equiv_over(q, a, a, n)
 
     def e(m: int, a, n: int, b, q: SetQuery) -> bool:
         if m == n and a == b:
             return True
         if 0 < m == n:
-            return n_equiv_holds(q, a, b, m)
+            return n_equiv_over(q, a, b, m)
         if m == 0 and n > 0:
             return _comp_links_cardinal(q, a, n, b)
         if n == 0 and m > 0:
@@ -402,7 +322,7 @@ def church_spec(k: int) -> WandSpec:
         # some d of lower stage than a, n-equivalent to b, has a = *0(*n d)
         ra = q.ordrank(a)
         for dd in q.objects_below(ra):
-            if not n_equiv_holds(q, dd, b, n):
+            if not n_equiv_over(q, dd, b, n):
                 continue
             t = q.resolve_tap(n, dd)
             if t is None or q.ordrank(t) >= ra:
@@ -519,7 +439,7 @@ def varin_mask(frag: Fragment, a: int) -> int:
             hit = everything & ~universe.member_mask(frag, kind.base)
         else:
             hit = universe.ids_mask(x for x in _neq_group(frag, kind.base, kind.n)
-                                    if n_equiv_holds(frag, x, kind.base, kind.n))
+                                    if n_equiv_over(frag, x, kind.base, kind.n))
             if kind.tag == "comp_of_card":
                 hit = everything & ~hit
         memo[a] = hit
@@ -590,7 +510,7 @@ def check_cus_axioms(frag: Fragment) -> List[Tuple[str, bool, str]]:
                     if ta is None or tb is None:
                         continue
                     same = ta == tb
-                    law = (n == m) and n_equiv_over(frag, a, b, n) is not None
+                    law = (n == m) and n_equiv_over(frag, a, b, n)
                     if same != law:
                         bad.append((n, a, m, b))
     add("cardinal-identity-law", not bad, f"{bad[:1]}")
@@ -616,7 +536,7 @@ def check_cus_axioms(frag: Fragment) -> List[Tuple[str, bool, str]]:
                     frag.is_bland(x) and frag.resolve_tap(0, x) == a
                     for x in frag.objects_below(frag.ordrank(a)))
             else:
-                expected = n_equiv_over(frag, a, a, n) is not None
+                expected = n_equiv_over(frag, a, a, n)
             if (taps[(n, a)] is not None) != expected:
                 bad.append((n, a))
     add("making-biconditional", not bad, f"{bad[:1]}")

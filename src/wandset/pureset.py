@@ -282,7 +282,7 @@ def deep_uncarrier(c: PureSet) -> PureSet:
 # -- carrier hierarchy over a base ------------------------------------------
 
 _DEFAULT_WIDTH = 20  # a level wider than this would have 2**width successors
-_POT_WIDTH = 16  # the widest set lt_levels, the recognizers and the history search expand
+_POT_WIDTH = 16  # the widest set lt_levels and the recognizers expand
 
 
 def carrier_level(alpha: int, base: frozenset, max_width: int = _DEFAULT_WIDTH) -> frozenset:
@@ -380,24 +380,6 @@ def is_lt_level(s: PureSet) -> bool:
         return True
     sublevels = [r for r in s if is_lt_level(r)]
     return _pot(sublevels) is s
-
-
-def lt_history_witness(s: PureSet) -> Optional[frozenset]:
-    """Search for a history witnessing that ``s`` is a level.
-
-    A history is a set h with r = pot(r & h) for every r in h; s is a level
-    iff s = pot(h) for some history h.  The search ranges over subsets of s's
-    members, which is exhaustive (any history for s is included in s).
-    """
-    if len(s) > _POT_WIDTH:
-        raise DepthCapExceeded(f"member count {len(s)} exceeds {_POT_WIDTH}")
-    for h in subsets(s.elements):
-        hset = set(h)
-        if _pot(h) is not s:
-            continue
-        if all(_pot([q for q in r if q in hset]) is r for r in h):
-            return frozenset(h)
-    return None
 
 
 # -- von Neumann naturals -----------------------------------------------------

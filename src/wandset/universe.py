@@ -122,37 +122,45 @@ class Fragment:
         return range(len(self.objects))
 
     def register_bland(self, members: Iterable[int], stage: int) -> int:
-        """Register the bland set of ``members`` (any order); ValueError on a bad id."""
+        """Register the bland set of ``members`` (any order); ValueError on a
+        bad id, or on an exhaustive fragment when a new set's rank is not
+        ``stage``, the stage that finds it (a known set is returned as is)."""
         members = _canonical(members)
         _check_range(members, len(self.objects), "object id")
-        return self._add_bland(members, stage)
+        if (self.exhaustive and members not in self._bland_index
+                and stage != (rank := self._bland_rank(members))):
+            raise ValueError(f"stage {stage} is not the rank {rank} of the set")
+        return self._add_bland(members)
 
     def register_tap(self, tclass: Iterable[Tuple[int, int]]) -> int:
-        """Register the tap class ``tclass`` (any order); ValueError on a bad id or wand."""
+        """Register the tap class ``tclass`` (any order); ValueError on a bad id
+        or wand, or when the class is empty or its arguments differ in rank."""
         tclass = _canonical(tclass)
         _check_range([w for w, _ in tclass], len(self.spec.wands), "wand")
         _check_range([b for _, b in tclass], len(self.objects), "object id")
+        if len(ranks := {self.objects[b].ordrank for _, b in tclass}) != 1:
+            raise ValueError(f"a tap class needs arguments of one rank, not {sorted(ranks)}")
         return self._add_tap(tclass)
 
-    def _add_bland(self, members: Members, stage: int) -> int:
+    def _bland_rank(self, members: Members) -> int:
+        return 0 if not members else 1 + max([self.objects[m].ordrank for m in members])
+
+    def _add_bland(self, members: Members) -> int:
         # trusted: the caller guarantees canonical order, as for pureset._intern
         oid = self._bland_index.get(members)
         if oid is not None:
             return oid
-        rank = 0 if not members else 1 + max([self.objects[m].ordrank for m in members])
-        assert rank == stage or not self.exhaustive
-        o = Obj(len(self.objects), rank, members, None)
+        o = Obj(len(self.objects), self._bland_rank(members), members, None)
         self.objects.append(o)
         self._bland_index[members] = o.id
         return o.id
 
     def _add_tap(self, tclass: TapClass) -> int:
+        # trusted: a canonical class whose arguments share one rank
         oid = self._tap_index.get(tclass)
         if oid is not None:
             return oid
-        arg_ranks = {self.obj(b).ordrank for _, b in tclass}
-        assert len(arg_ranks) == 1  # the class shares one minimal rank
-        o = Obj(len(self.objects), arg_ranks.pop() + 1, None, tclass)
+        o = Obj(len(self.objects), self.objects[tclass[0][1]].ordrank + 1, None, tclass)
         self.objects.append(o)
         self._tap_index[tclass] = o.id
         return o.id
@@ -271,7 +279,7 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
                     f"stage {stage}: {len(prev)} objects found earlier; "
                     f"2**{len(prev)} subsets exceed budget {max_objects}")
             for members in sorted(subsets(prev)):
-                frag._add_bland(members, stage)
+                frag._add_bland(members)
 
         taps = {(w, a): wandspec.tap_class(spec, w, a, frag)
                 for a in prev for w in spec.wand_indices()}
@@ -287,7 +295,7 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
                       for c in itertools.combinations(prev, size)
                       if c not in known and c != prev)
             for members in sorted([prev, *itertools.islice(combos, max(room, 0))]):
-                frag._add_bland(members, stage)
+                frag._add_bland(members)
 
         for cls in new_classes:
             frag._add_tap(cls)
@@ -498,17 +506,6 @@ def hb_witness(frag: Fragment, a: int) -> Optional[int]:
     return None
 
 
-def hb_part(frag: Fragment, a: int) -> int:
-    """The hereditarily bland part of a bland object."""
-    o = frag.obj(a)
-    if not o.is_bland:
-        raise NotBland(repr(o))
-    oid = frag.bland_id(x for x in o.members if hereditarily_bland(frag, x))
-    if oid is None:
-        raise BeyondFragment("hereditarily bland part not registered")
-    return oid
-
-
 def encode_pure(frag: Fragment, p) -> Optional[int]:
     """Id of the hereditarily bland object with the same shape as the pure
     set ``p``, or None when the fragment is too shallow.  Only hits are
@@ -571,10 +568,6 @@ def _ur_pot_mask(frag: Fragment, bottom: int, member_ids: Iterable[int]) -> int:
     for c in member_ids:
         bottom |= subset_mask(frag, c)
     return bottom
-
-
-def ur_pot_ids(frag: Fragment, base: FrozenSet[int], member_ids: Iterable[int]) -> FrozenSet[int]:
-    return frozenset(mask_ids(_ur_pot_mask(frag, ids_mask(base), member_ids)))
 
 
 def is_ur_level(frag: Fragment, base: FrozenSet[int], t: int) -> bool:

@@ -34,6 +34,12 @@ def ref_render(frag, oid):
     return f"*{w}{ref_render(frag, b)}"
 
 
+def ref_hb_part(frag, a):
+    """The hereditarily bland part of a bland object: the id of the bland set
+    of its hereditarily bland members, or None when that is not registered."""
+    return frag.bland_id(x for x in frag.obj(a).members if universe.hereditarily_bland(frag, x))
+
+
 @pytest.fixture(scope="session")
 def church3():
     return built("church:2", 3)

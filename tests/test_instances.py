@@ -1,4 +1,7 @@
 import itertools
+import random
+from dataclasses import dataclass
+from typing import Tuple
 
 import pytest
 
@@ -13,9 +16,78 @@ def ids_by_render(frag):
 
 # -- n-equivalence -------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class NEquivWitness:
+    """Witnessing bijections for an n-equivalence, outermost first.
+
+    ``chain[0]`` bijects the (n-1)-fold unions; each later entry is induced
+    pointwise from the previous one, down to ``chain[-1]`` on the sets
+    themselves.
+    """
+
+    n: int
+    chain: Tuple[Tuple[Tuple[object, object], ...], ...]
+
+
+def ref_n_equiv_witness(q, a, b, n):
+    """The witness search that ``n_equiv_over`` replaced: every complete
+    bottom bijection in turn, lifted level by level, with no memo; the first
+    lift that succeeds is packed as a witness, else None."""
+    ua = instances._union_chain(q, a, n)
+    ub = instances._union_chain(q, b, n)
+    if ua is None or ub is None:
+        return None
+    if any(len(x) != len(y) for x, y in zip(ua, ub)):
+        return None
+
+    def pack(maps):
+        return NEquivWitness(n, tuple(tuple(sorted(m.items())) for m in maps))
+
+    if a == b:
+        # the identity chain always witnesses self-equivalence
+        return pack([{x: x for x in lvl} for lvl in reversed(ua)])
+    deep_a, deep_b = ua[n - 1], ub[n - 1]
+    if n == 1:
+        # no induced maps to satisfy: any pairing works
+        return pack([dict(zip(deep_a, deep_b))])
+
+    def profile(x, level):
+        return sum(1 for c in level if x in q.members(c))
+
+    cands = {x: [y for y in deep_b if profile(y, ub[n - 2]) == profile(x, ua[n - 2])]
+             for x in deep_a}
+    slots = sorted(deep_a, key=lambda x: len(cands[x]))
+
+    def all_maps(i, fmap, used):
+        if i == len(slots):
+            yield dict(fmap)
+            return
+        x = slots[i]
+        for y in cands[x]:
+            if y in used:
+                continue
+            fmap[x] = y
+            used.add(y)
+            yield from all_maps(i + 1, fmap, used)
+            del fmap[x]
+            used.remove(y)
+
+    for base in all_maps(0, {}, set()):
+        maps = [base]
+        for i in range(n - 2, -1, -1):
+            lifted = instances._induce(q, maps[-1], ua[i], ub[i])
+            if lifted is None:
+                break
+            maps.append(lifted)
+        else:
+            return pack(maps)
+    return None
+
+
 def test_one_equivalence_is_equinumerosity(church3):
     names = ids_by_render(church3)
-    w = instances.n_equiv_over(church3, names["{{}}"], names["{{{}}}"], 1)
+    assert instances.n_equiv_over(church3, names["{{}}"], names["{{{}}}"], 1) is True
+    w = ref_n_equiv_witness(church3, names["{{}}"], names["{{{}}}"], 1)
     assert w is not None and w.n == 1
     ((x, y),) = w.chain[-1]
     assert (x, y) == (names["{}"], names["{{}}"])
@@ -23,7 +95,7 @@ def test_one_equivalence_is_equinumerosity(church3):
 
 def test_empty_sets_are_not_one_equivalent(church3):
     empty = church3.bland_id(frozenset())
-    assert instances.n_equiv_over(church3, empty, empty, 1) is None
+    assert instances.n_equiv_over(church3, empty, empty, 1) is False
 
 
 def test_two_equivalence_needs_matching_cardinalities():
@@ -31,7 +103,7 @@ def test_two_equivalence_needs_matching_cardinalities():
     names = ids_by_render(frag)
     a = names["{{{},{{}}}}"]          # {{0,{0}}},   one member
     b = names["{{{}},{{{}}}}"]        # {{0},{{0}}}, two members
-    assert instances.n_equiv_over(frag, a, b, 2) is None
+    assert instances.n_equiv_over(frag, a, b, 2) is False
 
 
 def test_two_equivalence_positive_case():
@@ -39,7 +111,8 @@ def test_two_equivalence_positive_case():
     names = ids_by_render(frag)
     a = names["{{{}}}"]               # {{0}}
     b = names["{{{{}}}}"]             # {{{0}}}
-    w = instances.n_equiv_over(frag, a, b, 2)
+    assert instances.n_equiv_over(frag, a, b, 2) is True
+    w = ref_n_equiv_witness(frag, a, b, 2)
     assert w is not None
     # the witness chain lifts: the bottom bijection induces the top one
     bottom, top = dict(w.chain[0]), dict(w.chain[1])
@@ -54,29 +127,30 @@ def test_two_equivalence_negative_when_no_lift_exists():
     a = names["{{{}},{{{}}}}"]        # {{0},{{0}}}: member sizes 1 and 1
     b = names["{{{}},{{},{{}}}}"]     # {{0},{0,{0}}}: member sizes 1 and 2
     # unions agree but no bijection of them induces a member bijection
-    assert instances.union_n(frag, a, 1) == instances.union_n(frag, b, 1)
-    assert instances.n_equiv_over(frag, a, b, 2) is None
+    assert set(instances._union_chain(frag, a, 2)[1]) == set(instances._union_chain(frag, b, 2)[1])
+    assert instances.n_equiv_over(frag, a, b, 2) is False
 
 
 def test_one_equivalence_allows_non_bland_members(church3):
     names = ids_by_render(church3)
-    w = instances.n_equiv_over(church3, names["{*0{}}"], names["{{}}"], 1)
-    assert w is not None
+    assert instances.n_equiv_over(church3, names["{*0{}}"], names["{{}}"], 1) is True
+
+
+def test_n_equiv_rejects_n_below_one(church3):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            instances.n_equiv_over(church3, 0, 0, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_n_equiv_is_equivalence_on_its_domain(n):
     frag = built("church:2", 3)
-    sets = [a for a in frag.ids()
-            if instances.n_equiv_over(frag, a, a, n) is not None]
+    sets = [a for a in frag.ids() if instances.n_equiv_over(frag, a, a, n)]
     for a, b in itertools.product(sets, repeat=2):
-        ab = instances.n_equiv_over(frag, a, b, n) is not None
-        ba = instances.n_equiv_over(frag, b, a, n) is not None
-        assert ab == ba
+        assert instances.n_equiv_over(frag, a, b, n) == instances.n_equiv_over(frag, b, a, n)
     for a, b, c in itertools.product(sets, repeat=3):
-        if (instances.n_equiv_over(frag, a, b, n) is not None
-                and instances.n_equiv_over(frag, b, c, n) is not None):
-            assert instances.n_equiv_over(frag, a, c, n) is not None
+        if instances.n_equiv_over(frag, a, b, n) and instances.n_equiv_over(frag, b, c, n):
+            assert instances.n_equiv_over(frag, a, c, n)
 
 
 def test_one_equivalence_matches_cardinality_oracle(church3):
@@ -85,7 +159,7 @@ def test_one_equivalence_matches_cardinality_oracle(church3):
             oa, ob = church3.obj(a), church3.obj(b)
             oracle = (oa.is_bland and ob.is_bland and len(oa.members) > 0
                       and len(oa.members) == len(ob.members))
-            assert (instances.n_equiv_over(church3, a, b, 1) is not None) == oracle
+            assert instances.n_equiv_over(church3, a, b, 1) == oracle
 
 
 def test_three_equivalence_with_nontrivial_chain():
@@ -96,22 +170,49 @@ def test_three_equivalence_with_nontrivial_chain():
             names[frag.render(i)] = i
     a = names["{{{{}}}}"]     # {{{0}}}
     b = names["{{{{{}}}}}"]   # {{{{0}}}}
-    w = instances.n_equiv_over(frag, a, b, 3)
+    assert instances.n_equiv_over(frag, a, b, 3) is True
+    w = ref_n_equiv_witness(frag, a, b, 3)
     assert w is not None and len(w.chain) == 3
     # the deepest map sends 0 to {0}; the induced ones follow pointwise
     assert dict(w.chain[0]) == {names["{}"]: names["{{}}"]}
     assert dict(w.chain[1]) == {names["{{}}"]: names["{{{}}}"]}
     assert dict(w.chain[2]) == {names["{{{}}}"]: names["{{{{}}}}"]}
-    # no witness once the union sizes diverge
+    # no equivalence once the union sizes diverge
     double = next(i for i in frag.ids() if frag.render(i) == "{{{},{{}}}}")
-    assert instances.n_equiv_over(frag, a, double, 3) is None
+    assert instances.n_equiv_over(frag, a, double, 3) is False
 
 
-def test_union_n(church3):
-    names = ids_by_render(church3)
-    assert instances.union_n(church3, names["{{{}}}"], 0) == names["{{{}}}"]
-    assert instances.union_n(church3, names["{{{}}}"], 1) == names["{{}}"]
-    assert instances.union_n(church3, names["{{{}}}"], 2) == names["{}"]
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_n_equiv_matches_the_witness_search_on_every_pair(n):
+    frag = universe.build(universe.wandspec.get_spec("church:2"), 3)
+    answers = set()
+    for a, b in itertools.product(frag.ids(), repeat=2):
+        got = instances.n_equiv_over(frag, a, b, n)
+        assert type(got) is bool
+        assert got == (ref_n_equiv_witness(frag, a, b, n) is not None), (a, b)
+        answers.add(got)
+    assert answers == ({False} if n == 3 else {False, True})
+
+
+@pytest.mark.parametrize("name", ["church:1", "church:2"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_n_equiv_matches_the_witness_search_within_key_groups(name, n):
+    # only pairs sharing an n-key can hold, so the pairs are drawn from the
+    # key groups, with the memo both cold and warm
+    frag = universe.build(universe.wandspec.get_spec(name), 4)
+    groups = {}
+    for a in frag.ids():
+        if (key := instances._neq_key(frag, a, n)) is not None:
+            groups.setdefault(key, []).append(a)
+    rng = random.Random(f"{name}:{n}")
+    pairs = [(a, b) for group in groups.values() for a in group
+             for b in rng.sample(group, min(len(group), 12))]
+    answers = set()
+    for a, b in pairs + pairs:
+        got = instances.n_equiv_over(frag, a, b, n)
+        assert got == (ref_n_equiv_witness(frag, a, b, n) is not None), (a, b)
+        answers.add(got)
+    assert answers == {False, True}
 
 
 # -- church spec behavior ----------------------------------------------------------------
@@ -180,7 +281,7 @@ def test_varin_on_cardinal_is_equivalence(church3):
     names = ids_by_render(church3)
     card1 = names["*1{{}}"]
     for x in church3.ids():
-        expected = instances.n_equiv_over(church3, x, names["{{}}"], 1) is not None
+        expected = instances.n_equiv_over(church3, x, names["{{}}"], 1)
         assert instances.varin(church3, x, card1) == expected
 
 
@@ -228,7 +329,7 @@ def test_witness_chains_are_induced_bijections(church3):
     for n in (2, 3):
         for a in church3.ids():
             for b in church3.ids():
-                w = instances.n_equiv_over(church3, a, b, n)
+                w = ref_n_equiv_witness(church3, a, b, n)
                 if w is None:
                     continue
                 assert len(w.chain) == n
@@ -297,8 +398,8 @@ def ref_varin(frag, x, a):
     if kind.tag == "tap_of_bland":
         if kind.n == 0:
             return not ref_varin(frag, x, kind.base)
-        return instances.n_equiv_over(frag, x, kind.base, kind.n) is not None
-    return instances.n_equiv_over(frag, x, kind.base, kind.n) is None
+        return instances.n_equiv_over(frag, x, kind.base, kind.n)
+    return not instances.n_equiv_over(frag, x, kind.base, kind.n)
 
 
 @pytest.mark.parametrize("name, depth", [("church:2", 3), ("church:1", 4)])
@@ -319,7 +420,7 @@ def ref_varin_mask(frag, a):
     if kind.n == 0:
         return everything & ~universe.member_mask(frag, kind.base)
     hit = universe.ids_mask(x for x in frag.ids()
-                            if instances.n_equiv_holds(frag, x, kind.base, kind.n))
+                            if instances.n_equiv_over(frag, x, kind.base, kind.n))
     return everything & ~hit if kind.tag == "comp_of_card" else hit
 
 
@@ -341,7 +442,7 @@ def test_neq_key_is_kept_by_every_n_equivalence(church3):
         keys = {a: instances._neq_key(church3, a, n) for a in ids}
         for a in ids:
             for b in ids:
-                if instances.n_equiv_holds(church3, a, b, n):
+                if instances.n_equiv_over(church3, a, b, n):
                     held[n] = held.get(n, 0) + 1
                     assert keys[a] is not None and keys[a] == keys[b], (n, a, b)
     assert held.keys() == {1, 2}  # no union chain of this depth is three levels long

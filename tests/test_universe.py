@@ -4,7 +4,7 @@ from wandset import conch, instances, suites, universe, wandspec
 from wandset.errors import BeyondFragment, CapExceeded, NotBland
 from wandset.pureset import lt_levels, mk_set, vn
 
-from conftest import built, ref_sort_key
+from conftest import built, ref_hb_part, ref_sort_key
 
 
 def ids_by_render(frag):
@@ -180,7 +180,7 @@ def test_hereditarily_bland_examples(church3):
     names = ids_by_render(church3)
     assert universe.hereditarily_bland(church3, names["{{{}}}"])
     assert not universe.hereditarily_bland(church3, names["{*0{}}"])
-    part = universe.hb_part(church3, names["{{},*0{}}"])
+    part = ref_hb_part(church3, names["{{},*0{}}"])
     assert part == names["{{}}"]
 
 
@@ -256,11 +256,9 @@ def test_conway_star_game_has_expected_options():
     star = names.get("*0{{{{}}}}")  # game of <{0},{0}>, the pair {{{0}}}
     assert star is not None
     zero = names["{}"]
-    assert instances.left_options(frag, star) == frozenset([zero])
-    assert instances.right_options(frag, star) == frozenset([zero])
-    # bland sets are games by courtesy: left options are the members
-    assert instances.left_options(frag, names["{{}}"]) == frozenset([zero])
-    assert instances.right_options(frag, names["{{}}"]) == frozenset()
+    ((_, pair),) = frag.obj(star).tclass
+    left, right = instances.pair_decode(frag, pair)
+    assert frag.members(left) == frag.members(right) == (zero,)
 
 
 def test_partial_fun_first_nontrivial_function():
@@ -430,9 +428,6 @@ def test_recognizers_match_reference(diff_frag):
         ref = RefRecognizers(diff_frag, base)
         for t in diff_frag.ids():
             assert universe.is_ur_level(diff_frag, base, t) == ref.is_ur_level(t), t
-        members = [diff_frag.wevel_id(alpha) for alpha in range(diff_frag.depth)]
-        assert universe.ur_pot_ids(diff_frag, base, members) == \
-            ref_ur_pot_ids(diff_frag, base, members)
 
 
 def test_hb_witness_matches_reference(diff_frag):
@@ -498,12 +493,23 @@ def test_masks_follow_a_growing_fragment():
     assert universe.mask_ids(universe.subset_mask(frag, grown)) == [empty, grown]
 
 
-@pytest.mark.parametrize("bad", [-1, 2, 5])
-def test_register_bland_rejects_an_id_outside_the_fragment(bad):
+@pytest.mark.parametrize("members, stage, message", [
+    *[pytest.param([0, bad], 1, f"object id {bad} is outside 0 .. 1", id=str(bad))
+      for bad in (-1, 2, 5)],
+    # an exhaustive fragment also rejects a new set whose rank is not the stage
+    pytest.param([1], 5, "stage 5 is not the rank 2 of the set", id="stage-above-rank"),
+    pytest.param([1], 1, "stage 1 is not the rank 2 of the set", id="stage-below-rank"),
+])
+def test_register_bland_rejects_an_id_outside_the_fragment(members, stage, message):
     frag = universe.build(wandspec.get_spec("pure"), 2)  # {} and {{}}
-    with pytest.raises(ValueError, match=f"object id {bad} is outside 0 .. 1"):
-        frag.register_bland([0, bad], 1)
-    assert len(frag) == 2 and frag.bland_id([bad]) is None
+    with pytest.raises(ValueError, match=message):
+        frag.register_bland(members, stage)
+    assert len(frag) == 2 and frag.bland_id(members) is None
+
+
+def test_register_bland_takes_any_stage_on_a_sampled_fragment():
+    frag = universe.build(wandspec.get_spec("pure"), 2, mode="sampled")
+    assert frag.obj(frag.register_bland([1], 5)).ordrank == 2
 
 
 @pytest.mark.parametrize("tclass, message", [
@@ -511,6 +517,8 @@ def test_register_bland_rejects_an_id_outside_the_fragment(bad):
     ([(0, 0), (1, 99)], "object id 99 is outside"),
     ([(3, 0)], "wand 3 is outside 0 .. 2"),  # church:2 has wands 0, 1 and 2
     ([(-1, 0)], "wand -1 is outside"),
+    ([], r"one rank, not \[\]"),
+    ([(0, 0), (1, 1)], r"one rank, not \[0, 1\]"),  # {} has rank 0, {{}} rank 1
 ])
 def test_register_tap_rejects_an_id_or_wand_outside_the_fragment(tclass, message):
     frag = universe.build(wandspec.get_spec("church:2"), 2)

@@ -420,11 +420,7 @@ def test_class_sweep_matches_quadruple_scans(name, depth):
         assert wandspec.equiv(spec, *quad, frag) == reference_equiv(spec, *quad, frag), quad
 
 
-# on the conch side every raw-E call decodes carriers, so the quadruple scan
-# over late-breaking's 1,028 stage-3 conches takes about 40 s: it runs at
-# depth 3 here, and its rank-3 break is compared on fragments above
-@pytest.mark.parametrize("name,depth", [
-    (name, 3 if name == "late-breaking" else depth) for name, depth in CASES])
+@pytest.mark.parametrize("name,depth", CASES)
 def test_stage_classes_match_reference_quads(name, depth):
     stages = conch.gen_stages(case_spec(name), depth)
     codes = stages.wandcodes
