@@ -219,14 +219,24 @@ def _neq_key(q: SetQuery, a, n: int) -> Optional[tuple]:
                       *[tuple(sorted(map(len, map(q.members, lvl)))) for lvl in chain[:-1]])
 
 
-def _neq_group(frag: Fragment, a: int, n: int) -> List[int]:
-    """The ids sharing ``a``'s n-key, a superset of those n-equivalent to it;
-    for n >= 2 cut from ``a``'s (n-1)-group, as the n-key fixes the (n-1)-key."""
-    key = _neq_key(frag, a, n)
-    groups = universe._masks(frag).neq.setdefault(n, {})
+# The n-key groups of each query by (n, top, population below top + 1), each
+# group in objects_below order: a query's table goes with it, and growth below
+# top + 1 makes a new key.
+_NEQ_GROUPS: weakref.WeakKeyDictionary[SetQuery, Dict[tuple, Dict[tuple, list]]]
+_NEQ_GROUPS = weakref.WeakKeyDictionary()
+
+
+def _neq_group(q: SetQuery, a, n: int, top: int) -> list:
+    """The handles of rank <= ``top`` sharing ``a``'s n-key, a superset of
+    those n-equivalent to it, in ``objects_below`` order; ``a`` itself must
+    rank at most ``top``.  For n >= 2 the group is cut from ``a``'s
+    (n-1)-group, as the n-key fixes the (n-1)-key."""
+    key = _neq_key(q, a, n)
+    below = q.objects_below(top + 1)
+    groups = _NEQ_GROUPS.setdefault(q, {}).setdefault((n, top, len(below)), {})
     if key is not None and key not in groups:
-        for x in frag.ids() if n == 1 else _neq_group(frag, a, n - 1):
-            if (kx := _neq_key(frag, x, n)) is not None:
+        for x in below if n == 1 else _neq_group(q, a, n - 1, top):
+            if (kx := _neq_key(q, x, n)) is not None:
                 groups.setdefault(kx, []).append(x)
     return groups.get(key, [])
 
@@ -313,56 +323,35 @@ def church_spec(k: int) -> WandSpec:
         if 0 < m == n:
             return n_equiv_over(q, a, b, m)
         if m == 0 and n > 0:
-            return _comp_links_cardinal(q, a, n, b)
+            return any(c == n and n_equiv_over(q, d, b, n) for c, d in _comp_cards(q, a))
         if n == 0 and m > 0:
-            return _comp_links_cardinal(q, b, m, a)
+            return any(c == m and n_equiv_over(q, d, a, m) for c, d in _comp_cards(q, b))
         return False
 
-    def _comp_links_cardinal(q: SetQuery, a, n: int, b) -> bool:
-        # some d of lower stage than a, n-equivalent to b, has a = *0(*n d)
+    def _comp_cards(q: SetQuery, a):
+        # every (n, d) with a = *0(*n d) and d of lower stage than a; the rank
+        # guard mirrors the stage guard in the raw clauses, so every tap
+        # resolved here was already formed
         ra = q.ordrank(a)
-        for dd in q.objects_below(ra):
-            if not n_equiv_over(q, dd, b, n):
-                continue
-            t = q.resolve_tap(n, dd)
-            if t is None or q.ordrank(t) >= ra:
-                continue
-            if q.resolve_tap(0, t) == a:
-                return True
-        return False
-
-    def _comp_card_shape(q: SetQuery, a) -> Optional[int]:
-        # the n for which a = *0(*n d), if a has that shape; the rank guard
-        # mirrors the stage guard in the raw clauses, so every tap resolved
-        # here was already formed
-        if q.is_bland(a):
-            return None
-        ra = q.ordrank(a)
-        for dd in q.objects_below(ra):
+        for d in q.objects_below(ra):
             for n in range(1, k + 1):
-                t = q.resolve_tap(n, dd)
-                if t is None or q.ordrank(t) >= ra:
-                    continue
-                if q.resolve_tap(0, t) == a:
-                    return n
-        return None
+                t = q.resolve_tap(n, d)
+                if t is not None and q.ordrank(t) < ra and q.resolve_tap(0, t) == a:
+                    yield n, d
 
     def candidates(m: int, a, q: SetQuery, top: int):
-        # sound superset of raw-E partners of (m, a) up to rank `top`
+        # sound superset of raw-E partners of (m, a) up to rank `top`: the
+        # cardinals n-equivalent to a complement's base, or a's m-group and
+        # every complement
         yield (m, a)
-        others = q.objects_below(top + 1)
         if m == 0:
-            n = _comp_card_shape(q, a)
-            if n is not None:
-                for b in others:
+            for n, d in _comp_cards(q, a):
+                for b in _neq_group(q, d, n, top):
                     yield (n, b)
             return
-        size = len(q.members(a)) if q.is_bland(a) else 0
-        if size:
-            for b in others:
-                if q.is_bland(b) and len(q.members(b)) == size:
-                    yield (m, b)
-        for b in others:
+        for b in _neq_group(q, a, m, top):
+            yield (m, b)
+        for b in q.objects_below(top + 1):
             if not q.is_bland(b):
                 yield (0, b)
 
@@ -438,7 +427,9 @@ def varin_mask(frag: Fragment, a: int) -> int:
         if kind.n == 0:
             hit = everything & ~universe.member_mask(frag, kind.base)
         else:
-            hit = universe.ids_mask(x for x in _neq_group(frag, kind.base, kind.n)
+            # no rank reaches the object count, so this top takes in every id
+            group = _neq_group(frag, kind.base, kind.n, len(frag) - 1)
+            hit = universe.ids_mask(x for x in group
                                     if n_equiv_over(frag, x, kind.base, kind.n))
             if kind.tag == "comp_of_card":
                 hit = everything & ~hit

@@ -318,7 +318,7 @@ class _Masks:
     """
 
     __slots__ = ("size", "members", "bland", "subsets", "found", "transitive",
-                 "wevel", "levels", "ur_level", "wands", "varin", "neq")
+                 "wevel", "levels", "ur_level", "wands", "varin")
 
     def __init__(self, frag: Fragment):
         self.size = len(frag.objects)
@@ -333,7 +333,6 @@ class _Masks:
         self.ur_level: Dict[FrozenSet[int], Dict[int, bool]] = {}
         self.wands: Optional[Dict[int, int]] = None
         self.varin: Dict[int, int] = {}  # filled by instances.varin_mask
-        self.neq: Dict[int, Dict[tuple, List[int]]] = {}  # by instances._neq_group
 
 
 def _masks(frag: Fragment) -> _Masks:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -5,7 +6,7 @@ from typing import Tuple
 
 import pytest
 
-from wandset import instances, universe
+from wandset import conch, instances, universe, wandspec
 
 from conftest import built
 
@@ -457,7 +458,132 @@ def test_neq_groups_are_the_ids_with_the_same_key(name, depth):
         keys = [instances._neq_key(frag, x, n) for x in ids]
         for a in reversed(ids):
             want = [] if keys[a] is None else [x for x in ids if keys[x] == keys[a]]
-            assert instances._neq_group(frag, a, n) == want, (n, a)
+            got = instances._neq_group(frag, a, n, frag.depth - 1)
+            assert list(got) == want, (n, a)
+            assert len(set(got)) == len(got), (n, a)
+
+
+# -- Church's candidates against the scanning reference ------------------------------
+
+def ref_church_spec(k):
+    """``church_spec(k)`` with the raw E and the candidates from before the
+    n-key groups: a complement's partners found by scanning every lower-stage
+    object, and every bland set of the same size offered as a wand-m partner."""
+
+    def comp_links_cardinal(q, a, n, b):
+        # some d of lower stage than a, n-equivalent to b, has a = *0(*n d)
+        ra = q.ordrank(a)
+        for dd in q.objects_below(ra):
+            if not instances.n_equiv_over(q, dd, b, n):
+                continue
+            t = q.resolve_tap(n, dd)
+            if t is not None and q.ordrank(t) < ra and q.resolve_tap(0, t) == a:
+                return True
+        return False
+
+    def comp_card_shape(q, a):
+        # the first n for which a = *0(*n d), if a has that shape
+        if q.is_bland(a):
+            return None
+        ra = q.ordrank(a)
+        for dd in q.objects_below(ra):
+            for n in range(1, k + 1):
+                t = q.resolve_tap(n, dd)
+                if t is not None and q.ordrank(t) < ra and q.resolve_tap(0, t) == a:
+                    return n
+        return None
+
+    def e(m, a, n, b, q):
+        if m == n and a == b:
+            return True
+        if 0 < m == n:
+            return instances.n_equiv_over(q, a, b, m)
+        if m == 0 and n > 0:
+            return comp_links_cardinal(q, a, n, b)
+        if n == 0 and m > 0:
+            return comp_links_cardinal(q, b, m, a)
+        return False
+
+    def candidates(m, a, q, top):
+        yield (m, a)
+        others = q.objects_below(top + 1)
+        if m == 0:
+            n = comp_card_shape(q, a)
+            if n is not None:
+                for b in others:
+                    yield (n, b)
+            return
+        size = len(q.members(a)) if q.is_bland(a) else 0
+        if size:
+            for b in others:
+                if q.is_bland(b) and len(q.members(b)) == size:
+                    yield (m, b)
+        for b in others:
+            if not q.is_bland(b):
+                yield (0, b)
+
+    return dataclasses.replace(instances.church_spec(k), raw_equiv=e,
+                               equiv_candidates=candidates)
+
+
+def assert_sweep_matches(spec, q, ref, q_ref, m):
+    got, want = wandspec.classes(spec, q, m), wandspec.classes(ref, q_ref, m)
+    assert list(got.label.items()) == list(want.label.items()), m
+    assert list(got.degree.items()) == list(want.degree.items()), m
+    assert (got.broken, got.violations) == (want.broken, want.violations), m
+    assert wandspec.partition(spec, q, m) == wandspec.partition(ref, q_ref, m), m
+
+
+def assert_sweeps_match_reference(k, depth, make):
+    # each spec sweeps a query of its own, so no table is shared
+    spec, ref = instances.church_spec(k), ref_church_spec(k)
+    q, q_ref = make(spec, depth), make(ref, depth)
+    for m in range(depth):
+        assert_sweep_matches(spec, q, ref, q_ref, m)
+
+
+MAKERS = {"fragment": universe.build, "stages": conch.gen_stages}
+
+
+@pytest.mark.parametrize("k, depth, kind", [
+    (1, 3, "fragment"), (1, 3, "stages"), (2, 3, "fragment"), (2, 3, "stages"),
+    (1, 4, "fragment"), (1, 4, "stages")])
+def test_church_sweeps_match_the_scanning_reference(k, depth, kind):
+    assert_sweeps_match_reference(k, depth, MAKERS[kind])
+
+
+def test_church2_depth4_sweeps_match_the_scanning_reference_in_fewer_probes():
+    # the reference rank-3 sweep takes seconds here, so only the fragment runs
+    probes = [0]
+    church = instances.church_spec(2)
+
+    def counted_e(*args):
+        probes[0] += 1
+        return church.raw_equiv(*args)
+
+    spec = dataclasses.replace(church, raw_equiv=counted_e)
+    ref = ref_church_spec(2)
+    frag, frag_ref = universe.build(spec, 4), universe.build(ref, 4)
+    for m in range(3):
+        assert_sweep_matches(spec, frag, ref, frag_ref, m)
+    probes[0] = 0
+    wandspec.classes(spec, frag, 3)
+    # the scanning candidates made 1,472,629 probes and 725,948 _NEQ entries
+    assert probes[0] <= 800_000
+    assert len(instances._NEQ[frag]) <= 5_000
+    assert_sweep_matches(spec, frag, ref, frag_ref, 3)
+
+
+def test_a_lost_group_partner_fails_the_reference_comparison(monkeypatch):
+    group = instances._neq_group
+
+    def lossy(q, a, n, top):
+        got = group(q, a, n, top)
+        return got[:-1] if len(got) >= 2 else got
+
+    monkeypatch.setattr(instances, "_neq_group", lossy)
+    with pytest.raises(AssertionError):
+        assert_sweeps_match_reference(2, 3, universe.build)
 
 
 def test_varin_mask_rejects_non_church(conway4):

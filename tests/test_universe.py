@@ -547,8 +547,10 @@ def _memoised_answers(frag):
         out["ur_level", base] = [universe.ur_level(frag, alpha, base)
                                  for alpha in range(frag.depth + 3)]
     if frag.spec.name.startswith("church:"):
-        out["neq_group"] = [[instances._neq_group(frag, a, n) for n in (1, 2, 3)]
-                            for a in ids]
+        # a registered set may rank at the depth, so the top takes in every id
+        out["neq_group"] = [[list(instances._neq_group(frag, a, n, len(frag) - 1))
+                             for n in (1, 2, 3)] for a in ids]
+        assert all(len(set(g)) == len(g) for groups in out["neq_group"] for g in groups)
         out["classify_kind"] = [instances.classify_kind(frag, a) for a in ids]
         out["varin"] = [[instances.varin(frag, x, a) for x in ids] for a in ids]
     return out
