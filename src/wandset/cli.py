@@ -351,7 +351,7 @@ def cmd_query(args) -> int:
         x = _parse_object(frag, args.x)
         of = _parse_object(frag, args.of)
         if args.expansive:
-            if not frag.spec.name.startswith("church:"):
+            if not instances.is_church(frag.spec):
                 raise UsageError("--expansive requires a church spec")
             print("true" if instances.varin(frag, x, of) else "false")
         else:
@@ -368,7 +368,7 @@ def cmd_query(args) -> int:
         base, path = universe.decompose(frag, oid)
         print(f"base={base} path={path}")
     elif args.what == "kind":
-        if not frag.spec.name.startswith("church:"):
+        if not instances.is_church(frag.spec):
             raise UsageError("kind classification requires a church spec")
         oid = _parse_object(frag, args.obj)
         kind = instances.classify_kind(frag, oid)
@@ -386,11 +386,11 @@ def cmd_verify(args) -> int:
     names: List[str]
     if args.suite == "all":
         names = ["core", "conch", "formula"]
-        if frag.spec.name.startswith("church:"):
+        if instances.is_church(frag.spec):
             names.append("church")
     else:
         names = [args.suite]
-    if "church" in names and not frag.spec.name.startswith("church:"):
+    if "church" in names and not instances.is_church(frag.spec):
         raise UsageError(f"suite church incompatible with spec {frag.spec.name}")
     if ("conch" in names or "church" in names) and not frag.exhaustive:
         raise UsageError("conch/church suites require an exhaustive fragment")
@@ -435,7 +435,7 @@ def cmd_translate(args) -> int:
     e_side = {"bullet": ("--dst", dst), "circle": ("--src", frag)}
     if args.translation in e_side:
         flag, side = e_side[args.translation]
-        if not side.spec.name.startswith("church:"):
+        if not instances.is_church(side.spec):
             raise UsageError(f"--translation {args.translation} needs a church "
                              f"fragment as {flag}, not {side.spec.name}")
     src_model, dst_model = {

@@ -833,12 +833,11 @@ def fragment_model(frag) -> FiniteModel:
     model.defined["nequiv@"] = _nequiv_over_semantics(
         model, bland_sem=_predicate(model, _CIRCLE_BLAND, _CB_VAR),
         member_sem=lambda x, y: instances.varin(frag, x, y)
-        if frag.spec.name.startswith("church:") else member(x, y))
+        if instances.is_church(frag.spec) else member(x, y))
     return model
 
 
 _CB_VAR = Var("_cbv")
-_CIRCLE_BLAND = None  # filled in at the end of the module
 
 
 def _predicate(model: FiniteModel, f, v: Var) -> Callable[[object], bool]:
@@ -953,7 +952,7 @@ def conch_model(stages) -> FiniteModel:
 
 def varin_model(frag) -> FiniteModel:
     """The e reading of a church fragment: one, expansive, membership."""
-    if not frag.spec.name.startswith("church:"):
+    if not instances.is_church(frag.spec):
         raise SignatureError("expansive reading requires a church fragment")
     carrier = tuple(frag.ids())
     model = FiniteModel(

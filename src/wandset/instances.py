@@ -184,18 +184,13 @@ def _union_chain(q: SetQuery, a, n: int) -> Optional[List[Tuple]]:
     return levels
 
 
-# The n-equivalence answers of each query by (n, a, b) for n >= 2: they read
-# only the handles' members, which never change, so a query's table goes with it.
-_NEQ: weakref.WeakKeyDictionary[SetQuery, Dict[tuple, bool]] = weakref.WeakKeyDictionary()
-
-
 def n_equiv_over(q: SetQuery, a, b, n: int) -> bool:
     """Whether ``a`` and ``b`` are n-equivalent over the query ``q``.
 
     For n = 1 any pairing of two equinumerous nonempty bland sets works, so
     the sizes answer and nothing is cached.  For n >= 2 the search runs over
     bijections of the deepest unions, induced upward and pruned by container
-    degree; its answers are memoised per query in ``_NEQ``.
+    degree.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -203,12 +198,7 @@ def n_equiv_over(q: SetQuery, a, b, n: int) -> bool:
         ma = q.members(a) if q.is_bland(a) else ()
         mb = q.members(b) if q.is_bland(b) else ()
         return len(ma) > 0 and len(ma) == len(mb)
-    table = _NEQ.setdefault(q, {})
-    key = (n, a, b)
-    hit = table.get(key)
-    if hit is None:
-        hit = table[key] = _n_equiv_search(q, a, b, n)
-    return hit
+    return _n_equiv_search(q, a, b, n)
 
 
 def _neq_key(q: SetQuery, a, n: int) -> Optional[tuple]:
@@ -342,18 +332,20 @@ def church_spec(k: int) -> WandSpec:
     def candidates(m: int, a, q: SetQuery, top: int):
         # sound superset of raw-E partners of (m, a) up to rank `top`: the
         # cardinals n-equivalent to a complement's base, or a's m-group and
-        # every complement
+        # the complements *0(*m b) of its members, each tap ranked below `top`
         yield (m, a)
         if m == 0:
             for n, d in _comp_cards(q, a):
                 for b in _neq_group(q, d, n, top):
                     yield (n, b)
             return
-        for b in _neq_group(q, a, m, top):
+        group = _neq_group(q, a, m, top)
+        for b in group:
             yield (m, b)
-        for b in q.objects_below(top + 1):
-            if not q.is_bland(b):
-                yield (0, b)
+        for b in group:
+            t = q.resolve_tap(m, b) if q.ordrank(b) < top else None
+            if t is not None and q.ordrank(t) < top and (c := q.resolve_tap(0, t)) is not None:
+                yield (0, c)
 
     return WandSpec(name=f"church:{k}", wands=_wand_ids(k + 1),
                     raw_dom=d, raw_equiv=e, equiv_candidates=candidates)
@@ -370,8 +362,13 @@ class CusKind:
     base: Optional[int] = None
 
 
+def is_church(spec: WandSpec) -> bool:
+    """Whether ``spec`` is one of the Church family ``church:<k>``."""
+    return spec.name.startswith("church:")
+
+
 def _require_church(frag: Fragment) -> int:
-    if not frag.spec.name.startswith("church:"):
+    if not is_church(frag.spec):
         raise ValueError(f"operation requires a church fragment, got {frag.spec.name}")
     return int(frag.spec.name.split(":")[1])
 

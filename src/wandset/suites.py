@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from . import conch, universe, wandspec
+from . import conch, instances, universe, wandspec
 from .universe import Fragment
 
 Row = Tuple[str, bool, str]
@@ -285,7 +285,7 @@ def formula_laws(frag: Fragment) -> List[Row]:
         "tolt-preserves-random-sentences", wsm, cm, "tolt",
         formula.random_sentences(formula.SIG_WS, RANDOM_SENTENCES, seed=1203)))
 
-    if frag.spec.name.startswith("church:"):
+    if instances.is_church(frag.spec):
         em = formula.varin_model(frag)
         if frag.depth >= 2:  # bland_bullet asks for the set {{}}, which depth 1 lacks
             plain = [(n, f) for n, f in formula.ws_axioms()

@@ -15,6 +15,7 @@ late, out of that order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -102,9 +103,8 @@ class Fragment:
     _wevel_ids: Dict[int, int] = field(default_factory=dict)
     _masks: Optional["_Masks"] = None
     # facts fixed when an object is registered, kept for the fragment's life:
-    # renders, conch codes, kinds (filled by conch and instances), hereditary
+    # conch codes, kinds (filled by conch and instances), hereditary
     # blandness and encode_pure's hits
-    _renders: Dict[int, str] = field(default_factory=dict)
     conch_codes: Dict[int, PureSet] = field(default_factory=dict)
     kinds: Dict[int, "instances.CusKind"] = field(default_factory=dict)
     _hb: Dict[int, bool] = field(default_factory=dict)
@@ -180,15 +180,7 @@ class Fragment:
 
     def render(self, oid: int) -> str:
         """Brace notation (:func:`label` with ``{`` and ``}``)."""
-        got = self._renders.get(oid)
-        if got is None:
-            o = self.objects[oid]
-            try:  # members have lower ids: rendered in id order, they are cached
-                got = label(o, self._renders.__getitem__, "{", "}")
-            except KeyError:
-                got = label(o, self.render, "{", "}")
-            self._renders[oid] = got
-        return got
+        return label(self.objects[oid], self.render, "{", "}")
 
     # -- wevels ---------------------------------------------------------------
 
@@ -208,11 +200,8 @@ class Fragment:
     def wand_obj_ids(self) -> Dict[int, int]:
         """Map wand index -> id of its designated hereditarily bland object,
         for wands whose designation is registered in this fragment."""
-        m = _masks(self)
-        if m.wands is None:
-            m.wands = {w.index: oid for w in self.spec.wands
-                       if (oid := encode_pure(self, vn(w.index))) is not None}
-        return m.wands
+        return {w.index: oid for w in self.spec.wands
+                if (oid := encode_pure(self, vn(w.index))) is not None}
 
     # -- set queries ------------------------------------------------------------
 
@@ -318,7 +307,7 @@ class _Masks:
     """
 
     __slots__ = ("size", "members", "bland", "subsets", "found", "transitive",
-                 "wevel", "levels", "ur_level", "wands", "varin")
+                 "wevel", "levels", "ur_level", "varin")
 
     def __init__(self, frag: Fragment):
         self.size = len(frag.objects)
@@ -331,7 +320,6 @@ class _Masks:
         self.wevel: Dict[int, bool] = {}
         self.levels: Dict[FrozenSet[int], List[int]] = {}  # per base, see _levels
         self.ur_level: Dict[FrozenSet[int], Dict[int, bool]] = {}
-        self.wands: Optional[Dict[int, int]] = None
         self.varin: Dict[int, int] = {}  # filled by instances.varin_mask
 
 
@@ -366,12 +354,16 @@ def subset_mask(frag: Fragment, c: int) -> int:
     m = _masks(frag)
     got = m.subsets.get(c)
     if got is None:
-        outside = ~m.members[c]
-        got = 0
-        for x, xm in m.bland:
-            if not xm & outside:
-                got |= 1 << x
-        m.subsets[c] = got
+        got = m.subsets[c] = _blands_inside(m, m.members[c])
+    return got
+
+
+def _blands_inside(m: _Masks, mask: int) -> int:
+    # the registered bland sets whose members are all bits of ``mask``
+    outside, got = ~mask, 0
+    for x, xm in m.bland:
+        if not xm & outside:
+            got |= 1 << x
     return got
 
 
@@ -432,12 +424,18 @@ def pot(frag: Fragment, a: int) -> int:
 def is_wevel(frag: Fragment, x: int) -> bool:
     """Recognize wevels: s is a wevel iff s equals the pot of its wevel
     members (recursing along that characterization)."""
-    memo = _masks(frag).wevel
-    hit = memo.get(x)
+    return _self_pot(frag, _masks(frag).wevel, functools.partial(_pot_mask, frag), x)
+
+
+def _self_pot(frag: Fragment, memo: Dict[int, bool], pot: Callable, t: int) -> bool:
+    """Whether ``t`` is a bland set whose member mask is ``pot`` of those of
+    its members that pass too; members have lower ids, so this terminates."""
+    hit = memo.get(t)
     if hit is None:
-        o = frag.obj(x)
-        sub = [r for r in o.members or () if (memo[r] if r in memo else is_wevel(frag, r))]
-        hit = memo[x] = o.is_bland and _pot_mask(frag, sub) == member_mask(frag, x)
+        o = frag.objects[t]
+        sub = [r for r in o.members or ()
+               if (memo[r] if r in memo else _self_pot(frag, memo, pot, r))]
+        hit = memo[t] = o.members is not None and pot(sub) == member_mask(frag, t)
     return hit
 
 
@@ -540,11 +538,7 @@ def _levels(frag: Fragment, base: FrozenSet[int]) -> List[int]:
     if got is None:
         got = m.levels[base] = [ids_mask(base)]
         while len(got) < 2 or got[-1] != got[-2]:
-            outside, nxt = ~got[-1], got[0]
-            for x, xm in m.bland:
-                if not xm & outside:
-                    nxt |= 1 << x
-            got.append(nxt)
+            got.append(got[0] | _blands_inside(m, got[-1]))
     return got
 
 
@@ -572,18 +566,8 @@ def _ur_pot_mask(frag: Fragment, bottom: int, member_ids: Iterable[int]) -> int:
 def is_ur_level(frag: Fragment, base: FrozenSet[int], t: int) -> bool:
     """Recognizer for levels over ``base``, via the characterization that a
     level is the ur-pot of its level members."""
-    return _is_ur_level(frag, ids_mask(base), _masks(frag).ur_level.setdefault(base, {}), t)
-
-
-def _is_ur_level(frag: Fragment, bottom: int, memo: dict, t: int) -> bool:
-    hit = memo.get(t)
-    if hit is None:
-        memo[t] = False  # recursion guard; members may include base elements
-        o = frag.obj(t)
-        sub = [r for r in o.members or ()
-               if (memo[r] if r in memo else _is_ur_level(frag, bottom, memo, r))]
-        hit = memo[t] = o.is_bland and _ur_pot_mask(frag, bottom, sub) == member_mask(frag, t)
-    return hit
+    return _self_pot(frag, _masks(frag).ur_level.setdefault(base, {}),
+                     functools.partial(_ur_pot_mask, frag, ids_mask(base)), t)
 
 
 # -- tap-path decomposition ---------------------------------------------------

@@ -552,14 +552,19 @@ def test_church_sweeps_match_the_scanning_reference(k, depth, kind):
     assert_sweeps_match_reference(k, depth, MAKERS[kind])
 
 
-def test_church2_depth4_sweeps_match_the_scanning_reference_in_fewer_probes():
+def test_church2_depth4_sweeps_match_the_scanning_reference_in_fewer_probes(monkeypatch):
     # the reference rank-3 sweep takes seconds here, so only the fragment runs
-    probes = [0]
+    probes, searches = [0], [0]
     church = instances.church_spec(2)
+    search = instances._n_equiv_search
 
     def counted_e(*args):
         probes[0] += 1
         return church.raw_equiv(*args)
+
+    def counted_search(*args):
+        searches[0] += 1
+        return search(*args)
 
     spec = dataclasses.replace(church, raw_equiv=counted_e)
     ref = ref_church_spec(2)
@@ -567,10 +572,13 @@ def test_church2_depth4_sweeps_match_the_scanning_reference_in_fewer_probes():
     for m in range(3):
         assert_sweep_matches(spec, frag, ref, frag_ref, m)
     probes[0] = 0
+    monkeypatch.setattr(instances, "_n_equiv_search", counted_search)
     wandspec.classes(spec, frag, 3)
-    # the scanning candidates made 1,472,629 probes and 725,948 _NEQ entries
-    assert probes[0] <= 800_000
-    assert len(instances._NEQ[frag]) <= 5_000
+    # the scanning candidates made 1,472,629 probes and needed 725,948
+    # n-equivalence answers
+    assert probes[0] <= 720_000
+    assert searches[0] <= 2_000
+    monkeypatch.undo()
     assert_sweep_matches(spec, frag, ref, frag_ref, 3)
 
 
