@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from . import conch, instances, universe, wandspec
 from .errors import (BeyondFragment, CapExceeded, ParseError, SignatureError,
                      SpecError, WandsetError)
-from .pureset import acyclic
+from .pureset import acyclic, mk_set
 from .universe import Fragment, Obj
 
 FORMAT_VERSION = 1
@@ -263,8 +263,6 @@ def _parse_object(frag: Fragment, text: str) -> int:
 
 
 def _parse_braces(text: str):
-    from .pureset import mk_set
-
     pos = 0
 
     def node():

@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import universe, wandspec
 from .errors import BeyondFragment, CapExceeded, NotAConch, NotAPair
 from .pureset import (PureSet, _intern, acyclic, carrier, deep_carrier, in_carrier_levels,
-                      is_carrier, kpair, kunpair, mk_set, rank, subsets, uncarrier)
+                      is_carrier, kpair, kunpair, lt_levels, mk_set, rank, subsets, uncarrier)
 from .universe import Fragment
 from .wandspec import WandSpec
 
@@ -292,15 +292,13 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> Dict[str, List[str]]:
     Checks, over everything in the exhaustive fragment: the pure-set code map
     restricts to a membership- and wandhood-preserving bijection between pure
     sets and the hereditarily bland objects; the fragment recoding is
-    injective, preserves blandness and membership everywhere and taps below
-    the safe rank bound; ranks correspond; and the recoded fragment equals
+    injective, preserves blandness and membership everywhere and taps on
+    ``Fragment.safe_ids``; ranks correspond; and the recoded fragment equals
     the independently generated stages bit for bit.
 
     Returns the failure witnesses of each check group, by group name; every
     list is empty when the witnesses hold.
     """
-    from .pureset import lt_levels
-
     if not frag.exhaustive:
         return {"preconditions": ["fragment not exhaustive"]}
     if frag.depth != stages.depth or frag.spec.name != stages.spec.name:
@@ -310,7 +308,6 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> Dict[str, List[str]]:
         "cross_construction", "level_correspondence", "relation_stability")}
 
     ids = list(frag.ids())
-    top = frag.depth - 1
 
     # -- pure sets vs hereditarily bland objects vs carrier-hierarchy codes
     pures = lt_levels(frag.depth + 1)[-1].elements  # in canonical order
@@ -368,11 +365,11 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> Dict[str, List[str]]:
             if lhs != rhs:
                 report["code_clauses"].append(f"membership flips for ({a},{b})")
 
-    # tap preservation below the safe bound (the guard in the structure-
-    # preservation induction: tapping just below the top leaves the fragment)
-    for a in ids:
-        if frag.obj(a).ordrank + 1 >= top:
-            continue
+    # tap preservation on the safe ids (the guard in the structure-
+    # preservation induction: tapping at the top leaves the fragment)
+    for a in frag.safe_ids():
+        if codes[a] not in stages.conchrank:
+            continue  # no stage tap to compare; rank_correspondence reports it
         for w in frag.spec.wand_indices():
             got = frag.resolve_tap(w, a)
             stage_tap = stages.resolve_tap(w, codes[a])

@@ -124,6 +124,7 @@ class Exists:
 # connective's symbol goes through these; Defined reads its ``.args``.
 _ARGS = {Bland: ("t",), Wand: ("t",), In: ("x", "y"), Tap: ("w", "a", "c"), Eq: ("x", "y")}
 _CONNECTIVES = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+_BINDING = (Iff, Implies, Or, And)  # loosest first; an Implies chain nests to the right
 
 ATOMS = (*_ARGS, Defined)
 _HEADS = {k.__name__: k for k in _ARGS if k is not Eq}  # the atoms written ``Head(args)``
@@ -221,42 +222,23 @@ class _Parser:
         self.pos += 1
         return k, v, at
 
-    def formula(self):
+    def formula(self, level: int = 0):
+        """A chain of the connectives binding at ``_BINDING[level]`` or
+        tighter; at level 0 a quantified formula, whose body is the rest."""
         k, v, _ = self.peek()
-        if k == "ident" and v in ("forall", "exists"):
+        if level == 0 and k == "ident" and v in ("forall", "exists"):
             self.take("ident")
             _, name, _ = self.take("ident")
             self.take("punct", ".")
-            body = self.formula()
-            return (Forall if v == "forall" else Exists)(Var(name), body)
-        return self.iff()
-
-    def iff(self):
-        lhs = self.imp()
-        while self.peek()[:2] == ("punct", "<->"):
-            self.take("punct", "<->")
-            lhs = Iff(lhs, self.imp())
-        return lhs
-
-    def imp(self):
-        lhs = self.disj()
-        if self.peek()[:2] == ("punct", "->"):
-            self.take("punct", "->")
-            return Implies(lhs, self.imp())  # right associative
-        return lhs
-
-    def disj(self):
-        lhs = self.conj()
-        while self.peek()[:2] == ("punct", "|"):
-            self.take("punct", "|")
-            lhs = Or(lhs, self.conj())
-        return lhs
-
-    def conj(self):
-        lhs = self.unary()
-        while self.peek()[:2] == ("punct", "&"):
-            self.take("punct", "&")
-            lhs = And(lhs, self.unary())
+            return (Forall if v == "forall" else Exists)(Var(name), self.formula())
+        if level == len(_BINDING):
+            return self.unary()
+        kind = _BINDING[level]
+        symbol = _CONNECTIVES[kind]
+        lhs = self.formula(level + 1)
+        while self.peek()[:2] == ("punct", symbol):
+            self.take("punct", symbol)
+            lhs = kind(lhs, self.formula(level if kind is Implies else level + 1))
         return lhs
 
     def unary(self):
@@ -530,21 +512,21 @@ def _rotate(g):
 def _atom(model: FiniteModel, g, tag, idx: Tuple[int, ...]) -> Callable:
     """The closure of the relational atom ``g`` read at slots ``idx``: its
     oracle's answer, kept in the model's ``answers`` table for ``tag``."""
-    rel, get = _relation(model, g)[0], _getter(idx)
+    rel, get = _relation(model, g), _getter(idx)
     run = (lambda env: bool(rel(get(env)))) if len(idx) == 1 else (
         lambda env: bool(rel(*get(env))))
     return _memoized(run, get, model.answers.setdefault((tag, len(idx)), {}))
 
 
-def _relation(model: FiniteModel, g) -> Tuple[Callable, Tuple[Var, ...]]:
-    """The oracle a relational atom reads and the variables it is applied to."""
+def _relation(model: FiniteModel, g) -> Callable:
+    """The oracle a relational atom reads."""
     if type(g) is not Defined:
-        return getattr(model, _ORACLES[type(g)]), _atom_args(g)
+        return getattr(model, _ORACLES[type(g)])
     oracle = model.defined.get(g.name)
     if oracle is None:
         def oracle(*_):
             raise SignatureError(f"model {model.name} has no oracle {g.name!r}")
-    return oracle, g.args
+    return oracle
 
 
 def _memoized(run: Callable, key: Callable, memo: dict) -> Callable:
@@ -1066,7 +1048,7 @@ def random_sentences(sig: str, count: int, seed: int) -> List[Tuple[str, object]
             return q(v, gen(depth - 1, bound + [v]))
         if rng.random() < 0.35:
             return Not(gen(depth - 1, bound))
-        conn = rng.choice([And, Or, Implies, Iff])
+        conn = rng.choice(list(_CONNECTIVES))
         return conn(gen(depth - 1, bound), gen(depth - 1, bound))
 
     out = []

@@ -463,7 +463,7 @@ def check_cus_axioms(frag: Fragment) -> List[Tuple[str, bool, str]]:
     k = _require_church(frag)
     checks: List[Tuple[str, bool, str]] = []
     ids = list(frag.ids())
-    safe = [a for a in ids if frag.obj(a).ordrank + 1 < frag.depth]
+    safe = frag.safe_ids()
     taps = {}
     for a in safe:
         for n in range(k + 1):
@@ -481,7 +481,7 @@ def check_cus_axioms(frag: Fragment) -> List[Tuple[str, bool, str]]:
     bad = []
     for a in safe:
         t = taps[(0, a)]
-        if t is None or frag.obj(t).ordrank + 1 >= frag.depth:
+        if t is None or t not in safe:
             continue
         tt = universe.tap(frag, 0, t)
         if tt is not None and tt != a:

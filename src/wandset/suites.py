@@ -150,7 +150,7 @@ def core_laws(frag: Fragment) -> List[Row]:
             if not wandspec.minirank(spec, w, b, frag):
                 bad.append(("minrank", c, w, b))
     rows.append(_row("tap-class-members-regenerate", bad))
-    safe = [a for a in ids if frag.obj(a).ordrank + 1 < depth]
+    safe = frag.safe_ids()
     bad = []
     for a in safe:
         for w in spec.wand_indices():

@@ -236,6 +236,11 @@ class Fragment:
             self._below[r] = (len(self.objects), got)
         return got
 
+    def safe_ids(self) -> Tuple[int, ...]:
+        """The ids whose every tap a build registers, in id order: a tap
+        ranks one above its argument, and the last stage is depth - 1."""
+        return self.objects_below(self.depth - 1)
+
 
 # -- construction -------------------------------------------------------------
 
@@ -626,18 +631,15 @@ def check_stage_stability(spec: WandSpec, small: Fragment, big: Fragment) -> dic
         raise ValueError("small fragment must be the shallower one")
     mapping = correspond(small, big)
     checked = 0
-    for a in small.ids():
-        if small.obj(a).ordrank + 1 >= small.depth:
-            continue
+    safe = small.safe_ids()
+    for a in safe:
         for w in spec.wand_indices():
             checked += 1
             if wandspec.dom(spec, w, a, small) != wandspec.dom(spec, w, mapping[a], big):
                 raise StabilityViolation(
                     f"dom({w}, rank-{small.obj(a).ordrank} object) flipped "
                     f"between depth {small.depth} and depth {big.depth}")
-        for b in small.ids():
-            if small.obj(b).ordrank + 1 >= small.depth:
-                continue
+        for b in safe:
             for w in spec.wand_indices():
                 for u in spec.wand_indices():
                     checked += 1

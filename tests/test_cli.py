@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -739,3 +740,46 @@ def test_cli_and_suites_load_without_formula():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("argv,code,stream,says", [
+    (["query", "tap", "--wand", "0", "--arg", "10"], 3, "err",
+     "beyond fragment: tap of wand 0 on rank-2 object\n"),
+    (["query", "rank", "--obj", "99"], 3, "err", "beyond fragment: no object 99\n"),
+    (["query", "rank", "--obj", "{{},{{}}}"], 0, "out", "2\n"),
+    (["query", "rank", "--obj", "{{}"], 65, "err", "bad data: unbalanced braces\n"),
+    (["query", "rank", "--obj", "{}}"], 65, "err", "bad data: trailing input at 2\n"),
+])
+def test_object_arguments_beyond_the_fragment_and_in_brace_notation(
+        capsys, church_file, argv, code, stream, says):
+    assert cli.main(argv + ["--in", church_file]) == code
+    assert getattr(capsys.readouterr(), stream) == says
+
+
+def readme_walkthrough():
+    """The ``wandset`` command lines of the README's CLI walkthrough, split
+    into arguments, with comments and line continuations removed."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("wandset ")]
+
+
+def test_readme_walkthrough(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "axioms.sent").write_text(
+        "ext: forall a. forall b. (Bland(a) & Bland(b)) -> "
+        "((forall x. In(x,a) <-> In(x,b)) -> a = b)\n")
+    out = {}
+    for argv in readme_walkthrough():
+        assert cli.main(argv) == 0, argv
+        out[" ".join(argv)] = capsys.readouterr().out
+    build = out["build --spec church:2 --depth 3 --out church3.json"].splitlines()
+    assert [int(l.split(":")[1].split()[0]) for l in build if l.startswith("stage")] \
+        == [0, 1, 3, 11]
+    assert out["query tap --wand 0 --arg {} --in church3.json"] == "2\n"
+    assert out["query member --x {} --of 2 --in church3.json"] == "false\n"
+    assert out["query member --expansive --x {} --of 2 --in church3.json"] == "true\n"
+    assert "verify --suite all --in church3.json" in out
+    assert (tmp_path / "church3.dot").read_text().startswith("digraph universe {")

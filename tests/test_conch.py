@@ -352,3 +352,183 @@ def test_is_carrier_matches_the_decoding_reference(name, depth):
             with pytest.raises(NotACarrier):
                 ps.uncarrier(c)
     assert seen[True] and seen[False]
+
+
+# -- planted faults: every report group and stage law fails on one ---------------------------
+#
+# Each fault is planted in a fresh church:2 depth-3 build (11 objects: id 0
+# is {}, id 1 {{}} and id 2 *0{}, both of rank 1) or its stages, through
+# monkeypatch, the fragment's code memo or a dataclasses.replace copy.
+
+ONE = ps.mk_set([ps.EMPTY])
+TWO = ps.mk_set([ONE])
+
+
+def fresh_church3():
+    spec = wandspec.get_spec("church:2")
+    return universe.build(spec, 3), conch.gen_stages(spec, 3)
+
+
+def coded(frag):
+    """The fragment's code memo, filled for every id."""
+    for a in frag.ids():
+        conch.conch_code(frag, a)
+    return frag.conch_codes
+
+
+def unencoded_rank2(frag, stages, mp):
+    real = universe.encode_pure
+    mp.setattr(universe, "encode_pure", lambda f, p: None if p == ps.vn(2) else real(f, p))
+
+
+def encoding_swaps_one_and_two(frag, stages, mp):
+    real = universe.encode_pure
+    one, two = real(frag, ONE), real(frag, TWO)
+    swap = {one: two, two: one}
+    mp.setattr(universe, "encode_pure", lambda f, p: swap.get(real(f, p), real(f, p)))
+
+
+def deep_carrier_codes_one_as_two(frag, stages, mp):
+    real = ps.deep_carrier
+    mp.setattr(conch, "deep_carrier", lambda p: real(TWO if p == ONE else p))
+
+
+def empty_carrier_escapes(frag, stages, mp):
+    real = ps.in_carrier_levels
+    mp.setattr(conch, "in_carrier_levels",
+               lambda base, x: x != ps.carrier(ps.EMPTY) and real(base, x))
+
+
+def wand1_designates_wand2(frag, stages, mp):
+    wands = frag.wand_obj_ids()
+    mp.setattr(frag, "wand_obj_ids", lambda: {**wands, 1: wands[2]})
+
+
+def two_objects_share_a_code(frag, stages, mp):
+    codes = coded(frag)
+    codes[2] = codes[1]
+
+
+def tapped_object_coded_as_a_carrier(frag, stages, mp):
+    codes = coded(frag)
+    codes[2] = ps.carrier(codes[2])
+
+
+def member_bit_dropped(frag, stages, mp):
+    real = universe.member_mask
+    mp.setattr(universe, "member_mask",
+               lambda f, b: real(f, b) & ~1 if (f, b) == (frag, 1) else real(f, b))
+
+
+def wrong_stage_tap_on_rank1(frag, stages, mp):
+    codes = coded(frag)
+    wrong = codes[frag.resolve_tap(0, 0)]  # *0{} where *0{{}} belongs
+    real = conch.Stages.resolve_tap
+    mp.setattr(conch.Stages, "resolve_tap", lambda st, w, h: wrong if (
+        st is stages and (w, h) == (0, codes[1])) else real(st, w, h))
+
+
+def stage2_loses_a_conch(frag, stages, mp):
+    last = stages.stages[-1]
+    lost = dataclasses.replace(last, conches=last.conches - {last.ranked[-1]})
+    return dataclasses.replace(stages, stages=stages.stages[:-1] + [lost], _taps={})
+
+
+def stages_one_stage_short(frag, stages, mp):
+    return conch.gen_stages(stages.spec, 2)
+
+
+@pytest.mark.parametrize("fault,want", [
+    (stages_one_stage_short, {"preconditions": ["fragment and stages disagree on spec/depth"]}),
+    (unencoded_rank2, {"hb_iso": ["pure set of rank 2 has no object",
+                                  "pure sets do not biject onto the hereditarily bland objects"]}),
+    (encoding_swaps_one_and_two, {"hb_iso": ["membership not preserved ({} in {{}})"]}),
+    (deep_carrier_codes_one_as_two, {"hb_iso": [
+        "code of rank-1 pure set ranks wrong",
+        "hereditarily bland codes differ from pure-set codes"]}),
+    (empty_carrier_escapes, {"hb_iso": ["code escapes the empty-base carrier hierarchy"],
+                             "level_correspondence": ["object 0 at stage 0: True vs False"]}),
+    (wand1_designates_wand2, {"hb_iso": ["wand 1 code mismatch"]}),
+    (two_objects_share_a_code, {"code_injective": ["two objects share a code"]}),
+    (tapped_object_coded_as_a_carrier, {
+        "code_clauses": ["blandness flips for object 2"],
+        "rank_correspondence": ["object 2: rank 1 vs stage None"],
+        "cross_construction": ["stage 1: 3 recoded vs 3 generated"]}),
+    (member_bit_dropped, {"code_clauses": ["membership flips for (0,1)"]}),
+    (stage2_loses_a_conch, {"cross_construction": ["stage 2: 11 recoded vs 10 generated"]}),
+])
+def test_roundtrip_reports_a_planted_fault(monkeypatch, fault, want):
+    frag, stages = fresh_church3()
+    stages = fault(frag, stages, monkeypatch) or stages
+    report = conch.verify_roundtrip(frag, stages)
+    for group, messages in want.items():
+        for message in messages:
+            assert message in report[group], (group, report[group])
+
+
+def test_roundtrip_reports_a_wrong_stage_tap_on_a_rank1_conch_as_a_tap_flip(monkeypatch):
+    frag, stages = fresh_church3()
+    wrong_stage_tap_on_rank1(frag, stages, monkeypatch)
+    report = conch.verify_roundtrip(frag, stages)
+    assert report["code_clauses"] == ["tap flips for wand 0 on object 1"]
+
+
+def test_the_tap_clause_compares_every_safe_pair(monkeypatch):
+    # with every stage tap wrong (undefined where defined, the empty set's
+    # code where undefined), each (wand, safe object) pair flips once: 3
+    # wands on the 3 objects below rank 2 ({}, {{}} and *0{})
+    frag, stages = fresh_church3()
+    assert not any(conch.verify_roundtrip(frag, stages).values())  # memoises every stage tap
+    real = conch.Stages.resolve_tap
+
+    def resolve_tap(st, w, h):
+        got = real(st, w, h)
+        return got if st is not stages else ps.carrier(ps.EMPTY) if got is None else None
+
+    monkeypatch.setattr(conch.Stages, "resolve_tap", resolve_tap)
+    flips = conch.verify_roundtrip(frag, stages)["code_clauses"]
+    assert flips == [f"tap flips for wand {w} on object {a}" for a in (0, 1, 2) for w in (0, 1, 2)]
+
+
+def with_conch(stages, extra, rank):
+    """A copy of ``stages`` whose last stage also holds ``extra`` at ``rank``."""
+    last = stages.stages[-1]
+    grown = dataclasses.replace(last, conches=last.conches | {extra},
+                                ranked=last.ranked + (extra,))
+    return dataclasses.replace(stages, stages=stages.stages[:-1] + [grown],
+                               conchrank={**stages.conchrank, extra: rank}, _taps={})
+
+
+def tap_code_of_rank(stages, r):
+    return next(c for c in stages.ranked(r) if not ps.is_carrier(c) and stages.ordrank(c) == r)
+
+
+@pytest.mark.parametrize("fault,want", [
+    (lambda st, mp: dataclasses.replace(st, stages=[
+        st.stages[0], dataclasses.replace(st.stages[1], below=st.stages[2].conches),
+        st.stages[2]], _taps={}),
+     ["stage 1 earlier-contents mismatch", "stage 1 not monotone"]),
+    (lambda st, mp: with_conch(st, ps.carrier(ONE), 1),
+     ["carrier at rank 1 holds a non-conch"]),
+    (lambda st, mp: with_conch(st, ps.carrier(ps.mk_set([tap_code_of_rank(st, 2)])), 2),
+     ["carrier rank 2 != member sup 3"]),
+    (lambda st, mp: with_conch(st, ps.EMPTY, 1), ["empty non-carrier conch"]),
+    (lambda st, mp: with_conch(st, ONE, 1),
+     ["non-carrier conch at rank 1 is not a set of pairs"]),
+    (lambda st, mp: with_conch(st, ps.mk_set([ps.kpair(ONE, ONE)]), 1),
+     ["tap class member at rank 1 malformed", "tap class rank law broken at rank 1"]),
+    (lambda st, mp: with_conch(st, ps.mk_set([ps.kpair(st.wandcodes[1], st.ranked(0)[0])]), 2),
+     ["tap class rank law broken at rank 2"]),
+    (lambda st, mp: mp.setattr(wandspec, "dom", lambda spec, w, a, q: False),
+     ["tap class member outside domain at rank 1"]),
+    (lambda st, mp: mp.setattr(st, "class_code", lambda cls: ps.EMPTY),
+     ["tap class does not regenerate from a member at rank 1"]),
+    (lambda st, mp: mp.setattr(conch.Stages, "resolve_tap", lambda self, w, h: None),
+     ["found-at mismatch at stage 1"]),
+], ids=["below-mismatch", "non-conch-member", "rank-above-sup", "empty", "not-pairs",
+        "malformed", "tap-rank", "outside-domain", "no-regeneration", "found-at"])
+def test_stage_laws_report_a_planted_fault(monkeypatch, fault, want):
+    stages = conch.gen_stages(wandspec.get_spec("church:2"), 3)
+    bad = conch.check_stage_laws(fault(stages, monkeypatch) or stages)
+    for message in want:
+        assert message in bad, bad

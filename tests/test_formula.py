@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,162 @@ def test_a_label_may_start_like_an_atom_head():
     assert [name for name, _ in got] == ["Index", "Wanda"]
     with pytest.raises(ParseError):
         F.parse_sentences("Bland: forall x. x = x\n")
+
+
+# -- differential test against the four-level parser ---------------------------------
+
+class FourLevelParser(F._Parser):
+    """The parser that one loop over ``_BINDING`` replaced, kept as the
+    reference: one method per binary connective, its symbol written out, and
+    a leading quantifier read by ``formula``.  Atoms are read as before."""
+
+    def formula(self):
+        k, v, _ = self.peek()
+        if k == "ident" and v in ("forall", "exists"):
+            self.take("ident")
+            _, name, _ = self.take("ident")
+            self.take("punct", ".")
+            body = self.formula()
+            return (F.Forall if v == "forall" else F.Exists)(F.Var(name), body)
+        return self.iff()
+
+    def iff(self):
+        lhs = self.imp()
+        while self.peek()[:2] == ("punct", "<->"):
+            self.take("punct", "<->")
+            lhs = F.Iff(lhs, self.imp())
+        return lhs
+
+    def imp(self):
+        lhs = self.disj()
+        if self.peek()[:2] == ("punct", "->"):
+            self.take("punct", "->")
+            return F.Implies(lhs, self.imp())  # right associative
+        return lhs
+
+    def disj(self):
+        lhs = self.conj()
+        while self.peek()[:2] == ("punct", "|"):
+            self.take("punct", "|")
+            lhs = F.Or(lhs, self.conj())
+        return lhs
+
+    def conj(self):
+        lhs = self.unary()
+        while self.peek()[:2] == ("punct", "&"):
+            self.take("punct", "&")
+            lhs = F.And(lhs, self.unary())
+        return lhs
+
+    def unary(self):
+        k, v, at = self.peek()
+        if (k, v) == ("punct", "~"):
+            self.take("punct", "~")
+            return F.Not(self.unary())
+        if (k, v) == ("punct", "("):
+            self.take("punct", "(")
+            f = self.formula()
+            self.take("punct", ")")
+            return f
+        if k == "ident":
+            if v in ("forall", "exists"):
+                return self.formula()  # a quantifier binds the rest
+            return self.atom()
+        raise ParseError(f"expected a formula, found {v or 'end of input'}", at)
+
+
+def four_level_parse(text):
+    p = FourLevelParser(text)
+    f = p.formula()
+    p.take("end")
+    return f
+
+
+def outcome(parse, text):
+    """The tree, or the ParseError's message and offset."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def assert_parses_as_reference(text):
+    assert outcome(F.parse, text) == outcome(four_level_parse, text), text
+
+
+@given(formulas(), st.integers(min_value=0))
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_four_level_parser_on_rendered_formulas_and_their_prefixes(f, cut):
+    text = F.render(f)
+    assert_parses_as_reference(text)
+    assert_parses_as_reference(text[:cut % (len(text) + 1)])
+
+
+_OPERANDS = ["In(x,y)", "Wand(x)", "x = y", "~Bland(z)", "forall x. In(x,y)", "exists y. Wand(y)"]
+
+
+@st.composite
+def connective_chains(draw):
+    """Operands joined by any mix of the four connectives, a parenthesis
+    opened before or closed after some of them (balanced or not), so that
+    binding order and associativity decide the tree or the error."""
+    text = []
+    for i in range(draw(st.integers(min_value=1, max_value=7))):
+        if i:
+            text.append(draw(st.sampled_from(["&", "|", "->", "<->"])))
+        text.append(draw(st.sampled_from(["", "", "", "("])) + draw(st.sampled_from(_OPERANDS))
+                    + draw(st.sampled_from(["", "", "", ")"])))
+    return " ".join(text)
+
+
+@given(connective_chains())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_four_level_parser_on_connective_chains(text):
+    assert_parses_as_reference(text)
+
+
+def test_parse_matches_four_level_parser_on_corpora_and_sentence_files():
+    corpus = F.ws_axioms() + F.lt_axioms()
+    for sig in (F.SIG_WS, F.SIG_LT, F.SIG_E):
+        corpus += F.random_sentences(sig, 50, seed=11)
+    for _, f in corpus:
+        assert_parses_as_reference(F.render(f))
+    # a leading quantifier costs one level of recursion, not one per binding level
+    assert_parses_as_reference("forall x. " * 250 + "x = x")
+    files = sorted((pathlib.Path(__file__).parent / "data" / "translate").iterdir())
+    assert files
+    for path in files:
+        for line in path.read_text().splitlines():
+            line = line.split("#", 1)[0].strip()
+            assert_parses_as_reference(line)
+            assert_parses_as_reference(line.partition(":")[2])
+
+
+@pytest.mark.parametrize("text", [
+    "In(x,y) &",                         # a dangling operator
+    "In(x,y) <-> ",
+    "-> In(x,y)",
+    "forall x In(x,y)",                  # a missing "."
+    "(In(x,y) | Wand(x)",                # unbalanced parentheses
+    "In(x,y) | Wand(x))",
+    "Tap(x,y)",                          # a wrong arity
+    "Bland(x,y) -> Wand(x)",
+    "forall . In(x,y)",                  # a quantifier without its variable or body
+    "In(x,y) & exists x.",
+])
+def test_parse_matches_four_level_parser_on_malformed_input(text):
+    assert isinstance(outcome(F.parse, text), tuple)  # an error, not a tree
+    assert_parses_as_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "In(x,y) & forall z. In(z,x) | Wand(z)",    # a quantifier binds the rest
+    "Wand(x) -> exists z. In(z,x) -> In(x,z) <-> Bland(x)",
+    "Bland(x) <-> forall z. In(z,z) & Bland(z)",
+])
+def test_parse_matches_four_level_parser_on_a_quantifier_as_right_operand(text):
+    assert_parses_as_reference(text)
+    assert isinstance(F.parse(text).rhs, (F.Forall, F.Exists))
 
 
 _PUNCT = ("<->", "->", "|", "&", "~", "(", ")", ",", "=", ".")
@@ -835,7 +992,7 @@ def slot_eval(model, f, env=None):
         if isinstance(g, F.ATOMS):
             if not isinstance(g, allowed) and not bad:
                 bad.append(g)
-            rel, args = F._relation(model, g)
+            rel, args = F._relation(model, g), F._atom_args(g)
             idx = tuple(slot(a) for a in args)
             free = frozenset(idx)
             if len(idx) == 1:

@@ -169,6 +169,17 @@ def test_tap_beyond_fragment(church3):
         universe.tap(church3, 0, names["{{{}}}"])  # rank-2 arg, rank-3 result
 
 
+@pytest.mark.parametrize("name,depth", [("church:2", 3), ("church:2", 4), ("conway", 4)])
+def test_safe_ids_are_the_ids_ranked_below_the_last_stage(name, depth):
+    frag = built(name, depth)
+    safe = frag.safe_ids()
+    assert safe == tuple(a for a in frag.ids() if frag.obj(a).ordrank + 1 < depth)
+    for a in safe:  # their taps resolve; a rank depth - 2 tap ranks depth - 1
+        for w in frag.spec.wand_indices():
+            frag.resolve_tap(w, a)
+    assert {frag.obj(a).ordrank for a in safe} == set(range(depth - 1))
+
+
 def test_conway_game_of_pair_with_empty_right_is_none(conway4):
     names = ids_by_render(conway4)
     assert universe.tap(conway4, 0, names["{{{}}}"]) is None  # <0,0>
