@@ -1,9 +1,11 @@
 """Command-line front end: build, query, verify, translate, export.
 
-Exit codes: 0 success, 2 object budget exceeded, 3 answer beyond the built
-fragment, 64 usage (a missing or malformed argument, unknown spec, incompatible
-suite), 65 bad data (malformed universe file or formula, or a file that cannot
-be read or written).
+Exit codes: 0 success, 2 object budget or width bound exceeded (a build over
+its budget, or a powerset expansion wider than ``pureset.MAX_WIDTH``), 3
+answer beyond the built fragment, 64 usage (a missing or malformed argument,
+unknown spec, incompatible suite), 65 bad data (malformed universe file or
+formula, a formula nested deeper than ``formula.MAX_NESTING``, or a file that
+cannot be read or written).
 """
 
 from __future__ import annotations

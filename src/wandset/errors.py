@@ -21,12 +21,9 @@ class SpecError(WandsetError, ValueError):
     """A registered spec family was given a malformed parameter."""
 
 
-class DepthCapExceeded(WandsetError):
-    """A level/stage enumeration would exceed its configured cap."""
-
-
 class CapExceeded(WandsetError):
-    """An exhaustive build would exceed its object budget."""
+    """An exhaustive build would exceed its object budget, or a powerset
+    expansion the width bound ``pureset.MAX_WIDTH``."""
 
 
 class BeyondFragment(WandsetError):

@@ -16,6 +16,7 @@ target model supplies; everything else is expanded syntactically.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from collections import Counter
@@ -207,10 +208,22 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return out
 
 
+# The deepest a sentence may nest: a negation, a quantifier, a binary
+# connective and a parenthesis pair each sit one level above their operands.
+# At this bound every pass over a sentence or a translation of it (parsing,
+# rendering, translating, evaluating) stays within Python's default
+# recursion limit.
+MAX_NESTING = 250
+_BINDS = {_CONNECTIVES[kind]: (level, kind) for level, kind in enumerate(_BINDING)}
+
+
 class _Parser:
+    """Precedence climbing; each method returns what it read and its nesting,
+    and ``self.open`` counts the levels open around the token being read."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
-        self.pos = 0
+        self.pos = self.open = 0
 
     def peek(self) -> Tuple[str, str, int]:
         return self.toks[self.pos]
@@ -222,39 +235,49 @@ class _Parser:
         self.pos += 1
         return k, v, at
 
+    def nested(self, at: int, lhs: int, read: Callable, *args):
+        """Read an operand one level below the token at offset ``at``, beside
+        a left operand ``lhs`` levels deep; nesting is counted from the token."""
+        self.open += 1
+        if self.open + lhs > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", at)
+        f, depth = read(*args)
+        self.open -= 1
+        return f, depth + 1
+
     def formula(self, level: int = 0):
-        """A chain of the connectives binding at ``_BINDING[level]`` or
-        tighter; at level 0 a quantified formula, whose body is the rest."""
-        k, v, _ = self.peek()
-        if level == 0 and k == "ident" and v in ("forall", "exists"):
-            self.take("ident")
-            _, name, _ = self.take("ident")
-            self.take("punct", ".")
-            return (Forall if v == "forall" else Exists)(Var(name), self.formula())
-        if level == len(_BINDING):
-            return self.unary()
-        kind = _BINDING[level]
-        symbol = _CONNECTIVES[kind]
-        lhs = self.formula(level + 1)
-        while self.peek()[:2] == ("punct", symbol):
-            self.take("punct", symbol)
-            lhs = kind(lhs, self.formula(level if kind is Implies else level + 1))
-        return lhs
+        """Operands joined by the connectives binding at ``_BINDING[level]``
+        or tighter; an Implies chain nests to the right, the others left."""
+        lhs, depth = self.unary()
+        while True:
+            k, v, at = self.peek()
+            tighter, kind = _BINDS.get(v, (-1, None))
+            if tighter < level:
+                return lhs, depth
+            self.take("punct", v)
+            rhs, rdepth = self.nested(at, depth, self.formula,
+                                      tighter if kind is Implies else tighter + 1)
+            lhs, depth = kind(lhs, rhs), max(depth + 1, rdepth)
 
     def unary(self):
         k, v, at = self.peek()
         if (k, v) == ("punct", "~"):
             self.take("punct", "~")
-            return Not(self.unary())
+            f, depth = self.nested(at, 0, self.unary)
+            return Not(f), depth
         if (k, v) == ("punct", "("):
             self.take("punct", "(")
-            f = self.formula()
+            f = self.nested(at, 0, self.formula)
             self.take("punct", ")")
             return f
+        if k == "ident" and v in ("forall", "exists"):  # a quantifier binds the rest
+            self.take("ident")
+            _, name, _ = self.take("ident")
+            self.take("punct", ".")
+            body, depth = self.nested(at, 0, self.formula)
+            return (Forall if v == "forall" else Exists)(Var(name), body), depth
         if k == "ident":
-            if v in ("forall", "exists"):
-                return self.formula()  # a quantifier binds the rest
-            return self.atom()
+            return self.atom(), 0
         raise ParseError(f"expected a formula, found {v or 'end of input'}", at)
 
     def atom(self):
@@ -276,9 +299,10 @@ class _Parser:
 
 
 def parse(text: str):
-    """Parse one formula; raises ParseError with an offset on bad input."""
+    """Parse one formula; raises ParseError with an offset on bad input,
+    including a formula nested deeper than :data:`MAX_NESTING`."""
     p = _Parser(text)
-    f = p.formula()
+    f = p.formula()[0]
     p.take("end")
     return f
 
@@ -464,23 +488,26 @@ def compile_formula(model: FiniteModel, f, params: Sequence[Var]) -> Callable[..
         cls = classes.setdefault((kind, bc, at), len(classes))
 
         def build() -> Callable:
-            body = None
+            body, key, memo = None, _getter(free), model.memos.setdefault(cls, {})
 
-            def run(env) -> bool:
+            def run(env) -> bool:  # memoized in place: one stack frame a level
                 nonlocal body
-                if body is None:
-                    body = build_body()
-                saved = env[s]
-                out = want_all
-                for e in carrier:
-                    env[s] = e
-                    if body(env) != want_all:
-                        out = not want_all
-                        break
-                env[s] = saved
+                k = key(env)
+                out = memo.get(k)
+                if out is None:
+                    if body is None:
+                        body = build_body()
+                    saved, out = env[s], want_all
+                    for e in carrier:
+                        env[s] = e
+                        if body(env) != want_all:
+                            out = not want_all
+                            break
+                    env[s] = saved
+                    memo[k] = out
                 return out
 
-            return _memoized(run, _getter(free), model.memos.setdefault(cls, {}))
+            return run
 
         return build, free, cls
 
@@ -512,10 +539,17 @@ def _rotate(g):
 def _atom(model: FiniteModel, g, tag, idx: Tuple[int, ...]) -> Callable:
     """The closure of the relational atom ``g`` read at slots ``idx``: its
     oracle's answer, kept in the model's ``answers`` table for ``tag``."""
-    rel, get = _relation(model, g), _getter(idx)
-    run = (lambda env: bool(rel(get(env)))) if len(idx) == 1 else (
-        lambda env: bool(rel(*get(env))))
-    return _memoized(run, get, model.answers.setdefault((tag, len(idx)), {}))
+    rel, get, one = _relation(model, g), _getter(idx), len(idx) == 1
+    memo = model.answers.setdefault((tag, len(idx)), {})
+
+    def run(env) -> bool:
+        k = get(env)
+        hit = memo.get(k)
+        if hit is None:
+            hit = memo[k] = bool(rel(k) if one else rel(*k))
+        return hit
+
+    return run
 
 
 def _relation(model: FiniteModel, g) -> Callable:
@@ -527,16 +561,6 @@ def _relation(model: FiniteModel, g) -> Callable:
         def oracle(*_):
             raise SignatureError(f"model {model.name} has no oracle {g.name!r}")
     return oracle
-
-
-def _memoized(run: Callable, key: Callable, memo: dict) -> Callable:
-    def cached(env) -> bool:
-        k = key(env)
-        hit = memo.get(k)
-        if hit is None:
-            hit = memo[k] = run(env)
-        return hit
-    return cached
 
 
 def _getter(idx: Sequence[int]) -> Callable:
@@ -871,29 +895,14 @@ def _finord_oracle(q) -> Callable[[object], bool]:
 
 
 def _nequiv_over_semantics(model: FiniteModel, bland_sem, member_sem):
-    """Generic n-equivalence computed against supplied semantic predicates."""
+    """Generic n-equivalence computed against supplied semantic predicates,
+    each answer read once."""
+    once = functools.lru_cache(maxsize=None)
 
-    class _Q:
-        def __init__(self):
-            self._bland = {}
-            self._members = {}
-
-        def is_bland(self, h):
-            got = self._bland.get(h)
-            if got is None:
-                got = bool(bland_sem(h))
-                self._bland[h] = got
-            return got
-
-        def members(self, h):
-            got = self._members.get(h)
-            if got is None:
-                if not self.is_bland(h):
-                    got = ()
-                else:
-                    got = tuple(x for x in model.carrier if member_sem(x, h))
-                self._members[h] = got
-            return got
+    class _Q:  # a class instance: the n-key group tables are weakly keyed by it
+        is_bland = staticmethod(once(lambda h: bool(bland_sem(h))))
+        members = staticmethod(once(lambda h: tuple(
+            x for x in model.carrier if member_sem(x, h)) if _Q.is_bland(h) else ()))
 
     return _nequiv_oracle(_Q())
 

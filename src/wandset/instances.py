@@ -66,18 +66,12 @@ def graph_decode(q: SetQuery, h) -> Optional[List[Tuple[object, object]]]:
     """Read ``h`` as a single-valued set of pairs (a function graph)."""
     if not q.is_bland(h):
         return None
-    pairs = []
-    seen: Dict[object, object] = {}
+    seen: Dict[object, object] = {}  # distinct members decode to distinct pairs
     for m in q.members(h):
         p = pair_decode(q, m)
-        if p is None:
+        if p is None or seen.setdefault(*p) != p[1]:
             return None
-        x, y = p
-        if x in seen and seen[x] != y:
-            return None
-        seen[x] = y
-        pairs.append((x, y))
-    return pairs
+    return list(seen.items())
 
 
 def vn_decode(q: SetQuery, h) -> Optional[int]:

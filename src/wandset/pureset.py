@@ -23,15 +23,17 @@ from __future__ import annotations
 import contextlib
 import gc
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
-from .errors import DepthCapExceeded, NotACarrier, NotAPair, NotInCodeImage
+from .errors import CapExceeded, NotACarrier, NotAPair, NotInCodeImage
 
 __all__ = [
     "acyclic",
     "PureSet",
     "EMPTY",
     "mk_set",
+    "MAX_WIDTH",
     "subsets",
     "ordered_subsets",
     "rank",
@@ -165,10 +167,20 @@ def _pair_payload(p: PureSet) -> Optional[PureSet]:
     return x[1] if len(x) == 2 and x[0] is EMPTY and e[0] is _SINGLETON_EMPTY else None
 
 
-def subsets(spread: Sequence) -> List[tuple]:
+# The widest spread any powerset expansion takes: both subset enumerators
+# raise CapExceeded past it rather than materialize 2**width subsets.
+MAX_WIDTH = 20
+
+
+def subsets(spread: Collection, key: Optional[Callable] = None) -> List[tuple]:
     """Every subset of ``spread`` as a tuple in spread order, indexed by mask:
     entry ``m`` holds ``spread[i]`` exactly when bit ``i`` of ``m`` is set.
-    Each entry extends the entry of its mask without the top bit."""
+    Each entry extends the entry of its mask without the top bit.  A spread
+    wider than :data:`MAX_WIDTH` raises CapExceeded before any sort by ``key``."""
+    if len(spread) > MAX_WIDTH:
+        raise CapExceeded(f"2**{len(spread)} subsets exceed width {MAX_WIDTH}")
+    if key is not None:
+        spread = sorted(spread, key=key)
     out = [()]
     for x in spread:
         out += [t + (x,) for t in out]
@@ -181,7 +193,10 @@ def ordered_subsets(spread: Sequence[PureSet]) -> Iterator[tuple]:
     element, then by size, then by index tuple read lexicographically (the
     elements' order).  The subsets whose top lies in a run of equal-rank
     elements ending at ``hi`` are the combinations of ``spread[:hi]`` that end
-    in that run, and combinations come in that order for each size."""
+    in that run, and combinations come in that order for each size.  Its
+    first step raises CapExceeded on a spread wider than :data:`MAX_WIDTH`."""
+    if len(spread) > MAX_WIDTH:
+        raise CapExceeded(f"2**{len(spread)} subsets exceed width {MAX_WIDTH}")
     yield ()
     hi, n = 0, len(spread)
     while hi < n:
@@ -281,23 +296,17 @@ def deep_uncarrier(c: PureSet) -> PureSet:
 
 # -- carrier hierarchy over a base ------------------------------------------
 
-_DEFAULT_WIDTH = 20  # a level wider than this would have 2**width successors
-_POT_WIDTH = 16  # the widest set lt_levels and the recognizers expand
-
-
-def carrier_level(alpha: int, base: frozenset, max_width: int = _DEFAULT_WIDTH) -> frozenset:
+def carrier_level(alpha: int, base: frozenset) -> frozenset:
     """Level ``alpha`` of the carrier hierarchy over ``base``.
 
     Level 0 is the base itself; each later level adds the carriers of all
-    subsets of the previous level.  Raises DepthCapExceeded rather than
-    materializing a powerset of more than ``max_width`` elements.
+    subsets of the previous level.  Raises CapExceeded rather than expand a
+    level wider than :data:`MAX_WIDTH`.
     """
     level = frozenset(base)
     for _ in range(alpha):
-        if len(level) > max_width:
-            raise DepthCapExceeded(f"level width {len(level)} exceeds {max_width}")
-        spread = sorted(level, key=PureSet.sort_key)  # canonical, as _intern needs
-        level = frozenset(base).union(carrier(_intern(t)) for t in subsets(spread))
+        level = frozenset(base).union(  # in canonical order, as _intern needs
+            carrier(_intern(t)) for t in subsets(level, key=PureSet.sort_key))
     return level
 
 
@@ -312,18 +321,6 @@ def in_carrier_levels(base: frozenset, x: PureSet) -> bool:
     return is_carrier(x) and all(in_carrier_levels(base, y) for y in uncarrier(x))
 
 
-def _carrier_pot(base: frozenset, hs) -> frozenset:
-    # everything available from hs under the carrier reading: the base, plus
-    # carriers of subsets of any member's payload
-    out = set(base)
-    for r in hs:
-        payload = uncarrier(r).elements
-        if len(payload) > _POT_WIDTH:
-            raise DepthCapExceeded(f"payload width {len(payload)} exceeds {_POT_WIDTH}")
-        out.update(carrier(_intern(t)) for t in subsets(payload))
-    return frozenset(out)
-
-
 def is_carrier_level_code(base: frozenset, c: PureSet) -> bool:
     """Recognize carriers of levels of the hierarchy over ``base``.
 
@@ -334,8 +331,9 @@ def is_carrier_level_code(base: frozenset, c: PureSet) -> bool:
     if not is_carrier(c):
         return False
     inner = uncarrier(c)
-    sub = [r for r in inner if is_carrier_level_code(base, r)]
-    return _carrier_pot(base, sub) == frozenset(inner.elements)
+    payloads = [uncarrier(r) for r in inner if is_carrier_level_code(base, r)]
+    # everything available from them: the base, plus carriers of their subsets
+    return frozenset(base).union(map(carrier, _pot(payloads))) == frozenset(inner.elements)
 
 
 # -- the plain cumulative hierarchy ------------------------------------------
@@ -353,21 +351,13 @@ def lt_levels(n: int) -> list:
         levels.append(level)
         if i + 1 == n:
             break
-        if len(level) > _POT_WIDTH:
-            raise DepthCapExceeded(f"level width {len(level)} exceeds {_POT_WIDTH}")
         level = _intern(tuple(map(_intern, ordered_subsets(level.elements))))
     return levels
 
 
 def _pot(members: Iterable[PureSet]) -> PureSet:
-    # {x : x is a subset of some member}; raises DepthCapExceeded when a
-    # member is too wide to expand
-    out = set()
-    for r in members:
-        if len(r) > _POT_WIDTH:
-            raise DepthCapExceeded(f"powerset width {len(r)} exceeds {_POT_WIDTH}")
-        out.update(_intern(t) for t in subsets(r.elements))
-    return mk_set(out)
+    # {x : x is a subset of some member}
+    return mk_set(_intern(t) for r in members for t in subsets(r.elements))
 
 
 def is_lt_level(s: PureSet) -> bool:

@@ -26,7 +26,6 @@ from .pureset import PureSet, acyclic, mk_set, subsets, vn
 from .wandspec import WandSpec
 
 DEFAULT_MAX_OBJECTS = 200_000
-WISTORY_WIDTH = 16  # the most bland members whose subsets wistory_witness searches
 
 Members = Tuple[int, ...]
 TapClass = Tuple[Tuple[int, int], ...]
@@ -59,12 +58,8 @@ class Obj:
     def is_bland(self) -> bool:
         return self.members is not None
 
-    @property
-    def kind(self) -> str:
-        return "bland" if self.is_bland else "tapped"
-
     def __repr__(self) -> str:
-        return f"<obj {self.id} {self.kind} rank {self.ordrank}>"
+        return f"<obj {self.id} {'bland' if self.is_bland else 'tapped'} rank {self.ordrank}>"
 
 
 def label(o: Obj, of: Callable[[int], str], opening: str, closing: str) -> str:
@@ -268,7 +263,7 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
         prev = tuple(frag.ids())  # everything so far ranks below the stage
         frag.wevel_contents.append(prev)
         if mode == "exhaustive":
-            if len(prev) > 24 or len(frag.objects) + (1 << len(prev)) > max_objects:
+            if len(frag.objects) + (1 << len(prev)) > max_objects:
                 raise CapExceeded(
                     f"stage {stage}: {len(prev)} objects found earlier; "
                     f"2**{len(prev)} subsets exceed budget {max_objects}")
@@ -453,17 +448,13 @@ def wistory_witness(frag: Fragment, x: int) -> Optional[FrozenSet[int]]:
     o = frag.obj(x)
     if not o.is_bland:
         return None
-    cands = [m for m in o.members if frag.obj(m).is_bland]
-    if len(cands) > WISTORY_WIDTH:
-        raise CapExceeded(f"{len(cands)} candidate members exceed {WISTORY_WIDTH}")
-    for n in range(len(cands) + 1):
-        for combo in itertools.combinations(cands, n):
-            h = frozenset(combo)
-            if _pot_mask(frag, h) != member_mask(frag, x):
-                continue
-            if all(_pot_mask(frag, [r for r in frag.obj(a).members if r in h])
-                   == member_mask(frag, a) for a in h):
-                return h
+    for combo in subsets([m for m in o.members if frag.obj(m).is_bland]):
+        h = frozenset(combo)
+        if _pot_mask(frag, h) != member_mask(frag, x):
+            continue
+        if all(_pot_mask(frag, [r for r in frag.obj(a).members if r in h])
+               == member_mask(frag, a) for a in h):
+            return h
     return None
 
 

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from wandset import cli, universe, wandspec
+from wandset import cli, formula, pureset, universe, wandspec
+from wandset.errors import ParseError
 
 from conftest import ref_render, ref_sort_key
 
@@ -463,6 +464,73 @@ def test_eval_and_translate(capsys, tmp_path, church_file):
     assert "preserved" in capsys.readouterr().out
 
 
+# Sentence shapes by the number n of units they nest; closed, so that each
+# evaluates.  The deepest that parses is read off the parser's bound.
+NESTED_SHAPES = {
+    "negation": lambda n: "forall x. " + "~" * n + "In(x,x)",
+    "parentheses": lambda n: "forall x. " + "(" * n + "x = x" + ")" * n,
+    "forall": lambda n: "forall x. " * n + "x = x",
+    "exists": lambda n: "exists x. " * n + "In(x,x)",
+    "and": lambda n: "forall x. " + " & ".join(["x = x"] * (n + 1)),
+    "or": lambda n: "forall x. " + " | ".join(["In(x,x)"] * (n + 1)),
+    "iff": lambda n: "forall x. " + " <-> ".join(["In(x,x)"] * (n + 1)),
+    "implies": lambda n: "forall x. " + " -> ".join(["x = x"] * (n + 1)),
+    "exists-and": lambda n: "exists x. x = x & " * n + "x = x",
+    "not-forall": lambda n: "forall x. " + "~forall x. " * n + "x = x",
+    "not-parenthesis": lambda n: "forall x. " + "~(" * n + "In(x,x)" + ")" * n,
+    "parenthesis-exists": lambda n: "forall x. " + "(exists x. " * n + "x = x" + ")" * n,
+}
+
+
+def _deepest(make):
+    lo, hi = 0, formula.MAX_NESTING
+    while lo < hi:  # the largest n whose sentence parses
+        mid = (lo + hi + 1) // 2
+        try:
+            formula.parse(make(mid))
+            lo = mid
+        except ParseError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("shape", NESTED_SHAPES)
+def test_the_deepest_sentence_of_each_shape_evaluates_and_translates(
+        capsys, tmp_path, church_file, shape):
+    make = NESTED_SHAPES[shape]
+    n = _deepest(make)
+    assert n >= formula.MAX_NESTING // 2 - 1
+    sent = tmp_path / "deep.sent"
+    sent.write_text(make(n) + "\n")
+    runs = [["eval", "--formula", str(sent), "--src", church_file]]
+    for t in formula.TRANSLATIONS:
+        argv = ["translate", "--formula", str(sent), "--translation", t, "--src", church_file]
+        runs += [argv, argv + ["--dst", church_file]]
+    for argv in runs:
+        assert cli.main(argv) in (0, 1), argv
+        assert capsys.readouterr().err == ""
+    sent.write_text(make(n + 1) + "\n")
+    assert cli.main(runs[0]) == cli.EXIT_DATA
+    assert "nested deeper than" in capsys.readouterr().err
+
+
+def test_verify_prints_a_fail_row_and_exits_1(capsys, monkeypatch):
+    # a tau that writes every equality atom backwards keeps every truth
+    # value but no longer preserves identity atom for atom
+    fn, src, dst = formula.TRANSLATIONS["tau"]
+
+    def backwards(f):
+        return formula._translate(fn(f), lambda g: formula.Eq(g.y, g.x)
+                                  if type(g) is formula.Eq else g)
+
+    monkeypatch.setitem(formula.TRANSLATIONS, "tau", (backwards, src, dst))
+    path = pathlib.Path(__file__).parent / "data" / "church2_d2.json"
+    assert cli.main(["verify", "--suite", "formula", "--in", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [l for l in out if not l.startswith(("PASS", "#"))] == [
+        "FAIL translations-identity-preserving :: [('tau', 'extensionality')]"]
+
+
 def test_translate_without_dst_prints(capsys, tmp_path, church_file):
     sent = tmp_path / "one.sent"
     sent.write_text("forall x. ~In(x,x)\n")
@@ -783,3 +851,58 @@ def test_readme_walkthrough(capsys, tmp_path, monkeypatch):
     assert out["query member --expansive --x {} --of 2 --in church3.json"] == "true\n"
     assert "verify --suite all --in church3.json" in out
     assert (tmp_path / "church3.dot").read_text().startswith("digraph universe {")
+
+
+# The README's sampled examples: a partial function first found at the sixth
+# stage and a multiset with two copies of one member at the seventh.
+SAMPLED = [("partial-fun", 6, 3000), ("multiset", 7, 400)]
+DOCUMENTED = {cli.EXIT_OK, 1, cli.EXIT_CAP, cli.EXIT_BEYOND, cli.EXIT_USAGE, cli.EXIT_DATA}
+
+
+@pytest.fixture(scope="module", params=SAMPLED, ids=[f"{s}-{d}" for s, d, _ in SAMPLED])
+def sampled_file(request, tmp_path_factory):
+    spec, depth, budget = request.param
+    path = tmp_path_factory.mktemp("sampled") / f"{spec}{depth}.json"
+    assert cli.main(["build", "--spec", spec, "--depth", str(depth), "--mode", "sampled",
+                     "--max-objects", str(budget), "--out", str(path)]) == 0
+    return str(path)
+
+
+def test_every_command_on_a_sampled_example_exits_with_a_documented_code(
+        capsys, tmp_path, sampled_file):
+    f = sampled_file
+    sent = tmp_path / "s.sent"
+    sent.write_text("forall x. exists y. In(x,y) | (Wand(y) -> x = y)\n")
+    runs = [["query", "rank", "--obj", "1"], ["query", "decompose", "--obj", "2"],
+            ["query", "kind", "--obj", "0"], ["query", "tap", "--wand", "0", "--arg", "1"],
+            ["query", "member", "--x", "0", "--of", "1"],
+            ["query", "member", "--x", "0", "--of", "1", "--expansive"]]
+    runs = [argv + ["--in", f] for argv in runs]
+    runs += [["verify", "--suite", suite, "--in", f]
+             for suite in ("core", "conch", "church", "formula", "all")]
+    runs += [["eval", "--formula", str(sent), "--src", f],
+             ["export", "--in", f, "--dot", str(tmp_path / "u.dot")]]
+    for t in sorted(formula.TRANSLATIONS):
+        argv = ["translate", "--formula", str(sent), "--translation", t, "--src", f]
+        runs += [argv, argv + ["--dst", f]]
+    codes = {}
+    for argv in runs:
+        codes[" ".join(argv[:3])] = code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in DOCUMENTED, argv
+        assert err.count("\n") <= 1 and "Traceback" not in err, argv
+    assert codes["verify --suite formula"] == cli.EXIT_CAP
+
+
+def test_a_sampled_depth_6_file_is_refused_at_the_width_bound(capsys, tmp_path):
+    f, sent = str(tmp_path / "pf6.json"), tmp_path / "s.sent"
+    sent.write_text("forall x. x = x\n")
+    assert cli.main(["build", "--spec", "partial-fun", "--depth", "6", "--mode", "sampled",
+                     "--max-objects", "3000", "--out", f]) == 0
+    capsys.readouterr()
+    translate = ["translate", "--formula", str(sent), "--src", f, "--dst", f, "--translation"]
+    for argv in (["verify", "--suite", "formula", "--in", f],
+                 translate + ["tau"], translate + ["tolt"]):
+        assert cli.main(argv) == cli.EXIT_CAP, argv
+        assert capsys.readouterr().err == (
+            f"object budget exceeded: 2**65536 subsets exceed width {pureset.MAX_WIDTH}\n")

@@ -78,7 +78,7 @@ def test_trusted_interning_on_conway_stage_subsets():
 
 def test_gen_stages_cap():
     with pytest.raises(CapExceeded):
-        conch.gen_stages(wandspec.get_spec("pure"), 7, max_width=8)
+        conch.gen_stages(wandspec.get_spec("pure"), 7)  # stage 6 expands 65,536
 
 
 def test_stage_laws_clean():
@@ -532,3 +532,29 @@ def test_stage_laws_report_a_planted_fault(monkeypatch, fault, want):
     bad = conch.check_stage_laws(fault(stages, monkeypatch) or stages)
     for message in want:
         assert message in bad, bad
+
+
+def code_of_one_ranked_two(stages):
+    """A copy of ``stages`` whose ``conchrank`` puts the code of {{}}, found at
+    stage 1, at 2: the queries read the found order, ``ordrank`` the ranks."""
+    code = ps.deep_carrier(ONE)
+    assert stages.conchrank[code] == 1
+    return dataclasses.replace(stages, conchrank={**stages.conchrank, code: 2}, _taps={})
+
+
+def test_stage_laws_report_a_misranked_conch_without_asking_a_query(monkeypatch):
+    stages = code_of_one_ranked_two(conch.gen_stages(wandspec.get_spec("church:2"), 3))
+    for name in ("dom", "tap_class"):
+        monkeypatch.setattr(wandspec, name, lambda *args: pytest.fail("a query was asked"))
+    bad = conch.check_stage_laws(stages)
+    assert bad[0] == "stage 1 found conches disagree with conchrank"
+    assert "carrier rank 2 != member sup 1" in bad
+
+
+def test_roundtrip_reports_a_misranked_conch_and_skips_the_query_checks():
+    frag, stages = fresh_church3()
+    report = conch.verify_roundtrip(frag, code_of_one_ranked_two(stages))
+    assert report["rank_correspondence"] == [
+        "stage 1 found conches disagree with conchrank", "object 1: rank 1 vs stage 2"]
+    assert report["code_clauses"] == report["relation_stability"] == []
+    assert report["hb_iso"] == ["code of rank-1 pure set ranks wrong"]

@@ -34,6 +34,28 @@ def test_parse_error_positions():
         F.parse("Tap(x,y)")
 
 
+# A shape repeated n times nests n levels: a prefix before an atom, a
+# parenthesis pair around it, or a connective and operand after it.
+_NESTING_UNITS = ["~", "(", "forall x. ", " & x = x", " | x = x", " <-> x = x", " -> x = x"]
+
+
+def _nest(unit, n):
+    if unit == "(":
+        return "(" * n + "x = x" + ")" * n
+    return "x = x" + unit * n if unit[0] == " " else unit * n + "x = x"
+
+
+@pytest.mark.parametrize("unit", _NESTING_UNITS)
+def test_parse_refuses_nesting_past_the_bound_where_it_is_crossed(unit):
+    n = F.MAX_NESTING
+    F.parse(_nest(unit, n))
+    with pytest.raises(ParseError, match=f"nested deeper than {n} levels") as exc:
+        F.parse(_nest(unit, n + 1))
+    # the offset of the unit's token that opens level n + 1
+    want = len("x = x ") + len(unit) * n if unit[0] == " " else len(unit) * n
+    assert exc.value.position == want
+
+
 def test_implication_is_right_associative():
     f = F.parse("In(x,y) -> In(y,z) -> In(x,z)")
     assert isinstance(f, F.Implies)

@@ -7,6 +7,7 @@ from typing import Tuple
 import pytest
 
 from wandset import conch, instances, universe, wandspec
+from wandset.errors import TaxonomyViolation
 
 from conftest import built
 
@@ -606,6 +607,54 @@ CUS_ROWS = ["complement-injective", "double-complement-identity", "cardinal-iden
 
 def test_cus_rows_on_church3(church3):
     assert instances.check_cus_axioms(church3) == [(name, True, "[]") for name in CUS_ROWS]
+
+
+# Planted faults, one or more per row, each in a fresh church:2 depth-3 build
+# (safe ids 0, 1, 2; *0{} is 2, *1{{}} is 10), by monkeypatching a query the
+# checks ask.
+
+def answers(name, fn, module=instances):
+    return lambda frag, mp: mp.setattr(module, name, fn)
+
+
+def kind_of_the_empty_set_undecided(frag, mp):
+    masks = {a: instances.varin_mask(frag, a) for a in frag.ids()}  # read before the fault
+    real = instances.classify_kind
+
+    def classify(f, a):
+        if a == 0:
+            raise TaxonomyViolation("planted")
+        return real(f, a)
+
+    mp.setattr(instances, "varin_mask", lambda f, a: masks[a])
+    mp.setattr(instances, "classify_kind", classify)
+
+
+CUS_FAULTS = [
+    ("complement-injective", answers("tap", lambda f, w, a: 2, universe), "[(0, 1)]"),
+    ("double-complement-identity", answers("tap", lambda f, w, a: 0, universe), "[1]"),
+    ("cardinal-identity-law", answers("n_equiv_over", lambda f, a, b, n: False),
+     "[(1, 1, 1, 1)]"),
+    ("cardinals-not-complements",
+     answers("classify_kind", lambda f, a: instances.CusKind("bland")), "[(1, 1)]"),
+    ("making-biconditional", answers("n_equiv_over", lambda f, a, b, n: False), "[(1, 1)]"),
+    ("kind-taxonomy-total", kind_of_the_empty_set_undecided, "[(0, 'planted')]"),
+    ("complement-law", answers("varin_mask", lambda f, a: 0), "[(0, 0)]"),
+    ("generalized-extensionality", answers("varin_mask", lambda f, a: 0), "[(0, 1)]"),
+    ("complement-raises-rank", answers("tap", lambda f, w, a: a, universe), "[0]"),
+]
+
+
+def test_every_cus_row_has_a_planted_fault():
+    assert [row for row, _, _ in CUS_FAULTS] == CUS_ROWS
+
+
+@pytest.mark.parametrize("row, fault, witness", CUS_FAULTS, ids=CUS_ROWS)
+def test_cus_rows_report_a_planted_fault(monkeypatch, row, fault, witness):
+    frag = universe.build(wandspec.get_spec("church:2"), 3)
+    fault(frag, monkeypatch)
+    rows = {name: (ok, got) for name, ok, got in instances.check_cus_axioms(frag)}
+    assert rows[row] == (False, witness)
 
 
 def ref_extension_rows(frag):

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wandset import pureset as ps
-from wandset.errors import (DepthCapExceeded, NotACarrier, NotAPair,
-                            NotInCodeImage)
+from wandset.errors import CapExceeded, NotACarrier, NotAPair, NotInCodeImage
 
 E = ps.EMPTY
 S1 = ps.mk_set([E])          # {0}
@@ -277,15 +276,17 @@ def test_carrier_level_matches_reference_over_unsorted_base(base):
 
 
 def test_carrier_level_width_cap():
-    with pytest.raises(DepthCapExceeded):
-        ps.carrier_level(4, frozenset(), max_width=2)
+    base = frozenset(ps.vn(i) for i in range(ps.MAX_WIDTH + 1))
+    assert len(ps.carrier_level(0, base)) == ps.MAX_WIDTH + 1
+    with pytest.raises(CapExceeded):
+        ps.carrier_level(1, base)
 
 
 def test_in_carrier_levels_matches_materialized_levels():
     base = frozenset([S1])
     seen = set()
     for alpha in range(4):
-        seen |= ps.carrier_level(alpha, base, max_width=16)
+        seen |= ps.carrier_level(alpha, base)
     for x in seen:
         assert ps.in_carrier_levels(base, x)
     assert not ps.in_carrier_levels(base, S2)
@@ -301,7 +302,7 @@ def test_deep_carrier_lands_in_empty_base_hierarchy():
 def test_generated_carrier_levels_pass_the_recognizer(base):
     top = 4 if not base else 3  # level widths over a nonempty base explode
     for alpha in range(top):
-        code = ps.carrier(ps.mk_set(ps.carrier_level(alpha, base, max_width=16)))
+        code = ps.carrier(ps.mk_set(ps.carrier_level(alpha, base)))
         assert ps.is_carrier_level_code(base, code)
 
 
@@ -353,8 +354,8 @@ def test_lt_levels_pass_recognizer_and_history_search():
 
 
 def test_pot_raises_on_a_member_too_wide_to_expand():
-    s = ps.mk_set(ps.vn(i) for i in range(17))
-    with pytest.raises(DepthCapExceeded):
+    s = ps.mk_set(ps.vn(i) for i in range(ps.MAX_WIDTH + 1))
+    with pytest.raises(CapExceeded):
         ps._pot([s])
 
 

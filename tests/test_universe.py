@@ -691,3 +691,108 @@ def test_stage_monotone_witnesses_match_pairwise_sweep(swap):
     assert want
     rows = dict((name, (ok, witness)) for name, ok, witness in suites.core_laws(frag))
     assert rows["stage-monotone-under-inclusion"] == (False, f"{want[:3]}")
+
+
+# -- planted faults: every core row fails with the witness it names ------------------------
+#
+# Each fault is planted in a fresh church:2 depth-3 build (wevels 0, 1 and 4;
+# tapped objects 2 = *0{}, 9 = *0{{}} and 10 = *1{{}}; safe ids 0, 1, 2) by
+# monkeypatching a query the suite asks or doctoring the fragment.
+
+def answers(module, name, fn):
+    return lambda frag, mp: mp.setattr(module, name, fn)
+
+
+def wevels_zero_and_one_swapped(frag, mp):
+    real = frag.wevel_id
+    mp.setattr(frag, "wevel_id", lambda alpha: real({0: 1, 1: 0}.get(alpha, alpha)))
+
+
+class _ClaimsThree(tuple):
+    """A member tuple that also claims object 3 under ``in``."""
+
+    def __contains__(self, x):
+        return x == 3 or tuple.__contains__(self, x)
+
+
+def doctored(oid, **fields):
+    """A fault giving object ``oid`` other fields."""
+    def plant(frag, mp):
+        o, real = frag.obj(oid), frag.obj
+        new = universe.Obj(oid, fields.get("ordrank", o.ordrank),
+                           fields.get("members", o.members), fields.get("tclass", o.tclass))
+        mp.setattr(frag, "obj", lambda a: new if a == oid else real(a))
+    return plant
+
+
+def wevel_four_has_no_members(frag, mp):
+    real = universe.member_mask
+    mp.setattr(universe, "member_mask", lambda f, b: 0 if b == 4 else real(f, b))
+
+
+CORE_FAULTS = [
+    ("least-stage-is-least", answers(universe, "found_at", lambda f, x, r: False),
+     "[0, 1, 2]"),
+    ("least-stage-is-least", answers(universe, "found_at", lambda f, x, r: True),
+     "[1, 2, 3]"),
+    ("wevels-well-ordered", wevels_zero_and_one_swapped, "[(0, 1), (1, 0), 0]"),
+    ("wevels-well-ordered", answers(universe, "pot_ids", lambda f, m: frozenset()),
+     "[('pot', 1), ('pot', 2)]"),
+    ("wevel-recognizer-exact", answers(universe, "is_wevel", lambda f, a: False), "[0, 1, 4]"),
+    ("wistory-search-agrees", answers(universe, "wistory_witness", lambda f, a: None),
+     "[0, 1, 4]"),
+    ("nothing-in-its-own-stage", answers(universe, "wevel_of", lambda f, a: 4), "[0, 1, 2]"),
+    ("pot-within-least-stage",
+     answers(universe, "pot_ids", lambda f, m: frozenset(f.ids())), "[0, 1, 3]"),
+    ("no-self-membership", doctored(3, members=_ClaimsThree((0, 1))), "[3]"),
+    ("stage-inclusion-vs-membership", wevel_four_has_no_members, "[(1, 2), (2, 0), (2, 1)]"),
+    ("stage-proxy-ranks-itself", answers(universe, "wevel_of", lambda f, a: 0), "[1, 2]"),
+    ("stage-monotone-under-inclusion", wevels_zero_and_one_swapped, "[(0, 1)]"),
+    ("stage-of-member-strictly-below", doctored(6, members=(1, 7)), "[(7, 6)]"),
+    ("stages-potent-and-transitive", answers(universe, "in_pot", lambda f, x, a: True),
+     "[('potent', 0, 0), ('potent', 0, 1), ('potent', 0, 2)]"),
+    ("stages-potent-and-transitive", answers(universe, "found_at", lambda f, x, r: False),
+     "[('transitive', 1, 0), ('transitive', 4, 0), ('transitive', 4, 1)]"),
+    ("tap-rank-law", doctored(2, ordrank=2), "[2]"),
+    ("tap-class-members-regenerate", answers(universe, "tap", lambda f, w, a: 0),
+     "[(2, 0, 0), (9, 0, 1), (10, 1, 1)]"),
+    ("tap-class-members-regenerate", answers(wandspec, "minirank", lambda s, w, a, q: False),
+     "[('minrank', 2, 0, 0), ('minrank', 9, 0, 1), ('minrank', 10, 1, 1)]"),
+    ("tap-defined-iff-in-domain", answers(wandspec, "dom", lambda s, w, a, q: False),
+     "[(0, 0), (0, 1), (1, 1)]"),
+    ("taps-equal-iff-equivalent", answers(wandspec, "equiv", lambda s, w, a, u, b, q: False),
+     "[(0, 0, 0, 0), (0, 1, 0, 1), (1, 1, 1, 1)]"),
+    ("decompose-roundtrip", answers(universe, "decompose", lambda f, a: (a, [])), "[2, 9, 10]"),
+    ("official-predicates-wellbehaved",
+     answers(wandspec, "equiv", lambda s, w, a, u, b, q: False),
+     f"{['equiv splits a class: wands (1,1)'] * 3}"),
+    ("official-predicates-wellbehaved", answers(wandspec, "dom", lambda s, w, a, q: a == 1),
+     f"{['dom not preserved: wands (1,1)'] * 2}"),
+    ("equiv-identity-clause", answers(wandspec, "equiv", lambda s, w, a, u, b, q: False),
+     "[(0, 0), (1, 0), (2, 0)]"),
+    ("hereditarily-bland-three-ways", answers(universe, "in_ur_levels", lambda f, b, x: False),
+     "[('levels', 0), ('levels', 1), ('levels', 3)]"),
+    ("hereditarily-bland-three-ways", answers(universe, "hb_witness", lambda f, a: None),
+     "[('witness', 0), ('witness', 1), ('witness', 3)]"),
+    ("ur-levels-recursion-vs-recognizer",
+     answers(universe, "is_ur_level", lambda f, b, t: False),
+     "[('generated-not-recognized', 0), ('generated-not-recognized', 1), "
+     "('generated-not-recognized', 2)]"),
+    ("ur-levels-recursion-vs-recognizer",
+     answers(universe, "is_ur_level", lambda f, b, t: True),
+     "[('recognized-not-generated', 4), ('recognized-not-generated', 5), "
+     "('recognized-not-generated', 6)]"),
+]
+
+
+def test_every_core_row_has_a_planted_fault():
+    assert {row for row, _, _ in CORE_FAULTS} == set(CORE_ROWS_CHURCH3)
+
+
+@pytest.mark.parametrize("row, fault, witness", CORE_FAULTS,
+                         ids=[f"{row}-{i}" for i, (row, _, _) in enumerate(CORE_FAULTS)])
+def test_core_rows_report_a_planted_fault(monkeypatch, row, fault, witness):
+    frag = universe.build(wandspec.get_spec("church:2"), 3)
+    fault(frag, monkeypatch)
+    rows = {name: (ok, got) for name, ok, got in suites.core_laws(frag)}
+    assert rows[row] == (False, witness)
