@@ -1,11 +1,11 @@
 """Command-line front end: build, query, verify, translate, export.
 
 Exit codes: 0 success, 2 object budget or width bound exceeded (a build over
-its budget, or a powerset expansion wider than ``pureset.MAX_WIDTH``), 3
-answer beyond the built fragment, 64 usage (a missing or malformed argument,
-unknown spec, incompatible suite), 65 bad data (malformed universe file or
-formula, a formula nested deeper than ``formula.MAX_NESTING``, or a file that
-cannot be read or written).
+its budget, a powerset expansion wider than ``pureset.MAX_WIDTH``, or a DOT
+label longer than ``MAX_LABEL``), 3 answer beyond the built fragment, 64
+usage (a missing or malformed argument, unknown spec, incompatible suite), 65
+bad data (malformed universe file or formula, a formula nested deeper than
+``formula.MAX_NESTING``, or a file that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from . import conch, instances, universe, wandspec
 from .errors import (BeyondFragment, CapExceeded, ParseError, SignatureError,
                      SpecError, WandsetError)
-from .pureset import acyclic, mk_set
+from .pureset import acyclic
 from .universe import Fragment, Obj
 
 FORMAT_VERSION = 1
@@ -33,6 +33,10 @@ EXIT_CAP = 2
 EXIT_BEYOND = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+
+# the most characters in one ``export --labels`` label: a wevel's label holds
+# every earlier one; the longest in a golden or benchmark DOT file has 428
+MAX_LABEL = 1 << 16
 
 
 class DataError(WandsetError):
@@ -215,12 +219,13 @@ def import_fragment(text: str) -> Fragment:
                     raise DataError(f"exhaustive fragment has {blands} bland sets "
                                     f"of rank <= {i}, not 2**{len(c)}")
         # every stage registers the taps of the objects found before it, so
-        # the last one those of every object ranked below depth - 1
-        for a in frag.wevel_contents[-2]:
+        # the last one those of every safe id; the answers stay memoised
+        for a in frag.safe_ids():
             for w in wands:
                 cls = _tap_class(spec, w, a, frag, a)
                 if cls is not None and cls not in tap_index:
                     raise DataError(f"object {a}: its tap by wand {w} is missing")
+                frag._tap_of[w, a] = None if cls is None else tap_index[cls]
         return frag
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(str(exc)) from exc
@@ -250,43 +255,33 @@ def _output(path: str):
 
 def _parse_object(frag: Fragment, text: str) -> int:
     """An object argument: a decimal id, or brace notation for a
-    hereditarily bland object ('{}', '{{}}', ...)."""
+    hereditarily bland object ('{}', '{{}}', ...), read with a stack of
+    member-id lists; each '}' names its set by ``bland_id``, and a syntax
+    error anywhere wins over an unregistered set."""
     text = text.strip()
     if text.isdecimal():
         oid = int(text)
         if not 0 <= oid < len(frag.objects):
             raise BeyondFragment(f"no object {oid}")
         return oid
-    pure = _parse_braces(text)
-    oid = universe.encode_pure(frag, pure)
-    if oid is None:
-        raise BeyondFragment(f"{text} not registered in this fragment")
-    return oid
-
-
-def _parse_braces(text: str):
-    pos = 0
-
-    def node():
-        nonlocal pos
-        if pos >= len(text) or text[pos] != "{":
+    stack: List[List[Optional[int]]] = []
+    top: List[Optional[int]] = []  # the outermost set, once closed
+    for pos, ch in enumerate(text):
+        if top:
+            raise DataError(f"trailing input at {pos}")
+        if ch == "{":
+            stack.append([])
+        elif ch == "}" and stack:
+            members = stack.pop()
+            (stack[-1] if stack else top).append(
+                None if None in members else frag.bland_id(members))
+        elif ch not in ", " or not stack:
             raise DataError(f"expected '{{' at {pos}")
-        pos += 1
-        elems = []
-        while pos < len(text) and text[pos] != "}":
-            if text[pos] in ", ":
-                pos += 1
-                continue
-            elems.append(node())
-        if pos >= len(text):
-            raise DataError("unbalanced braces")
-        pos += 1
-        return mk_set(elems)
-
-    out = node()
-    if text[pos:].strip():
-        raise DataError(f"trailing input at {pos}")
-    return out
+    if not top:  # an open brace, or no text at all
+        raise DataError("unbalanced braces" if stack else "expected '{' at 0")
+    if top[0] is None:
+        raise BeyondFragment(f"{text} not registered in this fragment")
+    return top[0]
 
 
 # -- verification suites ---------------------------------------------------------
@@ -455,9 +450,28 @@ def cmd_translate(args) -> int:
     return EXIT_OK if ok else 1
 
 
+def _check_label_lengths(objects: List[Obj]) -> None:
+    """Raise CapExceeded, before any label is built, when one would pass
+    ``MAX_LABEL`` characters, read off its members' label lengths (the
+    escaped braces are two characters each) or its least argument's."""
+    lengths: List[int] = []
+    for o in objects:
+        if o.members is not None:
+            n = 4 + max(len(o.members) - 1, 0) + sum(map(lengths.__getitem__, o.members))
+        else:
+            w, b = o.tclass[0]
+            n = 1 + len(str(w)) + lengths[b]
+        if n > MAX_LABEL:
+            raise CapExceeded(f"the label of object {o.id} would have {n} characters, "
+                              f"more than {MAX_LABEL}")
+        lengths.append(n)
+
+
 def cmd_export(args) -> int:
     frag = _load(args.infile)
     objects = frag.objects
+    if args.labels:  # before the file is opened, so a refusal leaves none
+        _check_label_lengths(objects)
     ids = list(map(str, range(len(objects))))  # made once per write
     # labels are built escaped, and only those ranked below the last object
     # are kept: a label reads only the labels of lower ranks

@@ -114,8 +114,8 @@ def gen_stages(spec: WandSpec, depth: int) -> Stages:
 
     Stage sigma appends to the earlier conches the new carriers of their
     subsets, in mask order over their canonical sort, then the tap classes
-    formed at sigma - 1 in the order the tap sweep found them; tap classes
-    are read off the stage's relations exactly as in a fragment build.
+    formed at sigma - 1 in the order the tap sweep, which memoises every tap
+    it reads through :meth:`Stages.resolve_tap`, found them.
     Raises CapExceeded at a stage too wide to expand (``pureset.MAX_WIDTH``).
     """
     codes = tuple(w.code for w in spec.wands)
@@ -124,7 +124,7 @@ def gen_stages(spec: WandSpec, depth: int) -> Stages:
 
     found: Tuple[PureSet, ...] = ()
     below: FrozenSet[PureSet] = frozenset()
-    pending_taps: List[PureSet] = []   # classes formed at the previous stage
+    pending_taps: Dict[PureSet, None] = {}   # classes the previous stage's sweep coded
     subs: List[tuple] = subsets(())  # the subsets of the conches found so far
     for sigma in range(depth):
         new = [c for c in map(carrier, map(_intern, subs)) if c not in below]
@@ -135,25 +135,18 @@ def gen_stages(spec: WandSpec, depth: int) -> Stages:
                                     ranked=found))
         below = st.stages[-1].conches
 
-        # tap classes whose minimal argument rank is sigma become the
-        # non-bland conches of the next stage
-        pending_taps = []
+        # the taps of this stage's new conches: a class whose code is not yet
+        # a conch is new, as a build registers a class not yet in _tap_index
+        pending_taps = {}
         if sigma + 1 < depth:
             # the next stage's subsets, canonical as _intern needs; a stage too
             # wide to expand raises here, before the sweep
             subs = subsets(found, key=PureSet.sort_key)
-            seen = set()
             for a in new:
                 for w in spec.wand_indices():
-                    cls = wandspec.tap_class(spec, w, a, st)
-                    if cls is None:
-                        continue
-                    if any(st.ordrank(b) != sigma for _, b in cls):
-                        continue  # equivalent to an earlier tap; not new here
-                    code = st.class_code(cls)
-                    if code not in seen:
-                        seen.add(code)
-                        pending_taps.append(code)
+                    code = st.resolve_tap(w, a)
+                    if code is not None and code not in st.conchrank:
+                        pending_taps[code] = None
     return st
 
 

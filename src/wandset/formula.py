@@ -637,8 +637,8 @@ def _history_pot(s: Var, fresh: _Fresh, found_at: Callable, wistory: bool):
 
 
 def wevel_formula(s: Var, fresh: _Fresh):
-    """s is a stage proxy: the pot of some wistory."""
-    return _history_pot(s, fresh, found_at_formula, wistory=True)
+    """s is a stage proxy: a bland set that is the pot of some wistory."""
+    return And(Bland(s), _history_pot(s, fresh, found_at_formula, wistory=True))
 
 
 def lt_level_formula(s: Var, fresh: _Fresh):

@@ -67,12 +67,8 @@ def core_laws(frag: Fragment) -> List[Row]:
         rows.append(_row("wevel-recognizer-exact", bad))
         # and the wistory search agrees where it is affordable
         if small:
-            bad = []
-            for a in ids:
-                if frag.obj(a).is_bland and len(frag.obj(a).members) <= 8:
-                    witness = universe.wistory_witness(frag, a)
-                    if (witness is not None) != universe.is_wevel(frag, a):
-                        bad.append(a)
+            bad = [a for a in ids if (universe.wistory_witness(frag, a) is not None)
+                   != universe.is_wevel(frag, a)]
             rows.append(_row("wistory-search-agrees", bad))
 
     # laws of the least-stage map

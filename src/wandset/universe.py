@@ -22,7 +22,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from . import wandspec
 from .errors import BeyondFragment, CapExceeded, NotBland, StabilityViolation, TapUndefinedAt
-from .pureset import PureSet, acyclic, mk_set, subsets, vn
+from .pureset import PureSet, acyclic, subsets, vn
 from .wandspec import WandSpec
 
 DEFAULT_MAX_OBJECTS = 200_000
@@ -514,14 +514,6 @@ def encode_pure(frag: Fragment, p) -> Optional[int]:
         if oid is not None:
             frag._encoded[p] = oid
     return oid
-
-
-def decode_pure(frag: Fragment, a: int):
-    """Pure-set shape of a hereditarily bland object."""
-    o = frag.obj(a)
-    if not o.is_bland:
-        raise NotBland(repr(o))
-    return mk_set(decode_pure(frag, m) for m in o.members)
 
 
 # -- levels over urelements ---------------------------------------------------

@@ -1,6 +1,9 @@
+import collections
 import json
 import os
 import pathlib
+import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import pytest
 from wandset import cli, formula, pureset, universe, wandspec
 from wandset.errors import ParseError
 
-from conftest import ref_render, ref_sort_key
+from conftest import built, ref_render, ref_sort_key
 
 
 @pytest.fixture(scope="module")
@@ -624,6 +627,72 @@ def test_streamed_export_matches_reference(tmp_path, capsys, monkeypatch,
     assert dot.read_bytes() == want.encode("utf-8")
 
 
+@pytest.mark.parametrize("spec, depth, flags", EXPORTED,
+                         ids=[f"{s}-{d}" + ("-sampled" if f else "") for s, d, f in EXPORTED])
+def test_the_label_bound_counts_the_longest_label_exactly(tmp_path, capsys, monkeypatch,
+                                                          spec, depth, flags):
+    path, dot = tmp_path / "u.json", tmp_path / "u.dot"
+    assert cli.main(["build", "--spec", spec, "--depth", str(depth), "--out", str(path)]
+                    + flags) == 0
+    export = ["export", "--labels", "--in", str(path), "--dot", str(dot)]
+    assert cli.main(export) == 0
+    longest = max(map(len, re.findall(r'shape=\w+ label="(.*)"\];', dot.read_text())))
+    assert longest < cli.MAX_LABEL
+    monkeypatch.setattr(cli, "MAX_LABEL", longest)
+    dot.unlink()
+    assert cli.main(export) == 0 and dot.exists()
+    monkeypatch.setattr(cli, "MAX_LABEL", longest - 1)
+    dot.unlink()
+    capsys.readouterr()
+    assert cli.main(export) == 2 and not dot.exists()
+    assert capsys.readouterr().err.startswith("object budget exceeded: the label of object ")
+
+
+def test_a_label_past_the_bound_is_refused_before_the_dot_file_is_opened(capsys, tmp_path):
+    # a sampled pure build keeps one wevel per stage, and each wevel's label
+    # holds every earlier label: without the bound this export ran out of memory
+    path, dot = tmp_path / "p.json", tmp_path / "p.dot"
+    assert cli.main(["build", "--spec", "pure", "--depth", "1100", "--mode", "sampled",
+                     "--max-objects", "1500", "--out", str(path)]) == 0
+    import wandset
+
+    def limit_memory():  # the child only: 1 GiB of address space
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(pathlib.Path(wandset.__file__).parent.parent)
+    code = "import sys; from wandset import cli; sys.exit(cli.main(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", code, "export", "--labels", "--in", str(path),
+                          "--dot", str(dot)], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, preexec_fn=limit_memory, timeout=300)
+    assert run.returncode == 2
+    assert run.stderr.startswith("object budget exceeded: ") and run.stderr.count("\n") == 1
+    assert not dot.exists()
+
+
+def test_the_importer_memoises_every_tap_of_a_safe_id(church_file, monkeypatch):
+    frag = cli.import_fragment(pathlib.Path(church_file).read_text())
+    want = {(w, a) for a in frag.safe_ids() for w in frag.spec.wand_indices()}
+    assert want <= frag._tap_of.keys()
+    monkeypatch.setattr(wandspec, "tap_class", None)  # reading them asks nothing
+    for w, a in want:
+        frag.resolve_tap(w, a)
+
+
+def test_the_conch_suite_reuses_the_taps_of_generation_and_import(capsys, church_file,
+                                                                   monkeypatch):
+    calls = collections.Counter()
+    real = wandspec.tap_class
+
+    def counted(spec, w, a, q):
+        calls[type(q).__name__] += 1
+        return real(spec, w, a, q)
+
+    monkeypatch.setattr(wandspec, "tap_class", counted)
+    assert cli.main(["verify", "--suite", "conch", "--in", church_file]) == 0
+    # 21 on each side when neither generation nor import kept its answers
+    assert calls["Stages"] <= 12 and calls["Fragment"] <= 15, calls
+
+
 def test_build_to_unwritable_path(capsys, tmp_path):
     out = tmp_path / "missing" / "x.json"
     assert cli.main(["build", "--spec", "pure", "--depth", "2",
@@ -822,6 +891,33 @@ def test_object_arguments_beyond_the_fragment_and_in_brace_notation(
         capsys, church_file, argv, code, stream, says):
     assert cli.main(argv + ["--in", church_file]) == code
     assert getattr(capsys.readouterr(), stream) == says
+
+
+@pytest.fixture(scope="module")
+def pure3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("u") / "pure3.json"
+    assert cli.main(["build", "--spec", "pure", "--depth", "3", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [1200, 100_000])
+@pytest.mark.parametrize("argv", [["query", "rank", "--obj"],
+                                  ["query", "member", "--of", "0", "--x"]], ids=["obj", "x"])
+def test_deeply_nested_braces_are_read_to_a_documented_exit(capsys, pure3_file, argv, n):
+    text = "{" * n + "}" * n
+    assert cli.main(argv + [text, "--in", pure3_file]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith(" not registered in this fragment\n")
+    # a syntax error anywhere wins over the unregistered set
+    assert cli.main(argv + [text[:-1], "--in", pure3_file]) == 65
+    assert capsys.readouterr().err == "bad data: unbalanced braces\n"
+
+
+@pytest.mark.parametrize("name,depth", [("church:2", 3), ("pure", 4)])
+def test_every_hereditarily_bland_render_reads_back_to_its_id(name, depth):
+    frag = built(name, depth)
+    hb = [a for a in frag.ids() if universe.hereditarily_bland(frag, a)]
+    assert [cli._parse_object(frag, frag.render(a)) for a in hb] == hb
 
 
 def readme_walkthrough():

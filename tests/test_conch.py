@@ -6,6 +6,7 @@ from wandset import conch, instances, pureset as ps, universe, wandspec
 from wandset.errors import CapExceeded, NotACarrier, NotAConch, NotAPair
 
 from conftest import built
+from test_wandspec import dom_splitting_spec, late_breaking_spec, lopsided_spec, peeking_spec
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,68 @@ def test_trusted_interning_on_conway_stage_subsets():
             assert s is ps.mk_set(t)
             assert s.rank == (1 + max(e.rank for e in t) if t else 0)
             assert ps.carrier(s) in st.conches
+
+
+def reference_gen_stages(spec, depth):
+    """Stage generation with the sweep that restated the minimal-rank rule: a
+    tap class is new at sigma when every argument ranks sigma, a set of codes
+    drops repeats, and no tap is memoised."""
+    codes = tuple(w.code for w in spec.wands)
+    st = conch.Stages(spec=spec, depth=depth, wandcodes=codes,
+                      wand_of={c: i for i, c in enumerate(codes)})
+    found, below, pending, subs = (), frozenset(), [], ps.subsets(())
+    for sigma in range(depth):
+        new = [c for c in map(ps.carrier, map(ps._intern, subs)) if c not in below]
+        new += pending
+        st.conchrank.update(dict.fromkeys(new, sigma))
+        found += tuple(new)
+        st.stages.append(conch.ConchStage(sigma, frozenset(found), below, found))
+        below = st.stages[-1].conches
+        pending = []
+        if sigma + 1 < depth:
+            subs = ps.subsets(found, key=ps.PureSet.sort_key)
+            seen = set()
+            for a in new:
+                for w in spec.wand_indices():
+                    cls = wandspec.tap_class(spec, w, a, st)
+                    if cls is None or any(st.ordrank(b) != sigma for _, b in cls):
+                        continue
+                    code = st.class_code(cls)
+                    if code not in seen:
+                        seen.add(code)
+                        pending.append(code)
+    return st
+
+
+FIXTURE_SPECS = {"lopsided": lopsided_spec, "peeking": peeking_spec,
+                 "late-breaking": late_breaking_spec, "dom-splitting": dom_splitting_spec}
+GENERATED = ([(name, d) for name in ("pure", "conway", "partial-fun", "multiset")
+              for d in range(1, 6)]
+             + [(name, d) for name in ("church:1", "church:2") for d in range(1, 5)]
+             + [(name, d) for name in FIXTURE_SPECS for d in range(1, 5)])
+
+
+def _spec(name):
+    return FIXTURE_SPECS[name]() if name in FIXTURE_SPECS else wandspec.get_spec(name)
+
+
+@pytest.mark.parametrize("name,depth", GENERATED, ids=[f"{n}-{d}" for n, d in GENERATED])
+def test_generation_matches_the_sweep_that_restated_the_rank_rule(name, depth):
+    got, want = conch.gen_stages(_spec(name), depth), reference_gen_stages(_spec(name), depth)
+    assert [st.ranked for st in got.stages] == [st.ranked for st in want.stages]
+    assert list(got.conchrank.items()) == list(want.conchrank.items())
+
+
+@pytest.mark.parametrize("name,depth", [("church:2", 3), ("church:1", 4), ("conway", 4),
+                                        ("late-breaking", 4)])
+def test_generation_memoises_every_tap_below_the_last_stage(monkeypatch, name, depth):
+    stages = conch.gen_stages(_spec(name), depth)
+    want = {(w, a) for a in stages.ranked(depth - 2) for w in stages.spec.wand_indices()}
+    assert want <= stages._taps.keys()
+    # so reading them asks tap_class nothing
+    monkeypatch.setattr(wandspec, "tap_class", None)
+    for w, a in want:
+        stages.resolve_tap(w, a)
 
 
 def test_gen_stages_cap():
@@ -196,10 +259,12 @@ def test_code_of_empty_object(church3):
 
 
 def test_code_of_hereditarily_bland_is_deep_carrier(church3):
-    for a in church3.ids():
-        if universe.hereditarily_bland(church3, a):
-            assert conch.conch_code(church3, a) is ps.deep_carrier(
-                universe.decode_pure(church3, a))
+    reached = set()
+    for p in ps.lt_levels(church3.depth + 1)[-1]:
+        a = universe.encode_pure(church3, p)
+        assert conch.conch_code(church3, a) is ps.deep_carrier(p)
+        reached.add(a)
+    assert reached == {a for a in church3.ids() if universe.hereditarily_bland(church3, a)}
 
 
 def test_code_of_cardinal_tap(church3):

@@ -1409,7 +1409,7 @@ def reference_wevel_formula(s, fresh):
 
     a = fresh()
     wistory = F.And(F.Bland(h), F.Forall(a, F.Implies(F.In(a, h), pot_eq(a, a, h))))
-    return F.Exists(h, F.And(wistory, pot_eq(s, h, None)))
+    return F.And(F.Bland(s), F.Exists(h, F.And(wistory, pot_eq(s, h, None))))
 
 
 def reference_lt_level_formula(s, fresh):
@@ -1424,6 +1424,23 @@ def reference_lt_level_formula(s, fresh):
     a = fresh()
     history = F.Forall(a, F.Implies(F.In(a, h), pot_eq(a, a, h)))
     return F.Exists(h, F.And(history, pot_eq(s, h, None)))
+
+
+@pytest.mark.parametrize("name,depth", [("church:1", 3), ("church:2", 3), ("conway", 4),
+                                        ("partial-fun", 4)])
+def test_definitions_hold_of_exactly_what_their_recognizers_accept(name, depth):
+    # without Bland(s), wevel_formula also holds of the taps 2, 9 and 10 of
+    # church:2 depth 3 (*0{}, *0{{}}, *1{{}})
+    frag = built(name, depth)
+    model, ids = F.fragment_model(frag), frag.ids()
+    s, x, r = F.Var("s"), F.Var("x"), F.Var("r")
+    for define, recognize in ((F.wevel_formula, universe.is_wevel),
+                              (F.hb_formula, universe.hereditarily_bland)):
+        holds = F.compile_formula(model, define(s, F._Fresh()), (s,))
+        assert [a for a in ids if holds(a) != recognize(frag, a)] == [], define.__name__
+    found = F.compile_formula(model, F.found_at_formula(x, r, F._Fresh()), (x, r))
+    assert [(a, b) for a in ids for b in ids
+            if found(a, b) != universe.found_at(frag, a, b)] == []
 
 
 @pytest.mark.parametrize("build, reference", [
