@@ -38,6 +38,10 @@ EXIT_DATA = 65
 # every earlier one; the longest in a golden or benchmark DOT file has 428
 MAX_LABEL = 1 << 16
 
+# the most characters of an object argument that a message repeats in full;
+# past it, a message gives this many and the argument's length
+MAX_ECHO = 80
+
 
 class DataError(WandsetError):
     pass
@@ -192,17 +196,19 @@ def import_fragment(text: str) -> Fragment:
             last = key
             ranks.append(rank)
             objects.append(o)
-        frag.wevel_contents = [_ids(c, "wevel") for c in _typed(doc["wevels"], list, "wevels")]
-        if len(frag.wevel_contents) != frag.depth + 1:
+        wevels = [_ids(c, "wevel") for c in _typed(doc["wevels"], list, "wevels")]
+        if len(wevels) != frag.depth + 1:
             raise DataError("wevel list does not match depth")
         # canonical order sorts by rank, so wevel i < depth lists the ids 0, 1,
-        # ... of rank below i, and the last one every id
-        for i, c in enumerate(frag.wevel_contents):
-            if i == frag.depth:
-                if c != tuple(range(len(ranks))):
-                    raise DataError(f"wevel {i} must list every id")
-            elif c != tuple(range(bisect.bisect_left(ranks, i))):
-                raise DataError(f"wevel {i} must list the ids of rank below {i}")
+        # ... of rank below i, and the last one every id; each is kept as a
+        # slice of the objects' own ids, not the ints the parser made
+        ids = tuple(o.id for o in objects)
+        for i, c in enumerate(wevels):
+            want = ids if i == frag.depth else ids[:bisect.bisect_left(ranks, i)]
+            if c != want:
+                raise DataError(f"wevel {i} must list every id" if i == frag.depth
+                                else f"wevel {i} must list the ids of rank below {i}")
+            frag.wevel_contents.append(want)
         # a build's last stage, depth - 1, makes objects of rank depth - 1 at most
         if ranks and ranks[-1] >= frag.depth:
             oid = bisect.bisect_left(ranks, frag.depth)
@@ -260,7 +266,10 @@ def _parse_object(frag: Fragment, text: str) -> int:
     error anywhere wins over an unregistered set."""
     text = text.strip()
     if text.isdecimal():
-        oid = int(text)
+        digits = text.lstrip("0") or "0"
+        if len(digits) > MAX_ECHO:  # no id is that long; int() refuses over 4,300 digits
+            raise BeyondFragment(f"no object {_echo(digits)}")
+        oid = int(digits)
         if not 0 <= oid < len(frag.objects):
             raise BeyondFragment(f"no object {oid}")
         return oid
@@ -280,8 +289,15 @@ def _parse_object(frag: Fragment, text: str) -> int:
     if not top:  # an open brace, or no text at all
         raise DataError("unbalanced braces" if stack else "expected '{' at 0")
     if top[0] is None:
-        raise BeyondFragment(f"{text} not registered in this fragment")
+        raise BeyondFragment(f"{_echo(text)} not registered in this fragment")
     return top[0]
+
+
+def _echo(text: str) -> str:
+    """``text`` in full up to ``MAX_ECHO`` characters, else a prefix and its length."""
+    if len(text) <= MAX_ECHO:
+        return text
+    return f"{text[:MAX_ECHO]}... ({len(text)} characters)"
 
 
 # -- verification suites ---------------------------------------------------------

@@ -16,8 +16,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import universe, wandspec
 from .errors import BeyondFragment, NotAConch, NotAPair
-from .pureset import (PureSet, _intern, acyclic, carrier, deep_carrier, in_carrier_levels,
-                      is_carrier, kpair, kunpair, lt_levels, mk_set, rank, subsets, uncarrier)
+from .pureset import (PureSet, _carrier_of, acyclic, deep_carrier, in_carrier_levels, is_carrier,
+                      kpair, kunpair, lt_levels, mk_set, rank, subsets)
+from .pureset import carrier  # noqa: F401  (perfbench/tracer.py wraps conch.carrier by name)
 from .universe import Fragment
 from .wandspec import WandSpec
 
@@ -66,7 +67,7 @@ class Stages:
         return is_carrier(h)
 
     def members(self, h: PureSet) -> Tuple[PureSet, ...]:
-        return uncarrier(h).elements if is_carrier(h) else ()
+        return h.inner if is_carrier(h) else ()
 
     def ordrank(self, h: PureSet) -> int:
         """Least stage at which the conch ``h`` occurs."""
@@ -127,7 +128,7 @@ def gen_stages(spec: WandSpec, depth: int) -> Stages:
     pending_taps: Dict[PureSet, None] = {}   # classes the previous stage's sweep coded
     subs: List[tuple] = subsets(())  # the subsets of the conches found so far
     for sigma in range(depth):
-        new = [c for c in map(carrier, map(_intern, subs)) if c not in below]
+        new = [c for c in map(_carrier_of, subs) if c not in below]
         new += pending_taps
         st.conchrank.update(dict.fromkeys(new, sigma))
         found += tuple(new)
@@ -139,7 +140,7 @@ def gen_stages(spec: WandSpec, depth: int) -> Stages:
         # a conch is new, as a build registers a class not yet in _tap_index
         pending_taps = {}
         if sigma + 1 < depth:
-            # the next stage's subsets, canonical as _intern needs; a stage too
+            # the next stage's subsets, canonical as _carrier_of needs; a stage too
             # wide to expand raises here, before the sweep
             subs = subsets(found, key=PureSet.sort_key)
             for a in new:
@@ -178,7 +179,7 @@ def check_stage_laws(stages: Stages) -> List[str]:
     for c in stages.ranked(stages.depth - 1):
         r = stages.conchrank[c]
         if is_carrier(c):
-            inner = uncarrier(c)
+            inner = c.inner
             if any(x not in stages.conchrank for x in inner):
                 bad.append(f"carrier at rank {r} holds a non-conch")
                 continue
@@ -234,7 +235,7 @@ def _misranked(stages: Stages) -> List[str]:
 def _found_at_code(stages: Stages, c: PureSet, alpha: int) -> bool:
     """Whether ``c`` is a carrier of, or a tap of, conches below stage alpha."""
     if is_carrier(c):
-        return all(x in stages.stages[alpha].below for x in uncarrier(c))
+        return all(x in stages.stages[alpha].below for x in c.inner)
     return any(stages.resolve_tap(w, b) == c for b in stages.ranked(alpha - 1)
                for w in stages.spec.wand_indices())
 
@@ -246,21 +247,23 @@ def conch_code(frag: Fragment, a: int) -> PureSet:
 
     Bland objects become carriers of their members' codes; tapped objects
     become the set of <wand code, argument code> pairs of their class.
-    Codes are memoised per id in ``Fragment.conch_codes``: a registered
-    object never changes.
+    Codes are memoised by id in the list ``Fragment.conch_codes``: a
+    registered object never changes.
     """
     return _conch_code(frag, a)
 
 
 def _conch_code(frag: Fragment, a: int) -> PureSet:
     memo = frag.conch_codes
-    got = memo.get(a)
+    if len(memo) <= a:  # objects registered since the last code
+        memo += [None] * (len(frag.objects) - len(memo))
+    got = memo[a]
     if got is None:
         o = frag.obj(a)
         if o.is_bland:  # members sorted by their codes' order: canonical as is
             pos = _code_positions(frag, o.ordrank)
-            got = carrier(_intern(tuple(map(
-                memo.__getitem__, sorted(o.members, key=pos.__getitem__)))))
+            got = _carrier_of(tuple(map(
+                memo.__getitem__, sorted(o.members, key=pos.__getitem__))))
         else:
             codes = frag.spec.wands
             got = mk_set(kpair(codes[w].code, _conch_code(frag, b)) for w, b in o.tclass)
@@ -366,7 +369,7 @@ def verify_roundtrip(frag: Fragment, stages: Stages) -> Dict[str, List[str]]:
     for a in ids:
         for b in ids:
             lhs = bool(universe.member_mask(frag, b) >> a & 1)
-            rhs = is_carrier(codes[b]) and codes[a] in uncarrier(codes[b])
+            rhs = is_carrier(codes[b]) and codes[a] in codes[b].inner
             if lhs != rhs:
                 report["code_clauses"].append(f"membership flips for ({a},{b})")
 

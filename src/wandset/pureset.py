@@ -4,18 +4,21 @@ Every value built through :func:`mk_set` is deduplicated, sorted into a fixed
 total order (rank, then cardinality, then lexicographic on elements) and
 interned, so structural equality coincides with object identity for the life
 of the process.  The trusted entry ``_intern`` skips dedup and sort; its
-caller guarantees a canonical, duplicate-free tuple.  Its callers: any subset
-that :func:`subsets` or :func:`ordered_subsets` cuts from a canonically
-sorted spread, :func:`lt_levels` (each level built in canonical order by
-:func:`ordered_subsets`), a carrier's pair, :func:`deep_carrier` and
-:func:`deep_uncarrier` (order preserving, see there), and the bland codes of
-``conch.conch_code`` (members sorted by their codes' canonical positions).
+caller guarantees a canonical, duplicate-free tuple; so does ``_carrier_of``,
+the carrier of such a tuple's set, which leaves that set uninterned.  Their
+callers: any subset that :func:`subsets` or :func:`ordered_subsets` cuts from
+a canonically sorted spread (:func:`carrier_level` and ``conch.gen_stages``
+among them), :func:`lt_levels` (each level built in canonical order by
+:func:`ordered_subsets`), a carrier's pair and payload, :func:`deep_carrier`
+and :func:`deep_uncarrier` (order preserving, see there), and the bland codes
+of ``conch.conch_code`` (members sorted by their codes' canonical positions).
 All operations are pure.  The only mutation points, all as long-lived as the
 process: the interning table, keyed by the sorted element tuple (the interned
-set's own ``elements``); the carrier table, keyed by payload, which holds
-every {<empty, a>} (``_intern`` routes that shape there), both filled with
-``dict.setdefault``, so racing threads agree on one value; a carrier's one
-element, built on first read; and the :func:`deep_carrier` memo.
+set's own ``elements``); the carrier table, keyed by the payload's element
+tuple, which holds every {<empty, a>} (``_intern`` routes that shape there),
+both filled with ``dict.setdefault``, so racing threads agree on one value;
+a carrier's one element and its payload, each interned on its first read;
+and the :func:`deep_carrier` memo.
 """
 
 from __future__ import annotations
@@ -112,18 +115,20 @@ class PureSet:
 
 
 class _Carrier(PureSet):
-    """{<empty, a>}, one per payload ``a``; its element, the pair <empty, a>,
-    is interned on the first read of the unset ``elements`` slot."""
+    """{<empty, a>}, one per payload ``a``, which it keeps as a's canonical
+    element tuple ``inner``; its element, the pair <empty, a>, is interned on
+    the first read of the unset ``elements`` slot, and ``a`` with it."""
 
-    __slots__ = ("payload",)
+    __slots__ = ("inner",)
 
-    def __init__(self, payload: PureSet):
-        self.payload, self.rank, self._key = payload, payload.rank + 3, None
+    def __init__(self, inner: Tuple[PureSet, ...]):
+        # a ranks 0 when empty, else one above its last element
+        self.inner, self.rank, self._key = inner, (inner[-1].rank + 4 if inner else 3), None
 
     def __getattr__(self, name):  # reached only while the elements slot is unset
         if name != "elements":
             raise AttributeError(name)
-        a = self.payload  # <empty, a> = {{empty}, {empty, a}}, canonical as written
+        a = _intern(self.inner)  # <empty, a> = {{empty}, {empty, a}}, canonical as written
         pair = (_SINGLETON_EMPTY,) if a is EMPTY else (_SINGLETON_EMPTY, _intern((EMPTY, a)))
         self.elements = (_intern(pair),)
         return self.elements
@@ -134,7 +139,7 @@ _SINGLETON_EMPTY = PureSet((EMPTY,))
 # Elements hash and compare by identity, which interning makes structural
 # equality, so equal element tuples name the same set; carriers: _CARRIERS.
 _TABLE: Dict[Tuple[PureSet, ...], PureSet] = {(): EMPTY, (EMPTY,): _SINGLETON_EMPTY}
-_CARRIERS: Dict[PureSet, _Carrier] = {}
+_CARRIERS: Dict[Tuple[PureSet, ...], _Carrier] = {}
 
 
 def mk_set(elems: Iterable[PureSet]) -> PureSet:
@@ -152,7 +157,7 @@ def _intern(ordered: Tuple[PureSet, ...]) -> PureSet:
     hit = _TABLE.get(ordered)
     if hit is None:
         if len(ordered) == 1 and (a := _pair_payload(ordered[0])) is not None:
-            return carrier(a)
+            return _carrier_of(a.elements)
         hit = _TABLE.setdefault(ordered, PureSet(ordered))
     return hit
 
@@ -242,17 +247,25 @@ def kunpair(p: PureSet) -> Tuple[PureSet, PureSet]:
 
 def carrier(a: PureSet) -> PureSet:
     """The code {<empty, a>} marking a as a bland value."""
-    hit = _CARRIERS.get(a)
+    return _carrier_of(a.elements)
+
+
+def _carrier_of(inner: Tuple[PureSet, ...]) -> PureSet:
+    """The carrier of the set whose elements are ``inner``, without interning
+    that set; trusted as ``_intern`` is: ``inner`` is canonical."""
+    hit = _CARRIERS.get(inner)
     if hit is None:
-        hit = _CARRIERS.setdefault(a, _Carrier(a))
+        hit = _CARRIERS.setdefault(inner, _Carrier(inner))
     return hit
 
 
 def uncarrier(c: PureSet) -> PureSet:
-    """Invert :func:`carrier`; raises NotACarrier on anything else."""
+    """Invert :func:`carrier`, interning the payload on its first read;
+    raises NotACarrier on anything else.  A reader of the payload's members
+    alone reads ``c.inner``."""
     if type(c) is not _Carrier:
         raise NotACarrier(repr(c))
-    return c.payload
+    return _intern(c.inner)
 
 
 def is_carrier(c: PureSet) -> bool:
@@ -282,7 +295,7 @@ def deep_carrier(a: PureSet) -> PureSet:
     # elements, which by induction compare as the elements do.
     got = _DEEP.get(a)
     if got is None:
-        got = _DEEP[a] = carrier(_intern(tuple(map(deep_carrier, a.elements))))
+        got = _DEEP[a] = _carrier_of(tuple(map(deep_carrier, a.elements)))
     return got
 
 
@@ -291,7 +304,7 @@ def deep_uncarrier(c: PureSet) -> PureSet:
     if not is_carrier(c):
         raise NotInCodeImage(repr(c))
     # the inverse of a strictly monotone map keeps order on its image
-    return _intern(tuple(map(deep_uncarrier, uncarrier(c).elements)))
+    return _intern(tuple(map(deep_uncarrier, c.inner)))
 
 
 # -- carrier hierarchy over a base ------------------------------------------
@@ -305,8 +318,8 @@ def carrier_level(alpha: int, base: frozenset) -> frozenset:
     """
     level = frozenset(base)
     for _ in range(alpha):
-        level = frozenset(base).union(  # in canonical order, as _intern needs
-            carrier(_intern(t)) for t in subsets(level, key=PureSet.sort_key))
+        level = frozenset(base).union(  # in canonical order, as _carrier_of needs
+            _carrier_of(t) for t in subsets(level, key=PureSet.sort_key))
     return level
 
 
@@ -318,7 +331,7 @@ def in_carrier_levels(base: frozenset, x: PureSet) -> bool:
     """
     if x in base:
         return True
-    return is_carrier(x) and all(in_carrier_levels(base, y) for y in uncarrier(x))
+    return is_carrier(x) and all(in_carrier_levels(base, y) for y in x.inner)
 
 
 def is_carrier_level_code(base: frozenset, c: PureSet) -> bool:
@@ -330,10 +343,10 @@ def is_carrier_level_code(base: frozenset, c: PureSet) -> bool:
     """
     if not is_carrier(c):
         return False
-    inner = uncarrier(c)
+    inner = c.inner
     payloads = [uncarrier(r) for r in inner if is_carrier_level_code(base, r)]
     # everything available from them: the base, plus carriers of their subsets
-    return frozenset(base).union(map(carrier, _pot(payloads))) == frozenset(inner.elements)
+    return frozenset(base).union(map(carrier, _pot(payloads))) == frozenset(inner)
 
 
 # -- the plain cumulative hierarchy ------------------------------------------

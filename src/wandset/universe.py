@@ -98,9 +98,10 @@ class Fragment:
     _wevel_ids: Dict[int, int] = field(default_factory=dict)
     _masks: Optional["_Masks"] = None
     # facts fixed when an object is registered, kept for the fragment's life:
-    # conch codes, kinds (filled by conch and instances), hereditary
+    # conch codes (by id, None where not yet coded; conch grows the list to
+    # the population), kinds (filled by conch and instances), hereditary
     # blandness and encode_pure's hits
-    conch_codes: Dict[int, PureSet] = field(default_factory=dict)
+    conch_codes: List[Optional[PureSet]] = field(default_factory=list)
     kinds: Dict[int, "instances.CusKind"] = field(default_factory=dict)
     _hb: Dict[int, bool] = field(default_factory=dict)
     _encoded: Dict[PureSet, int] = field(default_factory=dict)
@@ -260,7 +261,9 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
     # each stage registers its new bland sets, then its new tap classes, each
     # group sorted, so ids follow canonical order
     for stage in range(depth):
-        prev = tuple(frag.ids())  # everything so far ranks below the stage
+        # everything so far ranks below the stage; the objects' own id ints,
+        # which every wevel shares
+        prev = tuple(o.id for o in frag.objects)
         frag.wevel_contents.append(prev)
         if mode == "exhaustive":
             if len(frag.objects) + (1 << len(prev)) > max_objects:
@@ -291,7 +294,7 @@ def build(spec: WandSpec, depth: int, max_objects: int = DEFAULT_MAX_OBJECTS,
         frag._tap_of.update((key, None if cls is None else frag._tap_index[cls])
                             for key, cls in taps.items())
 
-    frag.wevel_contents.append(tuple(frag.ids()))
+    frag.wevel_contents.append(tuple(o.id for o in frag.objects))
     return frag
 
 

@@ -76,7 +76,7 @@ def test_colliding_codes_below_a_rank_raise():
     holder = next(a for a in rank3 if {one, two} <= set(frag.obj(a).members))
     with pytest.raises(ValueError, match="below rank 3 share a conch code"):
         conch.conch_code(frag, holder)
-    assert holder not in frag.conch_codes
+    assert frag.conch_codes[holder] is None
     assert (3, len(frag)) not in frag.conch_positions
 
 
@@ -117,7 +117,7 @@ def test_conch_codes_sort_only_the_codes_below_each_rank(monkeypatch, name, boun
     # a fresh memo on a shared depth-4 build; sorting the codes below each
     # rank once takes 29 key calls on conway and 190 on church:2 in a fresh
     # process, where coding each bland object through mk_set took 54 and 11,439
-    frag = dataclasses.replace(built(name, 4), conch_codes={}, conch_positions={})
+    frag = dataclasses.replace(built(name, 4), conch_codes=[], conch_positions={})
     calls = count_sort_keys(monkeypatch)
     [conch.conch_code(frag, a) for a in frag.ids()]
     assert len(calls) < bound

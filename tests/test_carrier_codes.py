@@ -1,7 +1,8 @@
 """Carrier codes {<empty, a>} as one object per payload.
 
-``pureset.carrier`` keeps one object per payload and builds its one element,
-the pair <empty, a>, only when something reads it; ``pureset._intern`` sends
+``pureset.carrier`` keeps one object per payload, holding the payload's
+element tuple, and builds its one element, the pair <empty, a>, and the
+payload itself only when something reads them; ``pureset._intern`` sends
 every set of that shape to the same object.  The shape reader below is the
 reference for ``is_carrier`` and ``uncarrier``.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from wandset import pureset as ps
+from wandset import conch, pureset as ps, wandspec
 from wandset.errors import NotACarrier
 
 from test_pureset import pure_sets
@@ -83,6 +84,13 @@ def test_a_set_holding_a_carrier_stays_a_plain_set():
         assert not ps.is_carrier(s) and not shape_is_carrier(s)
 
 
+def run_fresh(code):
+    # a fresh process, so no other test has read a carrier
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+
+
 _UNREAD_PAIRS = textwrap.dedent("""
     from wandset import conch, pureset as ps, wandspec
 
@@ -97,18 +105,14 @@ _UNREAD_PAIRS = textwrap.dedent("""
     carriers = list(ps._CARRIERS.values())
     unread = {c for c in carriers if not pair_built(c)}
     held = [s for s in ps._TABLE.values()
-            if (a := ps._pair_payload(s)) is not None and ps._CARRIERS.get(a) in unread]
+            if (a := ps._pair_payload(s)) is not None
+            and ps._CARRIERS.get(a.elements) in unread]
     print(len(stages.ranked(3)), len(carriers), len(unread), len(held), len(ps._TABLE))
 """)
 
 
 def test_stage_generation_builds_no_pair_of_an_unread_carrier():
-    # a fresh process, so no other test has read a carrier
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", _UNREAD_PAIRS], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    conches, carriers, unread, held, table = map(int, out.split())
+    conches, carriers, unread, held, table = map(int, run_fresh(_UNREAD_PAIRS).split())
     assert conches == carriers == 16  # pure depth 4: every conch is a carrier
     assert held == 0
     # the stage sort read the four carriers of stage 2 (and the pairs and
@@ -116,6 +120,46 @@ def test_stage_generation_builds_no_pair_of_an_unread_carrier():
     assert unread == 12
     # the four-set form interned three sets per carrier besides its payload
     assert table < 2 * carriers
+
+
+_INTERNED_PAYLOADS = textwrap.dedent("""
+    from wandset import conch, pureset as ps, universe, wandspec
+
+    spec = wandspec.get_spec("conway")
+    stages = conch.gen_stages(spec, 5)
+    frag = universe.build(spec, 5)
+    codes = [conch.conch_code(frag, a) for a in frag.ids()]
+    assert frozenset(codes) == stages.stages[-1].conches
+    carriers = list(ps._CARRIERS.values())
+    print(len(carriers), sum(c.inner in ps._TABLE for c in carriers))
+""")
+
+
+def test_stage_generation_and_recoding_intern_only_the_payloads_they_read():
+    carriers, interned = map(int, run_fresh(_INTERNED_PAYLOADS).split())
+    # conway depth 5 codes 65,536 bland objects; interning each carrier's
+    # payload with it put 65,536 payloads in the intern table, and the rank
+    # sort of the recoding reads 18 of them
+    assert carriers >= 1 << 16
+    assert interned <= 18
+
+
+def codes_to_check():
+    for name in ("pure", "conway", "partial-fun", "multiset", "church:1", "church:2"):
+        yield from conch.gen_stages(wandspec.get_spec(name), 3).ranked(2)
+    yield from map(ps.deep_carrier, ps.lt_levels(5)[-1].elements)  # every set of rank <= 3
+
+
+def test_every_code_is_one_object_by_any_route():
+    checked = 0
+    for c in codes_to_check():
+        assert ps._intern(c.elements) is c
+        if ps.is_carrier(c):
+            a = ps.uncarrier(c)
+            assert ps.carrier(a) is c
+            assert a is ps._intern(c.inner) and a.elements == c.inner
+            checked += 1
+    assert checked > 16
 
 
 def test_carrier_codes_are_one_object_across_threads():
@@ -126,7 +170,7 @@ def test_carrier_codes_are_one_object_across_threads():
         z = ps.mk_set([E, z])  # {0, {0, ...}}: sets no other test reaches
         if z.rank > 40:
             payloads.append(z)
-    assert not any(a in ps._CARRIERS for a in payloads)
+    assert not any(a.elements in ps._CARRIERS for a in payloads)
     results = {}
 
     def worker(i):

@@ -886,6 +886,16 @@ def test_cli_and_suites_load_without_formula():
     (["query", "rank", "--obj", "{{},{{}}}"], 0, "out", "2\n"),
     (["query", "rank", "--obj", "{{}"], 65, "err", "bad data: unbalanced braces\n"),
     (["query", "rank", "--obj", "{}}"], 65, "err", "bad data: trailing input at 2\n"),
+    # a decimal of any length is read, and past MAX_ECHO significant digits
+    # names no object; a message repeats MAX_ECHO characters at most
+    (["query", "rank", "--obj", "0" * 200 + "3"], 0, "out", "2\n"),
+    (["query", "rank", "--obj", "0" * 5000 + "99"], 3, "err", "beyond fragment: no object 99\n"),
+    (["query", "rank", "--obj", "9" * 5000], 3, "err",
+     f"beyond fragment: no object {'9' * 80}... (5000 characters)\n"),
+    (["query", "rank", "--obj", "{" * 40 + "}" * 40], 3, "err",
+     "beyond fragment: " + "{" * 40 + "}" * 40 + " not registered in this fragment\n"),
+    (["query", "rank", "--obj", "{" * 41 + "}" * 41], 3, "err", "beyond fragment: "
+     + "{" * 41 + "}" * 39 + "... (82 characters) not registered in this fragment\n"),
 ])
 def test_object_arguments_beyond_the_fragment_and_in_brace_notation(
         capsys, church_file, argv, code, stream, says):
@@ -908,6 +918,10 @@ def test_deeply_nested_braces_are_read_to_a_documented_exit(capsys, pure3_file, 
     assert cli.main(argv + [text, "--in", pure3_file]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith(" not registered in this fragment\n")
+    # the message repeats MAX_ECHO characters of the argument, then its length
+    assert err == (f"beyond fragment: {text[:cli.MAX_ECHO]}... ({2 * n} characters)"
+                   " not registered in this fragment\n")
+    assert len(err) < cli.MAX_ECHO + 80
     # a syntax error anywhere wins over the unregistered set
     assert cli.main(argv + [text[:-1], "--in", pure3_file]) == 65
     assert capsys.readouterr().err == "bad data: unbalanced braces\n"
